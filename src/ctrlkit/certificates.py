@@ -9,12 +9,13 @@ controllability; reports say which one they carry.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dsl import AffineSystem
-from .expr import Constant, Mul, StateVar, Sub, diff, is_probably_zero, node_count, simplify
+from .expr import Constant, EvalError, Mul, StateVar, Sub, diff, is_probably_zero, node_count, simplify
 from .fields import VectorField, eval_vf, lie_bracket
 
 RANK_TOL = 1e-9
@@ -48,6 +49,9 @@ def linear_of(aff: AffineSystem) -> LinearRealization | NotLinearReport:
     for i, comp in enumerate(aff.drift.components):
         for j in range(n):
             a[i, j] = _constant_derivative(comp, j, n)
+            if not math.isfinite(a[i, j]):
+                # a linear drift's derivative is defined everywhere
+                return NotLinearReport(aff.name, "drift is not linear in the states", f"d{aff.states[i]}")
     # residual check catches both nonlinearity and constant offsets
     for i, comp in enumerate(aff.drift.components):
         residual = comp
@@ -75,13 +79,17 @@ def linear_of(aff: AffineSystem) -> LinearRealization | NotLinearReport:
 
 
 def _constant_derivative(comp, j: int, n: int) -> float:
+    """d comp / d x_j at the origin, nan where it cannot be evaluated."""
     from .expr import eval_expr
 
     d = simplify(diff(comp, StateVar(j)))
     if isinstance(d, Constant):
         return d.value
     # evaluate at the origin; the residual check validates the choice
-    return eval_expr(d, np.zeros(n))
+    try:
+        return eval_expr(d, np.zeros(n))
+    except EvalError:
+        return math.nan
 
 
 def matrix_rank(mat: np.ndarray, tol: float = RANK_TOL) -> int:

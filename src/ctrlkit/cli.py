@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import re
 import sys
 import time
 from datetime import datetime, timezone
@@ -387,6 +388,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _glue_negative_vectors(argv: list[str]) -> list[str]:
+    """Write `--x0 -0.36,0.5` as `--x0=-0.36,0.5`: argparse takes a value
+    that starts with a minus and holds a comma for an option."""
+    out = []
+    for tok in argv:
+        if out and out[-1] in ("--x0", "--point") and re.match(r"-[0-9.]", tok):
+            out[-1] += "=" + tok
+        else:
+            out.append(tok)
+    return out
+
+
 def _manifest_path(args, manifest) -> str:
     if getattr(args, "manifest", None):
         return args.manifest
@@ -397,8 +410,9 @@ def _manifest_path(args, manifest) -> str:
 
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_glue_negative_vectors(argv))
     except SystemExit as exc:
         return int(exc.code or 0)
 
@@ -407,7 +421,7 @@ def main(argv=None) -> int:
         "tool": "ctrlkit",
         "version": __version__,
         "command": args.command,
-        "argv": list(sys.argv[1:] if argv is None else argv),
+        "argv": argv,
         "inputs": {},
         "outputs": [],
         "seed": None,

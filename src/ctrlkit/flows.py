@@ -144,8 +144,8 @@ def substep_count(duration: float, step: float) -> int:
 def integrate(sys: ControlSystem, x0, ctrl: PiecewiseControl, step: float = DEFAULT_STEP) -> Trajectory:
     """Fixed-step RK4 through every control segment.  Substeps never
     exceed `step` and each segment boundary is hit exactly."""
-    if step <= 0.0:
-        raise ValueError("step must be positive")
+    if not (step > 0.0 and math.isfinite(step)):
+        raise ValueError("step must be positive and finite")
     x = np.asarray(x0, dtype=float)
     if x.shape != (sys.n,):
         raise ValueError(f"x0 must have {sys.n} entries, got shape {x.shape}")

@@ -55,8 +55,8 @@ class ReachConfig:
             raise ValueError("need at least one sample")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
-        if self.step <= 0.0:
-            raise ValueError("step must be positive")
+        if not (self.step > 0.0 and math.isfinite(self.step)):
+            raise ValueError("step must be positive and finite")
         object.__setattr__(self, "input_box", _as_box(self.input_box))
         object.__setattr__(self, "window", _as_box(self.window))
         res = self.resolution
@@ -128,9 +128,8 @@ class _Grid:
         flat[~ok] = -1
         return flat
 
-    def commit(self, stacked: np.ndarray, keep: np.ndarray):
-        valid = (stacked >= 0) & keep[None, :]
-        self.bitmap[stacked[valid]] = True
+    def commit(self, marks: np.ndarray):
+        self.bitmap |= marks
 
     @property
     def coverage(self) -> float:
@@ -145,14 +144,17 @@ def _draw_controls(seed: int, count: int, segments: int, horizon: float, box):
     box = np.array(box, dtype=float).reshape(-1, 2)
     m = box.shape[0]
     lows, spans = box[:, 0], box[:, 1] - box[:, 0]
-    durations = np.empty((count, segments))
-    values = np.empty((count, segments, m))
-    ones = np.ones(segments)
+    gam = np.empty((count, segments))
+    raw = np.empty((count, segments, m))
     for i in range(count):
         rng = np.random.default_rng([seed, i])
-        durations[i] = rng.dirichlet(ones) * horizon
-        values[i] = lows + rng.random((segments, m)) * spans
-    return durations, values
+        gam[i] = rng.standard_exponential(segments)
+        raw[i] = rng.random((segments, m))
+    # rng.dirichlet(ones) draws these same exponentials and scales them by
+    # the reciprocal of their sum taken in order; cumsum adds in order too,
+    # where np.sum pairs terms once there are 8 or more
+    durations = gam * (1.0 / np.cumsum(gam, axis=1)[:, -1:]) * horizon
+    return durations, lows + raw * spans
 
 
 def _run_batch(f, n: int, x0, durations, values, step: float, grids):
@@ -182,7 +184,14 @@ def _run_chunk(f, x0, durations, values, step, grids):
     segment by segment instead would cost each segment the chunk's
     longest one, and with Dirichlet durations that is close to a whole
     horizon per segment.  A row's steps never depend on the other rows,
-    so endpoints, drops and marks do not depend on the chunk layout."""
+    so endpoints, drops and marks do not depend on the chunk layout.
+
+    Cells are marked into chunk-local bitmaps as the loop steps, so
+    memory does not grow with the number of steps.  A row that blows up
+    may already have marked cells, so once any row drops, the local marks
+    are thrown away, nothing more is marked, and at the end the surviving
+    rows alone are run again: they take the same steps as before and
+    cannot drop."""
     count = durations.shape[0]
     x = np.tile(x0, (count, 1))
     alive = np.ones(count, dtype=bool)
@@ -197,9 +206,9 @@ def _run_chunk(f, x0, durations, values, step, grids):
     turns[:, -1] = 0
     seg = np.zeros(count, dtype=np.int64)
     u, h, turn_at = values[:, 0], hs[:, :1], turns[:, 0]
-    buffers: list[list[np.ndarray]] = [[] for _ in grids]
-    for grid, buf in zip(grids, buffers):
-        buf.append(grid.flat_index(x).astype(np.int32))
+    # one spare cell past the grid takes the -1 of points outside it
+    marks = [(grid, np.zeros(grid.bitmap.size + 1, dtype=bool)) for grid in grids]
+    _mark(marks, x)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for k in range(int(total.max())):
             act = alive & (k < total)
@@ -214,19 +223,26 @@ def _run_chunk(f, x0, durations, values, step, grids):
             if bad.any():
                 alive &= ~bad
                 x[bad] = 0.0
-            mark = act & alive
-            for grid, buf in zip(grids, buffers):
-                idx = grid.flat_index(x).astype(np.int32)
-                idx[~mark] = -1
-                buf.append(idx)
+                marks = []  # the marks of a chunk with a dead row are not kept
+            _mark(marks, x)
             turn = turn_at == k + 1
             if turn.any():
                 seg += turn
                 u, h, turn_at = values[rows, seg], hs[rows, seg][:, None], turns[rows, seg]
-    for grid, buf in zip(grids, buffers):
-        grid.commit(np.vstack(buf), alive)
+    if alive.all():
+        for grid, bm in marks:
+            grid.commit(bm[:-1])
+    elif grids and alive.any():
+        _run_chunk(f, x0, durations[alive], values[alive], step, grids)
     endpoints = np.where(alive[:, None], x, 0.0)
     return endpoints, ~alive
+
+
+def _mark(marks, x):
+    """Every row marks its cell: a row that has finished stays in a cell it
+    has already marked."""
+    for grid, bm in marks:
+        bm[grid.flat_index(x)] = True
 
 
 def sample_reach(sys: ControlSystem, x0, cfg: ReachConfig) -> ReachEstimate:

@@ -63,6 +63,14 @@ def test_linear_of_flags_nonlinear_drift():
     assert rep.where == "dx2"
 
 
+def test_linear_of_flags_drift_undefined_at_origin():
+    aff = affine_of("system recip\nstates x1 x2\ninputs u\ndx1 = 1/x1 + x2\ndx2 = u\n")
+    rep = linear_of(aff)
+    assert isinstance(rep, NotLinearReport)
+    assert "not linear" in rep.reason
+    assert rep.where == "dx1"
+
+
 def test_linear_of_flags_state_dependent_channel():
     aff = affine_of("system bil\nstates x1\ninputs u\ndx1 = x1*u\n")
     rep = linear_of(aff)

@@ -125,6 +125,15 @@ def test_check_kalman_not_linear_exits_2(tmp_path):
     assert data["verdict"] == "not-linear"
 
 
+def test_check_kalman_drift_undefined_at_origin_exits_2(tmp_path):
+    src = write(tmp_path / "recip.sys", "system recip\nstates x1 x2\ninputs u\ndx1 = 1/x1 + x2\ndx2 = u\n")
+    report = str(tmp_path / "report.json")
+    assert main(["check", src, "--method", "kalman", "--out", report]) == 2
+    data = json.loads((tmp_path / "report.json").read_text())
+    assert data["verdict"] == "not-linear"
+    assert data["where"] == "dx1"
+
+
 def test_check_not_affine_exits_2(tmp_path):
     src = write(tmp_path / "heading.sys", HEADING_TEXT)
     report = str(tmp_path / "report.json")
@@ -156,6 +165,16 @@ def test_check_larc_bad_point_exits_1(tmp_path, capsys):
     assert main(["check", src, "--method", "larc", "--point", "a,b,c,d,e", "--out", str(tmp_path / "r.json")]) == 1
 
 
+def test_check_larc_point_with_leading_minus(tmp_path):
+    src = write(tmp_path / "chain5.sys", chain_text(5))
+    spaced, glued = str(tmp_path / "a.json"), str(tmp_path / "b.json")
+    assert main(["check", src, "--method", "larc", "--point", "-0.36,0.5,0,0,0", "--out", spaced]) == 0
+    assert main(["check", src, "--method", "larc", "--point=-0.36,0.5,0,0,0", "--out", glued]) == 0
+    data = json.loads((tmp_path / "a.json").read_text())
+    assert data["point"] == [-0.36, 0.5, 0.0, 0.0, 0.0]
+    assert data == json.loads((tmp_path / "b.json").read_text())
+
+
 def test_simulate_writes_trajectory(tmp_path, capsys):
     src = write(tmp_path / "heading.sys", HEADING_TEXT)
     ctrl = write(tmp_path / "ctrl.json", json.dumps([
@@ -181,6 +200,27 @@ def test_simulate_wrong_x0_exits_1(tmp_path):
     src = write(tmp_path / "heading.sys", HEADING_TEXT)
     ctrl = write(tmp_path / "ctrl.json", json.dumps([{"duration": 1.0, "values": [0.0]}]))
     assert main(["simulate", src, "--x0", "0", "--control", ctrl, "--out", str(tmp_path / "t.csv")]) == 1
+
+
+def test_simulate_x0_with_leading_minus(tmp_path):
+    src = write(tmp_path / "heading.sys", HEADING_TEXT)
+    ctrl = write(tmp_path / "ctrl.json", json.dumps([{"duration": 0.5, "values": [1.0]}]))
+    spaced, glued = tmp_path / "a.csv", tmp_path / "b.csv"
+    assert main(["simulate", src, "--x0", "-0.36,0.5", "--control", ctrl, "--out", str(spaced)]) == 0
+    assert main(["simulate", src, "--x0=-0.36,0.5", "--control", ctrl, "--out", str(glued)]) == 0
+    assert spaced.read_text().splitlines()[1] == "0,-0.35999999999999999,0.5"
+    assert spaced.read_text() == glued.read_text()
+    manifest = json.loads((tmp_path / "a.csv.manifest.json").read_text())
+    assert manifest["argv"][2:4] == ["--x0", "-0.36,0.5"]
+
+
+@pytest.mark.parametrize("step", ["inf", "nan"])
+def test_simulate_non_finite_step_exits_1(tmp_path, capsys, step):
+    src = write(tmp_path / "heading.sys", HEADING_TEXT)
+    ctrl = write(tmp_path / "ctrl.json", json.dumps([{"duration": 1.0, "values": [0.0]}]))
+    code = main(["simulate", src, "--x0", "0,0", "--control", ctrl, "--step", step, "--out", str(tmp_path / "t.csv")])
+    assert code == 1
+    assert "step" in capsys.readouterr().err
 
 
 def test_simulate_blowup_exits_3(tmp_path, capsys):
@@ -303,6 +343,22 @@ def test_realize_rejects_bad_inputs(tmp_path, capsys):
     assert main(["realize", src, "--plan", short, "--out", out]) == 1
     bad_kind = write(tmp_path / "kind.json", json.dumps(plan_json(segments=[{"kind": "warp"}])))
     assert main(["realize", src, "--plan", bad_kind, "--out", out]) == 1
+
+
+@pytest.mark.parametrize("step", ["inf", "nan"])
+def test_realize_non_finite_step_exits_1(tmp_path, capsys, step):
+    src = write(tmp_path / "cubic.sys", CUBIC_TEXT)
+    plan = write(tmp_path / "plan.json", json.dumps(plan_json()))
+    assert main(["realize", src, "--plan", plan, "--step", step, "--out", str(tmp_path / "table.csv")]) == 1
+    assert "step" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("step", [float("nan"), float("inf")])
+def test_reach_non_finite_step_exits_1(tmp_path, capsys, step):
+    src = write(tmp_path / "heading.sys", HEADING_TEXT)
+    cfg = write(tmp_path / "cfg.json", json.dumps(reach_config(step=step)))
+    assert main(["reach", src, "--x0", "0,0", "--config", cfg, "--out", str(tmp_path / "c.csv")]) == 1
+    assert "step" in capsys.readouterr().err
 
 
 def test_manifest_override_path(tmp_path):

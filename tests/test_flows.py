@@ -149,6 +149,12 @@ def test_integrate_validates_shapes(heading):
         integrate(heading, [0.0, 0.0], ctrl, step=0.0)
 
 
+@pytest.mark.parametrize("step", [float("nan"), float("inf")])
+def test_integrate_rejects_non_finite_step(heading, step):
+    with pytest.raises(ValueError):
+        integrate(heading, [0.0, 0.0], PiecewiseControl(((1.0, (0.0,)),)), step=step)
+
+
 def test_integrate_empty_control_stays_put(heading):
     traj = integrate(heading, [0.3, -0.4], PiecewiseControl(()))
     assert np.array_equal(traj.times, [0.0])

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -66,6 +68,12 @@ def test_config_validation():
         heading_cfg(resolution=(16,))
     with pytest.raises(ValueError):
         heading_cfg(resolution=1)
+
+
+@pytest.mark.parametrize("step", [float("nan"), float("inf")])
+def test_config_rejects_non_finite_step(step):
+    with pytest.raises(ValueError):
+        heading_cfg(step=step)
 
 
 def test_config_broadcasts_scalar_resolution():
@@ -161,6 +169,36 @@ def test_sample_reach_counts_blowups():
     assert est.dropped == 40
     assert est.retained == 0
     assert est.bitmap.sum() == 0
+
+
+@pytest.mark.parametrize("seed,segments,m", [(0, 3, 1), (7, 6, 2), (2026, 8, 1), (901, 12, 2)])
+def test_draw_controls_match_per_row_dirichlet(seed, segments, m):
+    """The batched normalisation reproduces rng.dirichlet bit for bit."""
+    box = ((-2.0, 3.0), (0.5, 4.0))[:m]
+    durations, values = reach._draw_controls(seed, 12, segments, 2.5, box)
+    lows = np.array([b[0] for b in box])
+    spans = np.array([b[1] - b[0] for b in box])
+    for i in range(12):
+        rng = np.random.default_rng([seed, i])
+        assert np.array_equal(durations[i], rng.dirichlet(np.ones(segments)) * 2.5), f"row {i}"
+        assert np.array_equal(values[i], lows + rng.random((segments, m)) * spans), f"row {i}"
+
+
+def test_sample_reach_memory_does_not_grow_with_horizon(heading):
+    """Cells are marked as the loop steps, so eight times the steps take
+    no more traced memory than one."""
+
+    def traced_peak(horizon):
+        cfg = heading_cfg(horizon=horizon, samples=256, step=1e-3)
+        tracemalloc.start()
+        try:
+            sample_reach(heading, [0.0, 0.0], cfg)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    short, long = traced_peak(0.25), traced_peak(2.0)
+    assert long <= short + 2**20
 
 
 def _row_control(durations, values, i):
