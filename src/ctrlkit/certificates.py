@@ -15,14 +15,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dsl import AffineSystem
-from .expr import Constant, EvalError, Mul, StateVar, Sub, diff, is_probably_zero, node_count, simplify
+from .expr import (
+    Constant, EvalError, Mul, StateVar, Sub, diff, eval_expr, is_probably_zero, node_count, probe_block, simplify,
+)
 from .fields import VectorField, eval_vf, lie_bracket
 
 RANK_TOL = 1e-9
 NODE_BUDGET = 200_000
 _SPAN_PROBES = 8
 _SPAN_SEED = 0xB0B
-_SPAN_BOX = 2.0
 
 
 @dataclass(frozen=True)
@@ -80,14 +81,9 @@ def linear_of(aff: AffineSystem) -> LinearRealization | NotLinearReport:
 
 def _constant_derivative(comp, j: int, n: int) -> float:
     """d comp / d x_j at the origin, nan where it cannot be evaluated."""
-    from .expr import eval_expr
-
-    d = simplify(diff(comp, StateVar(j)))
-    if isinstance(d, Constant):
-        return d.value
     # evaluate at the origin; the residual check validates the choice
     try:
-        return eval_expr(d, np.zeros(n))
+        return eval_expr(simplify(diff(comp, StateVar(j))), np.zeros(n))
     except EvalError:
         return math.nan
 
@@ -180,8 +176,7 @@ def larc(aff: AffineSystem, point, max_depth: int, node_budget: int = NODE_BUDGE
     if point.shape != (n,):
         raise ValueError(f"point needs {n} entries")
 
-    rng = np.random.default_rng(_SPAN_SEED)
-    probes = rng.uniform(-_SPAN_BOX, _SPAN_BOX, size=(_SPAN_PROBES, n))
+    probes = probe_block(n, _SPAN_PROBES, _SPAN_SEED)
 
     names: list[str] = ["f"] + [f"g{i+1}" for i in range(aff.m)]
     fields: list[VectorField] = [aff.drift] + list(aff.channels)

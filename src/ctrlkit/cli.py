@@ -35,6 +35,7 @@ from .flows import (
     integrate,
     load_control,
     realize_plan,
+    require_positive,
     ideal_plan_endpoint,
     save_trajectory_csv,
 )
@@ -131,20 +132,23 @@ def _reach_config(data, what: str) -> ReachConfig:
 def _plan_from_json(data) -> tuple[np.ndarray, FlowPlan]:
     if not isinstance(data, dict) or "start" not in data or "segments" not in data:
         raise _InputError("plan must be a JSON object with 'start' and 'segments'")
-    start = np.array([float(v) for v in data["start"]])
+    try:
+        start = np.array([float(v) for v in data["start"]])
+    except (TypeError, ValueError) as exc:
+        raise _InputError(f"plan start must be a list of numbers: {exc}")
+    if not isinstance(data["segments"], list):
+        raise _InputError("plan segments must be a JSON list")
     segments = []
     for i, seg in enumerate(data["segments"]):
         kind = seg.get("kind") if isinstance(seg, dict) else None
+        if kind not in ("jump", "drift"):
+            raise _InputError(f"plan segment {i}: kind must be 'jump' or 'drift'")
         try:
             if kind == "jump":
                 segments.append(Jump(int(seg["channel"]), float(seg["displacement"])))
-            elif kind == "drift":
-                segments.append(Drift(float(seg["duration"]), tuple(seg["values"])))
             else:
-                raise _InputError(f"plan segment {i}: kind must be 'jump' or 'drift'")
+                segments.append(Drift(float(seg["duration"]), tuple(seg["values"])))
         except (KeyError, TypeError, ValueError) as exc:
-            if isinstance(exc, _InputError):
-                raise
             raise _InputError(f"plan segment {i}: {exc}")
     return start, FlowPlan(tuple(segments))
 
@@ -310,6 +314,7 @@ def _cmd_realize(args, manifest) -> int:
     if start.shape != (dim,):
         raise _InputError(f"plan start needs {dim} entries (extended state)")
     gains = _gain_sweep(args.gain_sweep)
+    require_positive(args.step, "step")
 
     lines = ["gain,error"]
     if not plan.segments:

@@ -19,25 +19,25 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import reduce
 
 from .expr import (
+    OPS,
     Add,
     Constant,
-    Cos,
     Div,
-    Exp,
     Expr,
     InputVar,
     Mul,
     Neg,
     Pow,
-    Sin,
     StateVar,
     Sub,
     diff,
     is_probably_zero,
     max_input_index,
     max_state_index,
+    op_of,
     simplify,
     subst,
 )
@@ -45,8 +45,8 @@ from .fields import VectorField
 
 _IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 _NUMBER_RE = re.compile(r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
-_RESERVED = {"system", "states", "inputs", "sin", "cos", "exp"}
-_FUNCS = {"sin": Sin, "cos": Cos, "exp": Exp}
+_FUNCS = {op.symbol: t for t, op in OPS.items() if op.numpy}
+_RESERVED = {"system", "states", "inputs", *_FUNCS}
 
 
 class DslError(ValueError):
@@ -328,6 +328,12 @@ class _ExprParser:
                   (kind, text, col))
 
 
+def _variables(states, inputs) -> dict[str, Expr]:
+    names: dict[str, Expr] = {s: StateVar(i) for i, s in enumerate(states)}
+    names.update((s, InputVar(j)) for j, s in enumerate(inputs))
+    return names
+
+
 def parse(text: str) -> ControlSystem:
     """Parse a system description; raises DslError with line/column on
     failure."""
@@ -379,11 +385,7 @@ def parse(text: str) -> ControlSystem:
             inputs.append(text)
         idx += 1
 
-    names: dict[str, Expr] = {}
-    for i, s in enumerate(states):
-        names[s] = StateVar(i)
-    for j, s in enumerate(inputs):
-        names[s] = InputVar(j)
+    names = _variables(states, inputs)
 
     equations: dict[str, Expr] = {}
     eq_lines: dict[str, int] = {}
@@ -413,51 +415,33 @@ def parse(text: str) -> ControlSystem:
 
 # --- serializer ------------------------------------------------------------
 
-def _prec(e: Expr) -> int:
-    if isinstance(e, (Add, Sub)):
-        return 1
-    if isinstance(e, (Mul, Div)):
-        return 2
-    return 3
-
-
 def _render(e: Expr, names: list[str], input_names: list[str], min_prec: int = 1) -> str:
-    if isinstance(e, Constant):
+    t = type(e)
+    op = op_of(e)
+    if t is Constant:
         s = repr(e.value)
-    elif isinstance(e, StateVar):
+    elif t is StateVar:
         s = names[e.index]
-    elif isinstance(e, InputVar):
+    elif t is InputVar:
         s = input_names[e.index]
-    elif isinstance(e, Add):
-        s = f"{_render(e.left, names, input_names, 1)} + {_render(e.right, names, input_names, 2)}"
-    elif isinstance(e, Sub):
-        s = f"{_render(e.left, names, input_names, 1)} - {_render(e.right, names, input_names, 2)}"
-    elif isinstance(e, Mul):
-        s = f"{_render(e.left, names, input_names, 2)} * {_render(e.right, names, input_names, 3)}"
-    elif isinstance(e, Div):
-        s = f"{_render(e.left, names, input_names, 2)} / {_render(e.right, names, input_names, 3)}"
-    elif isinstance(e, Pow):
+    elif t is Pow:
         s = f"{_render_base(e.base, names, input_names)}^{e.exponent}"
-    elif isinstance(e, Neg):
+    elif t is Neg:
         s = f"-{_render_base(e.arg, names, input_names)}"
-    elif isinstance(e, (Sin, Cos, Exp)):
-        fn = {Sin: "sin", Cos: "cos", Exp: "exp"}[type(e)]
-        s = f"{fn}({_render(e.arg, names, input_names, 1)})"
+    elif op.numpy:
+        s = f"{op.symbol}({_render(e.arg, names, input_names, 1)})"
     else:
-        raise TypeError(f"not an expression node: {e!r}")
-    if _prec(e) < min_prec:
-        return f"({s})"
-    return s
+        left = _render(e.left, names, input_names, op.prec)
+        s = f"{left} {op.symbol} {_render(e.right, names, input_names, op.prec + 1)}"
+    return f"({s})" if op.prec < min_prec else s
 
 
 def _render_base(e: Expr, names, input_names) -> str:
     # the grammar's 'base' slot: atoms, calls and '-' chains fit bare,
     # anything else (and literals after '-') needs parentheses
-    if isinstance(e, Constant):
-        return f"({repr(e.value)})"
-    if isinstance(e, (StateVar, InputVar, Sin, Cos, Exp, Neg)):
-        return _render(e, names, input_names, 3)
-    return f"({_render(e, names, input_names, 1)})"
+    if type(e) is Constant:
+        return f"({e.value!r})"
+    return _render(e, names, input_names, 4)
 
 
 def serialize(sys: ControlSystem) -> str:
@@ -471,15 +455,10 @@ def serialize(sys: ControlSystem) -> str:
 
 def parse_expression(text: str, states, inputs) -> Expr:
     """Parse one expression against explicit state/input name lists."""
-    names: dict[str, Expr] = {}
-    for i, s in enumerate(states):
-        names[s] = StateVar(i)
-    for j, s in enumerate(inputs):
-        names[s] = InputVar(j)
     tokens = _tokenize(text, 1)
     if not tokens:
         raise DslError("empty expression", 1, 1)
-    return _ExprParser(tokens, 1, names).parse()
+    return _ExprParser(tokens, 1, _variables(states, inputs)).parse()
 
 
 def render_expression(e: Expr, states, inputs) -> str:
@@ -536,11 +515,5 @@ def from_linear(name: str, a_matrix, b_matrix, state_names=None, input_names=Non
         for j in range(m):
             if b[i, j] != 0.0:
                 terms.append(Mul(Constant(b[i, j]), InputVar(j)))
-        if not terms:
-            rhs.append(Constant(0.0))
-        else:
-            acc = terms[0]
-            for t in terms[1:]:
-                acc = Add(acc, t)
-            rhs.append(acc)
+        rhs.append(reduce(Add, terms) if terms else Constant(0.0))
     return ControlSystem(name, states, inputs, tuple(rhs))

@@ -3,19 +3,27 @@
 Nodes are immutable dataclasses, so structural equality and hashing come
 for free.  State and input variables are referenced by index; name lookup
 lives at the system level, not here.
+
+Each node type says once what it is: `children()` and `rebuild()` give
+its subtrees, and its entry in `OPS` holds its symbol and precedence in
+the DSL, the float function that evaluation and constant folding share,
+its numpy name, its derivative rule and its unit/zero rule.  The walkers
+below read those; only Pow and the three leaves are special cases.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 ZERO_TOL = 1e-10
+PROBE_BOX = 2.0
 _PROBE_SEED = 0x5EED
 _PROBE_POINTS = 64
-_PROBE_BOX = 2.0
 
 
 class ExprError(ValueError):
@@ -56,6 +64,14 @@ class Expr:
     def __neg__(self):
         return Neg(self)
 
+    def children(self) -> tuple:
+        """Direct subexpressions, left to right; none for a leaf."""
+        return ()
+
+    def rebuild(self, *kids) -> "Expr":
+        """The same node over new children."""
+        return type(self)(*kids) if kids else self
+
 
 def _coerce(value) -> Expr:
     if isinstance(value, Expr):
@@ -94,35 +110,42 @@ class InputVar(Expr):
 
 
 @dataclass(frozen=True)
-class Neg(Expr):
+class _Unary(Expr):
     arg: Expr
 
-
-@dataclass(frozen=True)
-class Add(Expr):
-    left: Expr
-    right: Expr
+    def children(self):
+        return (self.arg,)
 
 
 @dataclass(frozen=True)
-class Sub(Expr):
+class _Binary(Expr):
     left: Expr
     right: Expr
+
+    def children(self):
+        return (self.left, self.right)
+
+
+class Neg(_Unary):
+    pass
+
+
+class Add(_Binary):
+    pass
+
+
+class Sub(_Binary):
+    pass
+
+
+class Mul(_Binary):
+    pass
 
 
 @dataclass(frozen=True)
-class Mul(Expr):
-    left: Expr
-    right: Expr
-
-
-@dataclass(frozen=True)
-class Div(Expr):
-    left: Expr
-    right: Expr
-
+class Div(_Binary):
     def __post_init__(self):
-        if isinstance(self.right, Constant) and self.right.value == 0.0:
+        if type(self.right) is Constant and self.right.value == 0.0:
             raise ExprError("division by syntactic zero")
 
 
@@ -135,20 +158,103 @@ class Pow(Expr):
         if not isinstance(self.exponent, int) or isinstance(self.exponent, bool):
             raise ExprError(f"power exponent must be an integer, got {self.exponent!r}")
 
+    def children(self):
+        return (self.base,)
 
-@dataclass(frozen=True)
-class Sin(Expr):
-    arg: Expr
-
-
-@dataclass(frozen=True)
-class Cos(Expr):
-    arg: Expr
+    def rebuild(self, base):
+        return Pow(base, self.exponent)
 
 
-@dataclass(frozen=True)
-class Exp(Expr):
-    arg: Expr
+class Sin(_Unary):
+    pass
+
+
+class Cos(_Unary):
+    pass
+
+
+class Exp(_Unary):
+    pass
+
+
+_ZERO = Constant(0.0)
+_ONE = Constant(1.0)
+
+
+def _is(e: Expr, value: float) -> bool:
+    return type(e) is Constant and e.value == value
+
+
+def _power(base: float, k: int) -> float:
+    # ZeroDivisionError for 0 ** -k is left to the caller
+    try:
+        return float(base ** k)
+    except OverflowError:
+        return math.inf if base > 0 or k % 2 == 0 else -math.inf
+
+
+def _exp(a: float) -> float:
+    try:
+        return math.exp(a)
+    except OverflowError:
+        return math.inf
+
+
+# The rules below see the children after folding, so at most one
+# child of a binary node is a constant, unless a zero denominator
+# stopped the fold.
+
+def _add_rule(e, a, b):
+    return b if _is(a, 0.0) else a if _is(b, 0.0) else Add(a, b)
+
+
+def _sub_rule(e, a, b):
+    return a if _is(b, 0.0) else Neg(b) if _is(a, 0.0) else Sub(a, b)
+
+
+def _mul_rule(e, a, b):
+    if _is(a, 0.0) or _is(b, 0.0):
+        return _ZERO
+    return b if _is(a, 1.0) else a if _is(b, 1.0) else Mul(a, b)
+
+
+def _div_rule(e, a, b):
+    if _is(b, 0.0):
+        # folding produced a zero denominator; keep the original shape
+        return Div(a, e.right)
+    return _ZERO if _is(a, 0.0) else a if _is(b, 1.0) else Div(a, b)
+
+
+class Op(NamedTuple):
+    """What one node type means."""
+
+    symbol: str | None  # DSL operator or function name
+    prec: int  # DSL binding: 1 sums, 2 products, 3 powers, 4 atoms, calls and '-'
+    fn: Callable | None  # float value from the children's values
+    numpy: str | None  # numpy function in generated code
+    deriv: Callable | None  # (node, derivatives of its children) -> derivative
+    rule: Callable | None = None  # unit/zero rewrite: (node, simplified children) -> node
+
+
+OPS: dict[type, Op] = {
+    Constant: Op(None, 4, None, None, None),
+    StateVar: Op(None, 4, None, None, None),
+    InputVar: Op(None, 4, None, None, None),
+    Neg: Op("-", 4, operator.neg, None, lambda e, da: Neg(da),
+            lambda e, a: a.arg if type(a) is Neg else Neg(a)),
+    Add: Op("+", 1, operator.add, None, lambda e, da, db: Add(da, db), _add_rule),
+    Sub: Op("-", 1, operator.sub, None, lambda e, da, db: Sub(da, db), _sub_rule),
+    Mul: Op("*", 2, operator.mul, None,
+            lambda e, da, db: Add(Mul(da, e.right), Mul(e.left, db)), _mul_rule),
+    Div: Op("/", 2, operator.truediv, None,
+            lambda e, da, db: Div(Sub(Mul(da, e.right), Mul(e.left, db)), Pow(e.right, 2)), _div_rule),
+    Pow: Op("^", 3, _power, None,
+            lambda e, db: _ZERO if e.exponent == 0
+            else Mul(Mul(Constant(float(e.exponent)), Pow(e.base, e.exponent - 1)), db)),
+    Sin: Op("sin", 4, math.sin, "sin", lambda e, da: Mul(Cos(e.arg), da)),
+    Cos: Op("cos", 4, math.cos, "cos", lambda e, da: Mul(Neg(Sin(e.arg)), da)),
+    Exp: Op("exp", 4, _exp, "exp", lambda e, da: Mul(e, da)),
+}
 
 
 def iter_nodes(e: Expr):
@@ -157,13 +263,7 @@ def iter_nodes(e: Expr):
     while stack:
         node = stack.pop()
         yield node
-        if isinstance(node, (Add, Sub, Mul, Div)):
-            stack.append(node.right)
-            stack.append(node.left)
-        elif isinstance(node, (Neg, Sin, Cos, Exp)):
-            stack.append(node.arg)
-        elif isinstance(node, Pow):
-            stack.append(node.base)
+        stack.extend(reversed(node.children()))
 
 
 def node_count(e: Expr) -> int:
@@ -171,109 +271,69 @@ def node_count(e: Expr) -> int:
 
 
 def contains_input(e: Expr) -> bool:
-    return any(isinstance(node, InputVar) for node in iter_nodes(e))
+    return any(type(node) is InputVar for node in iter_nodes(e))
 
 
 def references_input(e: Expr, index: int) -> bool:
-    return any(isinstance(node, InputVar) and node.index == index for node in iter_nodes(e))
+    return any(type(node) is InputVar and node.index == index for node in iter_nodes(e))
 
 
 def max_state_index(e: Expr) -> int:
     """Largest state index referenced, or -1 when none."""
-    best = -1
-    for node in iter_nodes(e):
-        if isinstance(node, StateVar):
-            best = max(best, node.index)
-    return best
+    return max((node.index for node in iter_nodes(e) if type(node) is StateVar), default=-1)
 
 
 def max_input_index(e: Expr) -> int:
-    best = -1
-    for node in iter_nodes(e):
-        if isinstance(node, InputVar):
-            best = max(best, node.index)
-    return best
+    return max((node.index for node in iter_nodes(e) if type(node) is InputVar), default=-1)
+
+
+def op_of(e: Expr) -> Op:
+    """The entry of a node's type; TypeError for anything else."""
+    try:
+        return OPS[type(e)]
+    except KeyError:
+        raise TypeError(f"not an expression node: {e!r}") from None
 
 
 def eval_expr(e: Expr, x, u=()) -> float:
     """Evaluate at a concrete point.  x and u are indexable sequences."""
-    if isinstance(e, Constant):
+    t = type(e)
+    if t is Constant:
         return e.value
-    if isinstance(e, StateVar):
+    if t is StateVar or t is InputVar:
+        point, kind = (x, "state") if t is StateVar else (u, "input")
         try:
-            return float(x[e.index])
+            return float(point[e.index])
         except IndexError:
-            raise EvalError(f"state index {e.index} out of range for point {list(x)!r}")
-    if isinstance(e, InputVar):
-        try:
-            return float(u[e.index])
-        except IndexError:
-            raise EvalError(f"input index {e.index} out of range for point {list(u)!r}")
-    if isinstance(e, Neg):
-        return -eval_expr(e.arg, x, u)
-    if isinstance(e, Add):
-        return eval_expr(e.left, x, u) + eval_expr(e.right, x, u)
-    if isinstance(e, Sub):
-        return eval_expr(e.left, x, u) - eval_expr(e.right, x, u)
-    if isinstance(e, Mul):
-        return eval_expr(e.left, x, u) * eval_expr(e.right, x, u)
-    if isinstance(e, Div):
+            raise EvalError(f"{kind} index {e.index} out of range for point {list(point)!r}")
+    if t is Div:
         denom = eval_expr(e.right, x, u)
         if denom == 0.0:
             raise EvalError(f"division by zero at x={list(x)!r}, u={list(u)!r}")
         return eval_expr(e.left, x, u) / denom
-    if isinstance(e, Pow):
-        base = eval_expr(e.base, x, u)
+    if t is Pow:
         try:
-            return float(base ** e.exponent)
+            return _power(eval_expr(e.base, x, u), e.exponent)
         except ZeroDivisionError:
             raise EvalError(f"zero raised to negative power at x={list(x)!r}, u={list(u)!r}")
-        except OverflowError:
-            return math.inf if base > 0 or e.exponent % 2 == 0 else -math.inf
-    if isinstance(e, Sin):
-        return math.sin(eval_expr(e.arg, x, u))
-    if isinstance(e, Cos):
-        return math.cos(eval_expr(e.arg, x, u))
-    if isinstance(e, Exp):
-        try:
-            return math.exp(eval_expr(e.arg, x, u))
-        except OverflowError:
-            return math.inf
-    raise TypeError(f"not an expression node: {e!r}")
+    fn = op_of(e).fn
+    if isinstance(e, _Binary):
+        return fn(eval_expr(e.left, x, u), eval_expr(e.right, x, u))
+    return fn(eval_expr(e.arg, x, u))
 
 
 def diff(e: Expr, var: Expr) -> Expr:
     """Exact derivative with respect to one StateVar or InputVar."""
-    if not isinstance(var, (StateVar, InputVar)):
+    if type(var) is not StateVar and type(var) is not InputVar:
         raise ExprError(f"can only differentiate with respect to a variable, got {var!r}")
     return _diff(e, var)
 
 
 def _diff(e: Expr, var: Expr) -> Expr:
-    if isinstance(e, (Constant, StateVar, InputVar)):
-        return Constant(1.0) if e == var else Constant(0.0)
-    if isinstance(e, Neg):
-        return Neg(_diff(e.arg, var))
-    if isinstance(e, Add):
-        return Add(_diff(e.left, var), _diff(e.right, var))
-    if isinstance(e, Sub):
-        return Sub(_diff(e.left, var), _diff(e.right, var))
-    if isinstance(e, Mul):
-        return Add(Mul(_diff(e.left, var), e.right), Mul(e.left, _diff(e.right, var)))
-    if isinstance(e, Div):
-        num = Sub(Mul(_diff(e.left, var), e.right), Mul(e.left, _diff(e.right, var)))
-        return Div(num, Pow(e.right, 2))
-    if isinstance(e, Pow):
-        if e.exponent == 0:
-            return Constant(0.0)
-        return Mul(Mul(Constant(float(e.exponent)), Pow(e.base, e.exponent - 1)), _diff(e.base, var))
-    if isinstance(e, Sin):
-        return Mul(Cos(e.arg), _diff(e.arg, var))
-    if isinstance(e, Cos):
-        return Mul(Neg(Sin(e.arg)), _diff(e.arg, var))
-    if isinstance(e, Exp):
-        return Mul(Exp(e.arg), _diff(e.arg, var))
-    raise TypeError(f"not an expression node: {e!r}")
+    op = op_of(e)
+    if op.deriv is None:
+        return _ONE if e == var else _ZERO
+    return op.deriv(e, *[_diff(k, var) for k in e.children()])
 
 
 def simplify(e: Expr) -> Expr:
@@ -281,92 +341,32 @@ def simplify(e: Expr) -> Expr:
 
     Value-preserving wherever the input is defined; no reassociation or
     expansion, so the result stays structurally close to the input.
+    Raises ExprError when a folded constant overflows.
     """
-    if isinstance(e, (Constant, StateVar, InputVar)):
-        return e
-    if isinstance(e, Neg):
-        a = simplify(e.arg)
-        if isinstance(a, Constant):
-            return Constant(-a.value)
-        if isinstance(a, Neg):
-            return a.arg
-        return Neg(a)
-    if isinstance(e, Add):
-        a, b = simplify(e.left), simplify(e.right)
-        if isinstance(a, Constant) and isinstance(b, Constant):
-            return Constant(a.value + b.value)
-        if a == Constant(0.0):
-            return b
-        if b == Constant(0.0):
-            return a
-        return Add(a, b)
-    if isinstance(e, Sub):
-        a, b = simplify(e.left), simplify(e.right)
-        if a == b:
-            return Constant(0.0)
-        if isinstance(a, Constant) and isinstance(b, Constant):
-            return Constant(a.value - b.value)
-        if b == Constant(0.0):
-            return a
-        if a == Constant(0.0):
-            return Neg(b) if not isinstance(b, Constant) else Constant(-b.value)
-        return Sub(a, b)
-    if isinstance(e, Mul):
-        a, b = simplify(e.left), simplify(e.right)
-        if isinstance(a, Constant) and isinstance(b, Constant):
-            return Constant(a.value * b.value)
-        if a == Constant(0.0) or b == Constant(0.0):
-            return Constant(0.0)
-        if a == Constant(1.0):
-            return b
-        if b == Constant(1.0):
-            return a
-        return Mul(a, b)
-    if isinstance(e, Div):
-        a, b = simplify(e.left), simplify(e.right)
-        if isinstance(b, Constant) and b.value == 0.0:
-            # folding produced a zero denominator; keep the original shape
-            return Div(a, simplify_keep_nonzero(e.right))
-        if isinstance(a, Constant) and isinstance(b, Constant):
-            return Constant(a.value / b.value)
-        if a == Constant(0.0):
-            return Constant(0.0)
-        if b == Constant(1.0):
-            return a
-        return Div(a, b)
-    if isinstance(e, Pow):
-        base = simplify(e.base)
-        if e.exponent == 0:
-            return Constant(1.0)
-        if e.exponent == 1:
+    t = type(e)
+    if t is Pow:
+        base, k = simplify(e.base), e.exponent
+        if k == 0:
+            return _ONE
+        if k == 1:
             return base
-        if isinstance(base, Constant) and not (base.value == 0.0 and e.exponent < 0):
-            return Constant(float(base.value ** e.exponent))
-        return Pow(base, e.exponent)
-    if isinstance(e, Sin):
-        a = simplify(e.arg)
-        if isinstance(a, Constant):
-            return Constant(math.sin(a.value))
-        return Sin(a)
-    if isinstance(e, Cos):
-        a = simplify(e.arg)
-        if isinstance(a, Constant):
-            return Constant(math.cos(a.value))
-        return Cos(a)
-    if isinstance(e, Exp):
-        a = simplify(e.arg)
-        if isinstance(a, Constant):
-            return Constant(math.exp(a.value))
-        return Exp(a)
-    raise TypeError(f"not an expression node: {e!r}")
-
-
-def simplify_keep_nonzero(e: Expr) -> Expr:
-    """Simplify but refuse to fold the whole tree to Constant(0)."""
-    s = simplify(e)
-    if isinstance(s, Constant) and s.value == 0.0:
+        if type(base) is Constant and not (base.value == 0.0 and k < 0):
+            return Constant(_power(base.value, k))
+        return Pow(base, k)
+    op = op_of(e)
+    if op.fn is None:
         return e
-    return s
+    args = tuple(map(simplify, e.children()))
+    if t is Sub and args[0] == args[1]:
+        # before folding, which would give -0.0 for -0.0 - 0.0
+        return _ZERO
+    # first and last child: all of them, as a node has one or two
+    if type(args[0]) is Constant and type(args[-1]) is Constant:
+        try:
+            return Constant(op.fn(*[a.value for a in args]))
+        except ZeroDivisionError:
+            pass  # a zero denominator: the Div rule keeps the node
+    return op.rule(e, *args) if op.rule else e.rebuild(*args)
 
 
 def subst(e: Expr, state_map=None, input_map=None) -> Expr:
@@ -376,93 +376,66 @@ def subst(e: Expr, state_map=None, input_map=None) -> Expr:
     input_map = input_map or {}
 
     def go(node: Expr) -> Expr:
-        if isinstance(node, StateVar):
+        t = type(node)
+        if t is StateVar:
             return state_map.get(node.index, node)
-        if isinstance(node, InputVar):
+        if t is InputVar:
             return input_map.get(node.index, node)
-        if isinstance(node, Constant):
-            return node
-        if isinstance(node, Neg):
-            return Neg(go(node.arg))
-        if isinstance(node, Add):
-            return Add(go(node.left), go(node.right))
-        if isinstance(node, Sub):
-            return Sub(go(node.left), go(node.right))
-        if isinstance(node, Mul):
-            return Mul(go(node.left), go(node.right))
-        if isinstance(node, Div):
-            return Div(go(node.left), go(node.right))
-        if isinstance(node, Pow):
-            return Pow(go(node.base), node.exponent)
-        if isinstance(node, Sin):
-            return Sin(go(node.arg))
-        if isinstance(node, Cos):
-            return Cos(go(node.arg))
-        if isinstance(node, Exp):
-            return Exp(go(node.arg))
-        raise TypeError(f"not an expression node: {node!r}")
+        return node.rebuild(*map(go, node.children()))
 
     return go(e)
 
 
-def probe_points(n: int, m: int, count: int = _PROBE_POINTS, seed: int = _PROBE_SEED):
-    """Deterministic random evaluation points in [-2, 2]^(n+m)."""
-    rng = np.random.default_rng(seed)
-    pts = rng.uniform(-_PROBE_BOX, _PROBE_BOX, size=(count, n + m))
-    return [(pts[i, :n], pts[i, n:]) for i in range(count)]
+def probe_block(dim: int, count: int, seed: int) -> np.ndarray:
+    """`count` deterministic random points in [-2, 2]^dim, one per row.
+    Row i is the i-th point a row-by-row draw from the same seed gives."""
+    return np.random.default_rng(seed).uniform(-PROBE_BOX, PROBE_BOX, size=(count, dim))
 
 
 def is_probably_zero(e: Expr, n: int, m: int, seed: int = _PROBE_SEED) -> bool:
     """Probabilistic zero test: simplifies to 0, or vanishes at 64 random
-    points in [-2, 2]^(n+m).  Points where evaluation fails are redrawn."""
+    points in [-2, 2]^(n+m).  Points where evaluation fails are skipped,
+    out of at most 128; EvalError when none of them evaluates."""
     s = simplify(e)
-    if isinstance(s, Constant):
+    if type(s) is Constant:
         return abs(s.value) < ZERO_TOL
-    rng = np.random.default_rng(seed)
     checked = 0
-    attempts = 0
-    while checked < _PROBE_POINTS and attempts < 2 * _PROBE_POINTS:
-        pt = rng.uniform(-_PROBE_BOX, _PROBE_BOX, size=n + m)
-        attempts += 1
+    failure = None
+    for pt in probe_block(n + m, 2 * _PROBE_POINTS, seed):
         try:
             val = eval_expr(s, pt[:n], pt[n:])
-        except EvalError:
+        except EvalError as exc:
+            failure = exc
             continue
         if not math.isfinite(val) or abs(val) >= ZERO_TOL:
             return False
         checked += 1
-    return checked > 0
+        if checked == _PROBE_POINTS:
+            break
+    if not checked:
+        raise EvalError(f"expression is undefined at all {2 * _PROBE_POINTS} probe points ({failure})")
+    return True
 
 
 def expr_source(e: Expr, state_prefix: str = "x", input_prefix: str = "u") -> str:
     """Render as a numpy-ready Python expression (fully parenthesized)."""
-    if isinstance(e, Constant):
+    t = type(e)
+    if t is Constant:
         return repr(e.value)
-    if isinstance(e, StateVar):
+    if t is StateVar:
         return f"{state_prefix}{e.index}"
-    if isinstance(e, InputVar):
+    if t is InputVar:
         return f"{input_prefix}{e.index}"
-    if isinstance(e, Neg):
-        return f"(-{expr_source(e.arg, state_prefix, input_prefix)})"
-    if isinstance(e, Add):
-        return f"({expr_source(e.left, state_prefix, input_prefix)} + {expr_source(e.right, state_prefix, input_prefix)})"
-    if isinstance(e, Sub):
-        return f"({expr_source(e.left, state_prefix, input_prefix)} - {expr_source(e.right, state_prefix, input_prefix)})"
-    if isinstance(e, Mul):
-        return f"({expr_source(e.left, state_prefix, input_prefix)} * {expr_source(e.right, state_prefix, input_prefix)})"
-    if isinstance(e, Div):
-        return f"({expr_source(e.left, state_prefix, input_prefix)} / {expr_source(e.right, state_prefix, input_prefix)})"
-    if isinstance(e, Pow):
-        if e.exponent < 0:
-            return f"({expr_source(e.base, state_prefix, input_prefix)} ** ({e.exponent}))"
-        return f"({expr_source(e.base, state_prefix, input_prefix)} ** {e.exponent})"
-    if isinstance(e, Sin):
-        return f"np.sin({expr_source(e.arg, state_prefix, input_prefix)})"
-    if isinstance(e, Cos):
-        return f"np.cos({expr_source(e.arg, state_prefix, input_prefix)})"
-    if isinstance(e, Exp):
-        return f"np.exp({expr_source(e.arg, state_prefix, input_prefix)})"
-    raise TypeError(f"not an expression node: {e!r}")
+    op = op_of(e)
+    args = [expr_source(k, state_prefix, input_prefix) for k in e.children()]
+    if t is Pow:
+        k = e.exponent
+        return f"({args[0]} ** {k if k >= 0 else f'({k})'})"
+    if op.numpy:
+        return f"np.{op.numpy}({args[0]})"
+    if len(args) == 1:
+        return f"({op.symbol}{args[0]})"
+    return f"({args[0]} {op.symbol} {args[1]})"
 
 
 def compile_components(exprs, n: int, m: int):

@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -101,13 +102,7 @@ def _jacobian_times(jac: SymbolicMatrix, vf: VectorField) -> list[Expr]:
             t = simplify(Mul(entry, comp))
             if t != Constant(0.0):
                 terms.append(t)
-        if not terms:
-            out.append(Constant(0.0))
-        else:
-            acc = terms[0]
-            for t in terms[1:]:
-                acc = Add(acc, t)
-            out.append(acc)
+        out.append(reduce(Add, terms) if terms else Constant(0.0))
     return out
 
 

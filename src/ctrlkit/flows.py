@@ -125,6 +125,12 @@ def save_trajectory_csv(traj: Trajectory, state_names, path: str):
         fh.write(trajectory_to_csv(traj, state_names))
 
 
+def require_positive(value, what: str):
+    """ValueError unless `value` is positive and finite."""
+    if not (value > 0.0 and math.isfinite(value)):
+        raise ValueError(f"{what} must be positive and finite")
+
+
 def rk4_step(f, x, u, h):
     """One classical step.  Shapes broadcast, so this serves both the
     scalar path and the batched samplers."""
@@ -144,8 +150,7 @@ def substep_count(duration: float, step: float) -> int:
 def integrate(sys: ControlSystem, x0, ctrl: PiecewiseControl, step: float = DEFAULT_STEP) -> Trajectory:
     """Fixed-step RK4 through every control segment.  Substeps never
     exceed `step` and each segment boundary is hit exactly."""
-    if not (step > 0.0 and math.isfinite(step)):
-        raise ValueError("step must be positive and finite")
+    require_positive(step, "step")
     x = np.asarray(x0, dtype=float)
     if x.shape != (sys.n,):
         raise ValueError(f"x0 must have {sys.n} entries, got shape {x.shape}")
@@ -174,6 +179,7 @@ def integrate(sys: ControlSystem, x0, ctrl: PiecewiseControl, step: float = DEFA
 def flow_endpoint(vf: VectorField, x0, t: float, step: float = DEFAULT_STEP) -> np.ndarray:
     """Endpoint of the autonomous flow for a signed time; negative t flows
     the negated field."""
+    require_positive(step, "step")
     if vf.parametric:
         raise ValueError("flow_endpoint requires a non-parametric field")
     x = np.asarray(x0, dtype=float)
@@ -206,8 +212,7 @@ class Drift:
 
     def __post_init__(self):
         object.__setattr__(self, "u_frozen", tuple(float(v) for v in self.u_frozen))
-        if not (self.duration > 0.0 and math.isfinite(self.duration)):
-            raise ValueError("drift duration must be positive")
+        require_positive(self.duration, "drift duration")
 
 
 @dataclass(frozen=True)
@@ -235,8 +240,7 @@ def realize_jump(ext: ExtensionRecord, channel: int, displacement: float, gain: 
     m = ext.extended.m
     if not (0 <= channel < m):
         raise ValueError(f"channel {channel} out of range for {m} inputs")
-    if not (gain > 0.0 and math.isfinite(gain)):
-        raise ValueError("gain must be positive")
+    require_positive(gain, "gain")
     if displacement == 0.0:
         return PiecewiseControl(())
     values = [0.0] * m
@@ -254,10 +258,8 @@ def realize_conjugated_drift(
     channels = [int(c) for c in channels]
     if len(beta) != len(channels):
         raise ValueError("beta and channels must have equal length")
-    if not (sigma > 0.0 and math.isfinite(sigma)):
-        raise ValueError("drift duration sigma must be positive")
-    if not (gain > 0.0 and math.isfinite(gain)):
-        raise ValueError("gain must be positive")
+    require_positive(sigma, "drift duration sigma")
+    require_positive(gain, "gain")
     m = ext.extended.m
     segments: list[tuple[float, tuple[float, ...]]] = []
     for b, ch in zip(beta[::-1], channels[::-1]):
@@ -271,8 +273,7 @@ def realize_conjugated_drift(
 def realize_plan(ext: ExtensionRecord, plan: FlowPlan, gain: float) -> PiecewiseControl:
     """Concatenate jump realizations and plain drifts.  Total duration is
     the drift time plus sum(|displacement|) / gain."""
-    if not (gain > 0.0 and math.isfinite(gain)):
-        raise ValueError("gain must be positive")
+    require_positive(gain, "gain")
     m = ext.extended.m
     segments: list[tuple[float, tuple[float, ...]]] = []
     for seg in plan.segments:

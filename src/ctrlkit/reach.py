@@ -16,7 +16,7 @@ import numpy as np
 
 from .dsl import ControlSystem
 from .expr import compile_components
-from .flows import BLOWUP_LIMIT, PiecewiseControl, Trajectory, rk4_step
+from .flows import BLOWUP_LIMIT, PiecewiseControl, Trajectory, require_positive, rk4_step
 from .transform import ExtensionRecord, extend
 
 CONSISTENCY_THRESHOLD = 0.05
@@ -47,16 +47,14 @@ class ReachConfig:
     step: float = 1e-2
 
     def __post_init__(self):
-        if not (self.horizon > 0.0 and math.isfinite(self.horizon)):
-            raise ValueError("horizon must be positive")
+        require_positive(self.horizon, "horizon")
         if self.segments < 1:
             raise ValueError("need at least one control segment")
         if self.samples < 1:
             raise ValueError("need at least one sample")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
-        if not (self.step > 0.0 and math.isfinite(self.step)):
-            raise ValueError("step must be positive and finite")
+        require_positive(self.step, "step")
         object.__setattr__(self, "input_box", _as_box(self.input_box))
         object.__setattr__(self, "window", _as_box(self.window))
         res = self.resolution
@@ -111,6 +109,8 @@ class _Grid:
         self.lows = np.array([w[0] for w in self.window])
         self.highs = np.array([w[1] for w in self.window])
         self.res = np.array(self.resolution, dtype=np.int64)
+        # row-major: the last axis varies fastest
+        self.strides = np.array([int(np.prod(self.res[a + 1:])) for a in range(len(self.res))], dtype=np.int64)
         self.bitmap = np.zeros(int(np.prod(self.res)), dtype=bool)
 
     def flat_index(self, x: np.ndarray) -> np.ndarray:
@@ -118,15 +118,10 @@ class _Grid:
         pts = x if self.axes is None else x[:, self.axes]
         w = (pts - self.lows) / (self.highs - self.lows)
         with np.errstate(invalid="ignore"):
-            ok = np.all((w >= 0.0) & (w < 1.0), axis=1) & np.all(np.isfinite(w), axis=1)
-        cells = np.minimum((w * self.res).astype(np.int64), self.res - 1)
-        flat = np.zeros(len(x), dtype=np.int64)
-        stride = 1
-        for a in range(len(self.res) - 1, -1, -1):
-            flat += cells[:, a] * stride
-            stride *= int(self.res[a])
-        flat[~ok] = -1
-        return flat
+            # NaN and inf compare false, so they fall outside too
+            ok = np.all((w >= 0.0) & (w < 1.0), axis=1)
+            cells = np.minimum((w * self.res).astype(np.int64), self.res - 1)
+        return np.where(ok, cells @ self.strides, -1)
 
     def commit(self, marks: np.ndarray):
         self.bitmap |= marks

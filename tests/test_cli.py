@@ -371,3 +371,39 @@ def test_manifest_override_path(tmp_path):
     assert data["argv"][0] == "parse"
     assert "elapsed_seconds" in data
     assert "timestamp_utc" in data
+
+
+def test_check_larc_overflowing_constant_exits_1(tmp_path, capsys):
+    src = write(tmp_path / "big.sys", "system big\nstates x1\ninputs u\ndx1 = exp(1000) * u\n")
+    assert main(["check", src, "--method", "larc", "--out", str(tmp_path / "r.json")]) == 1
+    err = capsys.readouterr().err
+    assert "non-finite constant" in err
+    assert "Traceback" not in err
+
+
+def test_check_rhs_undefined_at_every_probe_exits_1(tmp_path, capsys):
+    # bad input, not a verdict: the second u-derivative cannot be evaluated anywhere
+    src = write(tmp_path / "hole.sys", "system hole\nstates x1\ninputs u\ndx1 = u/(x1-x1+0)\n")
+    report = tmp_path / "r.json"
+    assert main(["check", src, "--method", "larc", "--out", str(report)]) == 1
+    assert "probe points" in capsys.readouterr().err
+    assert not report.exists()
+
+
+def test_realize_infinite_step_with_empty_plan_exits_1(tmp_path, capsys):
+    src = write(tmp_path / "cubic.sys", CUBIC_TEXT)
+    plan = write(tmp_path / "plan.json", json.dumps(plan_json(segments=[])))
+    out = tmp_path / "table.csv"
+    assert main(["realize", src, "--plan", plan, "--step", "inf", "--out", str(out)]) == 1
+    assert "step" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("field, value", [("start", 5), ("start", ["a", 0, 0, 0]), ("segments", 5)])
+def test_realize_malformed_plan_exits_1(tmp_path, capsys, field, value):
+    src = write(tmp_path / "cubic.sys", CUBIC_TEXT)
+    plan = write(tmp_path / "plan.json", json.dumps(plan_json(**{field: value})))
+    assert main(["realize", src, "--plan", plan, "--out", str(tmp_path / "table.csv")]) == 1
+    assert f"plan {field}" in capsys.readouterr().err
+    manifest = json.loads((tmp_path / "cubic.sys.manifest.json").read_text())
+    assert manifest["exit_code"] == 1

@@ -235,3 +235,35 @@ def test_from_linear_golden():
     # affine split of a linear build recovers constant channels
     aff = to_affine(s)
     assert eval_vf(aff.channels[0], x) == pytest.approx([0.0, 1.0])
+
+
+def test_every_node_type_renders_to_pinned_text():
+    """The generated rhs source decides every sampler output, so its text
+    is pinned here, with the DSL text, for a tree that holds every node
+    type, a negative power and a negated literal."""
+    import ctrlkit.expr as expr_module
+    from ctrlkit.expr import OPS, Expr, expr_source
+
+    def concrete(cls):
+        for sub in cls.__subclasses__():
+            if not sub.__name__.startswith("_"):
+                yield sub
+            yield from concrete(sub)
+
+    node_types = set(concrete(Expr))
+    assert node_types == {getattr(expr_module, name) for name in (
+        "Constant", "StateVar", "InputVar", "Neg", "Add", "Sub", "Mul", "Div", "Pow", "Sin", "Cos", "Exp")}
+    assert node_types <= set(OPS)
+
+    e = Sub(
+        Add(Mul(Constant(2.5), Pow(StateVar(0), -2)), Div(Neg(Constant(3.0)), Mul(Sin(InputVar(0)), StateVar(1)))),
+        Sub(Mul(Cos(Sub(StateVar(1), Constant(-1.25))), Exp(Neg(Pow(Add(StateVar(0), InputVar(1)), 3)))),
+            Pow(Constant(0.5), 2)),
+    )
+    assert expr_source(e) == (
+        "(((2.5 * (x0 ** (-2))) + ((-3.0) / (np.sin(u0) * x1))) - "
+        "((np.cos((x1 - -1.25)) * np.exp((-((x0 + u1) ** 3)))) - (0.5 ** 2)))"
+    )
+    text = render_expression(e, ["p", "q"], ["a", "b"])
+    assert text == "2.5 * p^-2 + -(3.0) / (sin(a) * q) - (cos(q - -1.25) * exp(-((p + b)^3)) - (0.5)^2)"
+    assert parse_expression(text, ["p", "q"], ["a", "b"]) == e

@@ -221,3 +221,39 @@ def test_compile_components_constant_rhs_broadcasts():
     out = f(np.zeros((7, 1)), np.zeros((7, 0)))
     assert out.shape == (7, 2)
     assert np.all(out[:, 0] == 2.0)
+
+
+def test_simplify_overflowing_fold_raises_expr_error():
+    # the folded value is not finite, so the fold is an input error, not an OverflowError
+    with pytest.raises(ExprError, match="non-finite"):
+        simplify(Pow(Constant(1e200), 2))
+    with pytest.raises(ExprError, match="non-finite"):
+        simplify(Exp(Constant(1000.0)))
+    with pytest.raises(ExprError, match="non-finite"):
+        simplify(Mul(Constant(1e200), Constant(1e200)))
+    # evaluation still saturates instead of failing
+    assert eval_expr(Exp(X0), [1000.0]) == math.inf
+    assert eval_expr(Pow(X0, 3), [-1e200]) == -math.inf
+
+
+def test_is_probably_zero_raises_when_no_probe_evaluates():
+    undefined = Div(X0, Sub(X1, X1))
+    with pytest.raises(EvalError, match="probe points"):
+        is_probably_zero(undefined, 2, 0)
+
+
+def test_probe_block_rows_match_row_by_row_draws():
+    from ctrlkit.expr import probe_block
+
+    for dim, count, seed in ((3, 128, 0x5EED), (4, 8, 0xB0B), (1, 5, 7)):
+        rng = np.random.default_rng(seed)
+        rows = np.array([rng.uniform(-2.0, 2.0, size=dim) for _ in range(count)])
+        assert np.array_equal(probe_block(dim, count, seed), rows)
+
+
+def test_simplify_equal_children_of_sub_give_positive_zero():
+    # x - x is +0 even for -0.0 - 0.0, which a plain fold would give as -0.0;
+    # the sign shows in the generated source and in serialized text
+    assert repr(simplify(Sub(Constant(-0.0), Constant(0.0)))) == "Constant(value=0.0)"
+    assert repr(simplify(Sub(Neg(X0), Neg(X0)))) == "Constant(value=0.0)"
+    assert repr(simplify(Mul(Constant(-0.0), Constant(2.0)))) == "Constant(value=-0.0)"

@@ -392,3 +392,11 @@ def test_realized_plan_approaches_ideal_endpoint(cubic):
         errs.append(float(np.linalg.norm(end - ideal)))
     assert errs[1] < errs[0]
     assert errs[1] < 0.05
+
+
+@pytest.mark.parametrize("step", [float("inf"), float("nan"), 0.0, -1e-3])
+def test_flow_endpoint_rejects_bad_step(step):
+    # one RK4 step over the whole time would give 2.7083 for dx = x from 1
+    growth = VectorField((StateVar(0),), 1)
+    with pytest.raises(ValueError, match="step"):
+        flow_endpoint(growth, [1.0], 1.0, step=step)

@@ -432,3 +432,19 @@ def test_steer_cubic_between_given_points(cubic):
 def test_steer_validates_endpoint_shapes(heading):
     with pytest.raises(ValueError):
         two_point_steer(heading, [0.0], [1.0, 0.0], heading_cfg(), 1e-3)
+
+
+def test_grid_flat_index_matches_ravel_multi_index():
+    grid = reach._Grid(((-2.0, 2.0), (-1.0, 3.0), (0.0, 1.0)), (5, 7, 3))
+    rng = np.random.default_rng(3)
+    x = rng.uniform(-3.0, 4.0, size=(500, 3))
+    x[:4] = [[np.nan, 0.0, 0.5], [np.inf, 0.0, 0.5], [0.0, -np.inf, 0.5], [2.0, 0.0, 0.5]]
+    inside = np.all((x >= grid.lows) & (x < grid.highs), axis=1)
+    cells = np.floor((x[inside] - grid.lows) / (grid.highs - grid.lows) * grid.res).astype(np.int64)
+    cells = np.minimum(cells, grid.res - 1)
+    want = np.full(len(x), -1)
+    want[inside] = np.ravel_multi_index(cells.T, grid.resolution)
+    got = grid.flat_index(x)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, want)
+    assert not inside[:4].any() and 0 < inside.sum() < len(x)
