@@ -316,10 +316,14 @@ def eval_expr(e: Expr, x, u=()) -> float:
             return _power(eval_expr(e.base, x, u), e.exponent)
         except ZeroDivisionError:
             raise EvalError(f"zero raised to negative power at x={list(x)!r}, u={list(u)!r}")
-    fn = op_of(e).fn
+    op = op_of(e)
     if isinstance(e, _Binary):
-        return fn(eval_expr(e.left, x, u), eval_expr(e.right, x, u))
-    return fn(eval_expr(e.arg, x, u))
+        return op.fn(eval_expr(e.left, x, u), eval_expr(e.right, x, u))
+    arg = eval_expr(e.arg, x, u)
+    try:
+        return op.fn(arg)
+    except ValueError:  # math.sin and math.cos of an infinite argument
+        raise EvalError(f"{op.symbol}({arg}) is undefined at x={list(x)!r}, u={list(u)!r}") from None
 
 
 def diff(e: Expr, var: Expr) -> Expr:

@@ -141,10 +141,83 @@ def rk4_step(f, x, u, h):
     return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
+def _schedule(durations, step):
+    """ceil(d / step) substeps of h = d / nsub per segment, so each segment
+    end is hit exactly; ValueError when a row needs 2^62 or more."""
+    with np.errstate(over="ignore"):
+        nsub = np.maximum(1.0, np.ceil(durations / step - 1e-12))
+    if not np.all(nsub.sum(axis=-1) < 2.0**62):
+        raise ValueError(f"step {step:g} makes more substeps than can be counted")
+    return nsub.astype(np.int64), durations / nsub
+
+
+def _step_times(durations, step) -> np.ndarray:
+    """Time after each step of one row's schedule, starting with 0."""
+    nsub, hs = _schedule(durations, step)
+    times, t = [np.zeros(1)], 0.0
+    for count, h, d in zip(nsub.tolist(), hs.tolist(), durations.tolist()):
+        times.append(t + np.arange(1, count + 1) * h)
+        t += d
+        times[-1][-1] = t
+    return np.concatenate(times)
+
+
 def substep_count(duration: float, step: float) -> int:
-    if duration <= 0.0:
-        return 0
-    return max(1, math.ceil(duration / step - 1e-12))
+    return int(_schedule(np.array([duration]), step)[0][0]) if duration > 0.0 else 0
+
+
+def rk4_rows(f, x, durations, values, step, visit):
+    """The one RK4 loop: steps each row of `x` (rows, n) through its own
+    segments, `durations` (rows, segments) with inputs `values`
+    (rows, segments, m), on its `_schedule`.  Rows never depend on each
+    other.  After global step k, visit(k, x, bad) sees every row; `bad` is
+    None or the mask of rows that just left the finite regime, which are
+    zeroed and stepped no more.  Returns the final states and live rows."""
+    nsub, hs = _schedule(durations, step)
+    seg_end = np.cumsum(nsub, axis=1)
+    # step after which a row turns to its next segment; 0 (never) on its last
+    turns = np.where(np.arange(durations.shape[1]) < durations.shape[1] - 1, seg_end, 0)
+    rows = np.arange(len(x))
+    seg = np.zeros(len(x), dtype=np.int64)
+    alive = np.ones(len(x), dtype=bool)
+    k = 0
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        # inputs, step sizes and active rows change only where a segment
+        # ends, so they are gathered once per span between such steps
+        for stop in np.unique(seg_end).tolist():
+            act = alive & (k < seg_end[:, -1])
+            if not act.any():
+                break
+            u, h, turn_at = values[rows, seg], hs[rows, seg][:, None], turns[rows, seg]
+            every = act.all()
+            for k in range(k, stop):
+                xn = rk4_step(f, x, u, h)
+                x = xn if every else np.where(act[:, None], xn, x)
+                # NaN fails the comparison too: one test for NaN, inf and overflow
+                ok = np.abs(x) <= BLOWUP_LIMIT
+                bad = None
+                if not ok.all():
+                    bad = act & ~ok.all(axis=1)
+                    alive &= ~bad
+                    act &= alive
+                    every = False
+                    x[bad] = 0.0
+                visit(k, x, bad)
+            k = stop
+            seg += turn_at == k
+    return x, alive
+
+
+def _run_row(f, x0, durations, values, step, states=None) -> np.ndarray:
+    """Endpoint of one row; BlowUpError at its first bad step.  `states` gets every state."""
+
+    def visit(k, x, bad):
+        if bad is not None:
+            raise BlowUpError(float(_step_times(durations, step)[k + 1]))
+        if states is not None:
+            states.append(x)
+
+    return rk4_rows(f, x0[None, :], durations[None], values[None], step, visit)[0][0]
 
 
 def integrate(sys: ControlSystem, x0, ctrl: PiecewiseControl, step: float = DEFAULT_STEP) -> Trajectory:
@@ -154,26 +227,15 @@ def integrate(sys: ControlSystem, x0, ctrl: PiecewiseControl, step: float = DEFA
     x = np.asarray(x0, dtype=float)
     if x.shape != (sys.n,):
         raise ValueError(f"x0 must have {sys.n} entries, got shape {x.shape}")
-    for d, values in ctrl.segments:
-        if len(values) != sys.m:
-            raise ValueError(f"control has {len(values)} channels, system expects {sys.m}")
+    # every segment of a PiecewiseControl has the same number of channels
+    if ctrl.segments and len(ctrl.segments[0][1]) != sys.m:
+        raise ValueError(f"control has {len(ctrl.segments[0][1])} channels, system expects {sys.m}")
     f = compile_components(sys.rhs, sys.n, sys.m)
-    times = [0.0]
-    states = [x.copy()]
-    t = 0.0
-    for duration, values in ctrl.segments:
-        u = np.asarray(values, dtype=float)
-        nsub = substep_count(duration, step)
-        h = duration / nsub
-        seg_start = t
-        for s in range(nsub):
-            x = rk4_step(f, x, u, h)
-            t = seg_start + duration if s == nsub - 1 else seg_start + (s + 1) * h
-            if not np.all(np.isfinite(x)) or np.max(np.abs(x)) > BLOWUP_LIMIT:
-                raise BlowUpError(t)
-            times.append(t)
-            states.append(x.copy())
-    return Trajectory(np.array(times), np.array(states))
+    durations = np.array([d for d, _ in ctrl.segments], dtype=float)
+    values = np.array([v for _, v in ctrl.segments], dtype=float).reshape(len(durations), sys.m)
+    states = [x]
+    _run_row(f, x, durations, values, step, states)
+    return Trajectory(_step_times(durations, step), np.vstack(states))
 
 
 def flow_endpoint(vf: VectorField, x0, t: float, step: float = DEFAULT_STEP) -> np.ndarray:
@@ -189,15 +251,7 @@ def flow_endpoint(vf: VectorField, x0, t: float, step: float = DEFAULT_STEP) -> 
         return x.copy()
     comps = vf.components if t > 0 else tuple(Neg(c) for c in vf.components)
     f = compile_components(comps, vf.n, 0)
-    u = np.zeros(0)
-    duration = abs(t)
-    nsub = substep_count(duration, step)
-    h = duration / nsub
-    for s in range(nsub):
-        x = rk4_step(f, x, u, h)
-        if not np.all(np.isfinite(x)) or np.max(np.abs(x)) > BLOWUP_LIMIT:
-            raise BlowUpError((s + 1) * h)
-    return x
+    return _run_row(f, x, np.array([abs(t)]), np.zeros((1, 0)), step)
 
 
 # --- plans and realization -------------------------------------------------
@@ -291,10 +345,12 @@ def realize_plan(ext: ExtensionRecord, plan: FlowPlan, gain: float) -> Piecewise
 def ideal_plan_endpoint(ext: ExtensionRecord, plan: FlowPlan, p0, step: float = DEFAULT_STEP) -> np.ndarray:
     """Exact-composition endpoint: jumps shift the integrator block
     instantly, drifts flow the base block at the declared frozen input."""
+    require_positive(step, "step")
     n, m = ext.original.n, ext.original.m
     p = np.asarray(p0, dtype=float).copy()
     if p.shape != (n + m,):
         raise ValueError(f"extended point needs {n + m} entries")
+    f = compile_components(ext.original.rhs, n, m)
     for seg in plan.segments:
         if isinstance(seg, Jump):
             if not (0 <= seg.channel < m):
@@ -303,8 +359,7 @@ def ideal_plan_endpoint(ext: ExtensionRecord, plan: FlowPlan, p0, step: float = 
         elif isinstance(seg, Drift):
             if len(seg.u_frozen) != m:
                 raise ValueError(f"drift freezes {len(seg.u_frozen)} inputs, extension has {m}")
-            ctrl = PiecewiseControl(((seg.duration, seg.u_frozen),))
-            p[:n] = integrate(ext.original, p[:n], ctrl, step).endpoint
+            p[:n] = _run_row(f, p[:n], np.array([seg.duration]), np.array([seg.u_frozen]), step)
         else:
             raise TypeError(f"not a plan segment: {seg!r}")
     return p

@@ -16,7 +16,7 @@ import numpy as np
 
 from .dsl import ControlSystem
 from .expr import compile_components
-from .flows import BLOWUP_LIMIT, PiecewiseControl, Trajectory, require_positive, rk4_step
+from .flows import PiecewiseControl, Trajectory, require_positive, rk4_rows
 from .transform import ExtensionRecord, extend
 
 CONSISTENCY_THRESHOLD = 0.05
@@ -159,85 +159,37 @@ def _run_batch(f, n: int, x0, durations, values, step: float, grids):
     total = durations.shape[0]
     endpoints = np.zeros((total, n))
     dropped = np.zeros(total, dtype=bool)
-    x0 = np.asarray(x0, dtype=float)
     for start in range(0, total, _CHUNK):
-        stop = min(start + _CHUNK, total)
-        end, dead = _run_chunk(f, x0, durations[start:stop], values[start:stop], step, grids)
-        endpoints[start:stop] = end
-        dropped[start:stop] = dead
+        rows = slice(start, start + _CHUNK)
+        endpoints[rows], dropped[rows] = _run_chunk(f, x0, durations[rows], values[rows], step, grids)
     return endpoints, dropped
 
 
 def _run_chunk(f, x0, durations, values, step, grids):
-    """Integrate one chunk on a flat per-row schedule.
-
-    Each row walks its own segments in order, each in ceil(d / step)
-    substeps of h = d / nsub as `integrate` takes them, and keeps its own
-    segment index.  Global step k advances every row that still has
-    substeps left, each with its current segment's input and step size,
-    so the loop runs to the largest per-row total.  Stepping all rows
-    segment by segment instead would cost each segment the chunk's
-    longest one, and with Dirichlet durations that is close to a whole
-    horizon per segment.  A row's steps never depend on the other rows,
-    so endpoints, drops and marks do not depend on the chunk layout.
-
-    Cells are marked into chunk-local bitmaps as the loop steps, so
-    memory does not grow with the number of steps.  A row that blows up
-    may already have marked cells, so once any row drops, the local marks
-    are thrown away, nothing more is marked, and at the end the surviving
-    rows alone are run again: they take the same steps as before and
-    cannot drop."""
-    count = durations.shape[0]
-    x = np.tile(x0, (count, 1))
-    alive = np.ones(count, dtype=bool)
-    rows = np.arange(count)
-    nsub = np.maximum(1, np.ceil(durations / step - 1e-12).astype(np.int64))
-    hs = durations / nsub
-    seg_end = np.cumsum(nsub, axis=1)
-    total = seg_end[:, -1]
-    # global step after which a row turns to its next segment; the last
-    # segment has no next one, and 0 never matches
-    turns = seg_end.copy()
-    turns[:, -1] = 0
-    seg = np.zeros(count, dtype=np.int64)
-    u, h, turn_at = values[:, 0], hs[:, :1], turns[:, 0]
+    """Integrate one chunk, marking cells into chunk-local bitmaps as it
+    steps, so memory does not grow with the number of steps.  A row that
+    blows up may already have marked cells, so after a drop the marks are
+    thrown away and the surviving rows alone run again: they take the same
+    steps and cannot drop."""
     # one spare cell past the grid takes the -1 of points outside it
     marks = [(grid, np.zeros(grid.bitmap.size + 1, dtype=bool)) for grid in grids]
-    _mark(marks, x)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for k in range(int(total.max())):
-            act = alive & (k < total)
-            if not act.any():
-                break
-            xn = rk4_step(f, x, u, h)
-            x = np.where(act[:, None], xn, x)
-            bad = act & (
-                ~np.all(np.isfinite(x), axis=1)
-                | (np.max(np.abs(x), axis=1) > BLOWUP_LIMIT)
-            )
-            if bad.any():
-                alive &= ~bad
-                x[bad] = 0.0
-                marks = []  # the marks of a chunk with a dead row are not kept
-            _mark(marks, x)
-            turn = turn_at == k + 1
-            if turn.any():
-                seg += turn
-                u, h, turn_at = values[rows, seg], hs[rows, seg][:, None], turns[rows, seg]
+
+    def visit(k, x, bad):
+        if bad is not None:
+            marks.clear()  # the marks of a chunk with a dead row are not kept
+        for grid, bm in marks:
+            # every row marks: a finished row stays in a cell it has marked
+            bm[grid.flat_index(x)] = True
+
+    x = np.tile(x0, (durations.shape[0], 1))
+    visit(None, x, None)
+    x, alive = rk4_rows(f, x, durations, values, step, visit)
     if alive.all():
         for grid, bm in marks:
             grid.commit(bm[:-1])
     elif grids and alive.any():
         _run_chunk(f, x0, durations[alive], values[alive], step, grids)
-    endpoints = np.where(alive[:, None], x, 0.0)
-    return endpoints, ~alive
-
-
-def _mark(marks, x):
-    """Every row marks its cell: a row that has finished stays in a cell it
-    has already marked."""
-    for grid, bm in marks:
-        bm[grid.flat_index(x)] = True
+    return x, ~alive
 
 
 def sample_reach(sys: ControlSystem, x0, cfg: ReachConfig) -> ReachEstimate:
@@ -255,15 +207,16 @@ def sample_reach(sys: ControlSystem, x0, cfg: ReachConfig) -> ReachEstimate:
     durations, values = _draw_controls(cfg.seed, cfg.samples, cfg.segments, cfg.horizon, cfg.input_box)
     grid = _Grid(cfg.window, cfg.resolution)
     _, dead = _run_batch(f, n, x0, durations, values, cfg.step, [grid])
+    return _estimate(grid, cfg, dead)
+
+
+def _estimate(grid: _Grid, cfg: ReachConfig, dead) -> ReachEstimate:
+    """The estimate `grid` holds after a run of len(dead) trajectories,
+    `dead` marking the dropped ones."""
     dropped = int(dead.sum())
     return ReachEstimate(
-        window=cfg.window,
-        resolution=cfg.resolution,
-        bitmap=grid.shaped_bitmap(),
-        coverage=grid.coverage,
-        samples=cfg.samples,
-        retained=cfg.samples - dropped,
-        dropped=dropped,
+        window=cfg.window, resolution=cfg.resolution, bitmap=grid.shaped_bitmap(), coverage=grid.coverage,
+        samples=cfg.samples, retained=len(dead) - dropped, dropped=dropped,
     )
 
 
@@ -396,21 +349,8 @@ def bounded_reach_check(
     x0e = np.concatenate([np.asarray(x0, dtype=float), y0])
     f = compile_components(record.extended.rhs, n + m, m)
     grid_proj = _Grid(cfg.window, cfg.resolution, axes=tuple(range(n)))
-    if keep.any():
-        _, dead = _run_batch(f, n + m, x0e, durations[keep], values[keep], cfg.step, [grid_proj])
-        dropped = int(dead.sum())
-    else:
-        dropped = 0
-    est_proj = ReachEstimate(
-        window=cfg.window,
-        resolution=cfg.resolution,
-        bitmap=grid_proj.shaped_bitmap(),
-        coverage=grid_proj.coverage,
-        samples=cfg.samples,
-        retained=int(keep.sum()) - dropped,
-        dropped=dropped,
-    )
-    return BoundedReachReport(original=est, extended_projected=est_proj, rejected=rejected)
+    _, dead = _run_batch(f, n + m, x0e, durations[keep], values[keep], cfg.step, [grid_proj])
+    return BoundedReachReport(original=est, extended_projected=_estimate(grid_proj, cfg, dead), rejected=rejected)
 
 
 @dataclass

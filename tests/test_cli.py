@@ -407,3 +407,28 @@ def test_realize_malformed_plan_exits_1(tmp_path, capsys, field, value):
     assert f"plan {field}" in capsys.readouterr().err
     manifest = json.loads((tmp_path / "cubic.sys.manifest.json").read_text())
     assert manifest["exit_code"] == 1
+
+
+def test_reach_unrepresentable_substep_count_exits_1(tmp_path, capsys):
+    # horizon / 1e-300 substeps do not fit an int64; the count used to wrap
+    # and the run exited 0 with a coverage from one substep per segment
+    src = write(tmp_path / "heading.sys", HEADING_TEXT)
+    cfg = write(tmp_path / "cfg.json", json.dumps(reach_config(step=1e-300)))
+    out = tmp_path / "c.csv"
+    assert main(["reach", src, "--x0", "0,0", "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "substeps" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+    manifest = json.loads((tmp_path / "heading.sys.manifest.json").read_text())
+    assert manifest["exit_code"] == 1
+
+
+def test_check_larc_domain_error_names_the_point(tmp_path, capsys):
+    # exp overflows to inf at the span probes with |x1| > 1, and sin(inf)
+    # has no value: an input error that says where, not "math domain error"
+    src = write(tmp_path / "dom.sys", "system dom\nstates x1\ninputs u\ndx1 = sin(exp(x1^400)) * u\n")
+    assert main(["check", src, "--method", "larc", "--point", "0.5", "--out", str(tmp_path / "r.json")]) == 1
+    err = capsys.readouterr().err
+    assert "sin(inf) is undefined at x=" in err
+    assert "Traceback" not in err

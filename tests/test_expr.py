@@ -257,3 +257,18 @@ def test_simplify_equal_children_of_sub_give_positive_zero():
     assert repr(simplify(Sub(Constant(-0.0), Constant(0.0)))) == "Constant(value=0.0)"
     assert repr(simplify(Sub(Neg(X0), Neg(X0)))) == "Constant(value=0.0)"
     assert repr(simplify(Mul(Constant(-0.0), Constant(2.0)))) == "Constant(value=-0.0)"
+
+
+def test_domain_error_is_an_eval_error_at_the_point():
+    # exp(x0^400) overflows to inf for |x0| > 1, and math.sin(inf) raises
+    # ValueError; that point has no value, like a division by zero
+    wild = Sin(Exp(Pow(X0, 400)))
+    with pytest.raises(EvalError, match=r"sin\(inf\) is undefined at x=\[2\.0\]"):
+        eval_expr(wild, [2.0])
+    with pytest.raises(EvalError, match=r"cos\(-inf\)"):
+        eval_expr(Cos(Neg(Exp(Pow(X0, 400)))), [-1.5])
+    assert eval_expr(wild, [0.5]) == math.sin(math.exp(0.5**400))
+    # sin^2 + cos^2 - 1 vanishes wherever it is defined; the probes where
+    # it is not are skipped
+    one = Add(Pow(Sin(X1), 2), Pow(Cos(X1), 2))
+    assert is_probably_zero(Mul(wild, Sub(one, Constant(1.0))), 2, 0)

@@ -1,0 +1,225 @@
+"""Byte-level goldens of the sampler, the integrator and the CLI outputs
+built on them.
+
+Each case runs a small version of an acceptance or CLI run and compares
+the sha256 of its output bytes (packed bitmaps, endpoint arrays, CSV and
+JSON text) with the hash in `GOLDENS`.  A change to the stepping code
+that is meant to keep results must leave every hash as it is; a change
+that moves one must say which and why.
+
+The hashes were taken with numpy `NUMPY_VERSION` on x86-64 Linux.  Another
+numpy build may round np.sin and np.cos differently, so on a mismatch
+check the numpy version first.
+"""
+
+import hashlib
+import json
+import math
+
+import numpy as np
+import pytest
+
+from conftest import CUBIC_TEXT, HEADING_TEXT
+
+from ctrlkit import cli, parse
+from ctrlkit.expr import Constant, Mul, Pow, Sin, StateVar, Sub, compile_components
+from ctrlkit.fields import VectorField
+from ctrlkit.flows import BlowUpError, PiecewiseControl, flow_endpoint, integrate
+from ctrlkit.reach import (
+    ReachConfig,
+    _draw_controls,
+    _run_batch,
+    bounded_reach_check,
+    coverage_compare,
+    sample_reach,
+    two_point_steer,
+)
+from ctrlkit.transform import extend
+
+NUMPY_VERSION = "2.4.6"
+
+GOLDENS = {
+    "compare_heading": "1eb14bc2a540d8640fde027db9b65180f67b9e82958621b8880f4a7c5b6f6f1f",
+    "compare_cubic": "cd5e9f413372551e22f84a2f00329f0a02f75ce4f26e21de57323afb509615fe",
+    "drop_heavy_reach": "cbaa4ba6da66e8117634a8dbb65abfc74b9b88c07c9e28d35c3762783ebd7e0e",
+    "bounded_check": "e07bcd54ea873ac8f9ba46a0c404f96b155bcc8181c74866c24b3ccbd0414871",
+    "steer_cubic": "89fa383e665b49d403f3a4226db2cf832d3dd36b8077b069c21e55f0d2b747b8",
+    "simulate_heading": "4c86ea1335a4180b7e8559312ff882c7aeb0cf6c88d7a34cadbdf0d99340f6f7",
+    "simulate_double": "3768f1e670227c0a893853054b32168e65e764ddc84d3ed947aeb67418c62ac8",
+    "realize_plan": "bc3747ba8558e95810a68aad4b12b2115f75b15dd0552d35ad6d4bf27e6ed48c",
+    "flow_endpoint": "a52f8500ac8c103ab4424eb99d22ab1343fce36546e91a6ae6ede64aa29063a8",
+    "blowup_time": "958cdf62a5e5de9188ae6eacece19a0d3735032e916cb5a7187128dee56d1aa7",
+}
+
+DOUBLE_TEXT = "system double\nstates x1 x2\ninputs u\ndx1 = x2\ndx2 = u\n"
+BOOM_TEXT = "system boom\nstates x1\ninputs u\ndx1 = x1^2 + u\n"
+CONTROL = [
+    {"duration": 0.7, "values": [1.3]},
+    {"duration": 1.15, "values": [-2.0]},
+    {"duration": 0.45, "values": [0.2]},
+    {"duration": 0.333, "values": [4.5]},
+]
+PLAN = {
+    "start": [0.0, 0.0, 0.0, 0.0],
+    "segments": [
+        {"kind": "jump", "channel": 0, "displacement": 1.0},
+        {"kind": "drift", "duration": 0.5, "values": [1.0]},
+        {"kind": "jump", "channel": 0, "displacement": -1.5},
+        {"kind": "drift", "duration": 0.4, "values": [-0.5]},
+    ],
+}
+
+
+def _sha(*parts) -> str:
+    h = hashlib.sha256()
+    for part in parts:
+        if isinstance(part, np.ndarray):
+            part = np.packbits(part).tobytes() if part.dtype == bool else part.tobytes()
+        elif isinstance(part, str):
+            part = part.encode()
+        else:
+            part = repr(part).encode()
+        h.update(part)
+    return h.hexdigest()
+
+
+def _compare(sys_, x0, cfg, cfg_ext) -> str:
+    """Both sampler runs of a compare on their own full grids, and the
+    report that compare builds from them."""
+    record = extend(sys_)
+    x0e = np.concatenate([x0, np.zeros(sys_.m)])
+    own = sample_reach(sys_, x0, cfg)
+    ext = sample_reach(record.extended, x0e, cfg_ext)
+    report = coverage_compare(sys_, x0, cfg, cfg_ext)
+    return _sha(own.bitmap, ext.bitmap, json.dumps(report.to_json(), sort_keys=True))
+
+
+def compare_heading(tmp_path) -> str:
+    cfg = ReachConfig(
+        horizon=3.0, segments=6, input_box=((-10.0, 10.0),), samples=2000,
+        window=((-2.0, 2.0), (-2.0, 2.0)), resolution=40, seed=2026, step=2e-2,
+    )
+    cfg_ext = ReachConfig(
+        horizon=3.0, segments=6, input_box=((-6.0, 6.0),), samples=2000,
+        window=((-2.0, 2.0), (-2.0, 2.0), (-18.0, 18.0)), resolution=(40, 40, 10),
+        seed=901, step=2e-2,
+    )
+    return _compare(parse(HEADING_TEXT), np.zeros(2), cfg, cfg_ext)
+
+
+def compare_cubic(tmp_path) -> str:
+    cfg = ReachConfig(
+        horizon=4.0, segments=8, input_box=((-1.0, 1.0),), samples=2000,
+        window=((-1.0, 1.0),) * 3, resolution=16, seed=2026, step=2e-2,
+    )
+    cfg_ext = ReachConfig(
+        horizon=4.0, segments=8, input_box=((-2.0, 2.0),), samples=2000,
+        window=((-1.0, 1.0), (-1.0, 1.0), (-1.0, 1.0), (-8.0, 8.0)),
+        resolution=(16, 16, 16, 8), seed=901, step=2e-2,
+    )
+    return _compare(parse(CUBIC_TEXT), np.zeros(3), cfg, cfg_ext)
+
+
+def drop_heavy_reach(tmp_path) -> str:
+    """About half the rows of `dx1 = x1^2 + u` from 0.5 escape."""
+    boom = parse(BOOM_TEXT)
+    cfg = ReachConfig(
+        horizon=3.0, segments=3, input_box=((-1.5, 1.5),), samples=2000,
+        window=((-2.0, 6.0),), resolution=16, seed=1, step=1e-2,
+    )
+    x0 = np.array([0.5])
+    est = sample_reach(boom, x0, cfg)
+    assert 500 < est.dropped < 1500
+    durations, values = _draw_controls(cfg.seed, cfg.samples, cfg.segments, cfg.horizon, cfg.input_box)
+    ends, dead = _run_batch(compile_components(boom.rhs, 1, 1), 1, x0, durations, values, cfg.step, [])
+    return _sha(est.bitmap, est.dropped, ends, dead)
+
+
+def bounded_check(tmp_path) -> str:
+    cfg = ReachConfig(
+        horizon=3.0, segments=6, input_box=((-10.0, 10.0),), samples=2000,
+        window=((-2.0, 2.0), (-2.0, 2.0)), resolution=40, seed=2026, step=2e-2,
+    )
+    rep = bounded_reach_check(
+        parse(HEADING_TEXT), [0.0, 0.0], ((-math.pi, math.pi),), cfg, rate_box=((-2.0, 2.0),)
+    )
+    proj = rep.extended_projected
+    return _sha(rep.original.bitmap, proj.bitmap, rep.rejected, proj.retained, proj.dropped)
+
+
+def steer_cubic(tmp_path) -> str:
+    cfg = ReachConfig(
+        horizon=6.0, segments=6, input_box=((-2.0, 2.0),), samples=2000,
+        window=((-2.0, 2.0),) * 3, resolution=4, seed=2026, step=1e-2,
+    )
+    res = two_point_steer(parse(CUBIC_TEXT), [0.0, 0.0, 0.0], [1.0, 1.0, 1.0], cfg, 1e-2)
+    return _sha(res.success, res.control.segments, res.distance, res.evaluations)
+
+
+def _run_cli(*argv) -> None:
+    assert cli.main([str(a) for a in argv]) == 0
+
+
+def _simulate(tmp_path, text) -> str:
+    (tmp_path / "sys.txt").write_text(text)
+    (tmp_path / "ctrl.json").write_text(json.dumps(CONTROL))
+    out = tmp_path / "traj.csv"
+    _run_cli("simulate", tmp_path / "sys.txt", "--x0=-0.25,0.5",
+             "--control", tmp_path / "ctrl.json", "--out", out)
+    return _sha(out.read_text())
+
+
+def simulate_heading(tmp_path) -> str:
+    return _simulate(tmp_path, HEADING_TEXT)
+
+
+def simulate_double(tmp_path) -> str:
+    return _simulate(tmp_path, DOUBLE_TEXT)
+
+
+def realize_plan(tmp_path) -> str:
+    """The criterion 4 plan on cubic: ideal endpoint and four gains."""
+    (tmp_path / "sys.txt").write_text(CUBIC_TEXT)
+    (tmp_path / "plan.json").write_text(json.dumps(PLAN))
+    out = tmp_path / "table.csv"
+    _run_cli("realize", tmp_path / "sys.txt", "--plan", tmp_path / "plan.json", "--out", out)
+    return _sha(out.read_text())
+
+
+def flow_endpoint_case(tmp_path) -> str:
+    pend = VectorField((StateVar(1), Mul(Constant(-1.0), Sin(StateVar(0)))), 2)
+    fwd = flow_endpoint(pend, [0.4, -0.3], 0.7)
+    back = flow_endpoint(pend, fwd, -0.7)
+    logistic = VectorField((Sub(StateVar(0), Pow(StateVar(0), 2)),), 1)
+    coarse = flow_endpoint(logistic, [0.1], 2.0, step=0.02)
+    return _sha(fwd, back, coarse)
+
+
+def blowup_time(tmp_path) -> str:
+    boom = parse("system boom\nstates x\ndx = x^2\n")
+    with pytest.raises(BlowUpError) as exc_info:
+        integrate(boom, [1.0], PiecewiseControl(((2.0, ()),)))
+    return _sha(exc_info.value.time)
+
+
+CASES = {
+    "compare_heading": compare_heading,
+    "compare_cubic": compare_cubic,
+    "drop_heavy_reach": drop_heavy_reach,
+    "bounded_check": bounded_check,
+    "steer_cubic": steer_cubic,
+    "simulate_heading": simulate_heading,
+    "simulate_double": simulate_double,
+    "realize_plan": realize_plan,
+    "flow_endpoint": flow_endpoint_case,
+    "blowup_time": blowup_time,
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDENS))
+def test_golden(tmp_path, name):
+    got = CASES[name](tmp_path)
+    assert got == GOLDENS[name], (
+        f"{name}: sha256 {got}, golden {GOLDENS[name]} "
+        f"(taken with numpy {NUMPY_VERSION}, running {np.__version__})"
+    )

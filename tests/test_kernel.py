@@ -1,0 +1,129 @@
+"""Promises of the one RK4 stepping kernel, `flows.rk4_rows`, that
+`integrate`, `flow_endpoint`, `ideal_plan_endpoint` and the sampler share."""
+
+import numpy as np
+import pytest
+
+from conftest import CUBIC_TEXT, HEADING_TEXT
+
+from ctrlkit import flows, parse
+from ctrlkit.expr import compile_components
+from ctrlkit.fields import VectorField
+from ctrlkit.flows import BlowUpError, Drift, FlowPlan, Jump, PiecewiseControl, flow_endpoint, integrate
+from ctrlkit.reach import ReachConfig, _draw_controls, _run_batch, sample_reach
+from ctrlkit.transform import extend
+
+BOOM_TEXT = "system boom\nstates x1\ninputs u\ndx1 = x1^2 + u\n"
+
+
+def _row_control(durations, values, i):
+    return PiecewiseControl(tuple(
+        (float(d), tuple(float(v) for v in row)) for d, row in zip(durations[i], values[i])
+    ))
+
+
+@pytest.mark.parametrize("text, x0, box", [
+    (HEADING_TEXT, [0.1, -0.2], ((-6.0, 6.0),)),
+    (BOOM_TEXT, [0.5], ((-1.5, 1.5),)),
+])
+def test_run_batch_rows_do_not_depend_on_batch_size(text, x0, box):
+    """The first N of 2N rows end where a batch of those N rows ends, and
+    drop exactly when they do."""
+    sys_ = parse(text)
+    f = compile_components(sys_.rhs, sys_.n, sys_.m)
+    x0 = np.array(x0)
+    small = _run_batch(f, sys_.n, x0, *_draw_controls(4, 60, 3, 3.0, box), 1e-2, [])
+    large = _run_batch(f, sys_.n, x0, *_draw_controls(4, 120, 3, 3.0, box), 1e-2, [])
+    assert np.array_equal(large[0][:60], small[0])
+    assert np.array_equal(large[1][:60], small[1])
+    if text == BOOM_TEXT:
+        assert 0 < small[1].sum() < 60
+
+
+def test_run_batch_heading_rows_match_integrate():
+    """sin and cos in the rhs, segments of unequal length: each row of a
+    batch equals `integrate`, which runs the same kernel on one row."""
+    heading = parse(HEADING_TEXT)
+    durations, values = _draw_controls(11, 25, 5, 2.0, ((-6.0, 6.0),))
+    assert len(np.unique(np.ceil(durations / 2e-2))) > 10
+    x0 = np.array([0.3, -0.1])
+    ends, dead = _run_batch(compile_components(heading.rhs, 2, 1), 2, x0, durations, values, 2e-2, [])
+    assert not dead.any()
+    for i in range(25):
+        want = integrate(heading, x0, _row_control(durations, values, i), 2e-2).endpoint
+        assert np.array_equal(ends[i], want), f"row {i}"
+
+
+def test_integrate_times_follow_the_schedule():
+    traj = integrate(parse(HEADING_TEXT), [0.0, 0.0], PiecewiseControl(((0.25, (1.0,)), (0.1, (2.0,)))), 0.1)
+    # ceil(0.25 / 0.1) = 3 substeps of 0.25 / 3, then one of 0.1
+    assert np.array_equal(traj.times, [0.0, 0.25 / 3, 2 * (0.25 / 3), 0.25, 0.25 + 0.1])
+    assert traj.states.shape == (5, 2)
+
+
+def test_flow_endpoint_is_a_one_segment_run():
+    """Same endpoint and same blow-up time as `integrate` on one
+    input-free segment."""
+    boom = parse("system boom\nstates x\ndx = x^2\n")
+    vf = VectorField(boom.rhs, 1)
+    assert np.array_equal(
+        flow_endpoint(vf, [0.5], 0.7, step=0.01),
+        integrate(boom, [0.5], PiecewiseControl(((0.7, ()),)), 0.01).endpoint,
+    )
+    with pytest.raises(BlowUpError) as from_flow:
+        flow_endpoint(vf, [1.0], 2.0)
+    with pytest.raises(BlowUpError) as from_integrate:
+        integrate(boom, [1.0], PiecewiseControl(((2.0, ()),)))
+    assert from_flow.value.time == from_integrate.value.time
+
+
+def test_ideal_plan_endpoint_compiles_once(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return compile_components(*args)
+
+    monkeypatch.setattr(flows, "compile_components", counted)
+    plan = FlowPlan((Drift(0.3, (1.0,)), Jump(0, 0.5), Drift(0.2, (-1.0,)), Drift(0.1, (0.5,))))
+    flows.ideal_plan_endpoint(extend(parse(CUBIC_TEXT)), plan, np.zeros(4))
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("step", [1e-300, 5e-324])
+def test_unrepresentable_substep_count_is_rejected(step):
+    """durations / step past the int64 range used to wrap in the cast, and
+    the sampler reported a coverage from one substep per segment."""
+    cfg = ReachConfig(
+        horizon=1.0, segments=4, input_box=((-6.0, 6.0),), samples=10,
+        window=((-2.0, 2.0), (-2.0, 2.0)), resolution=16, seed=5, step=step,
+    )
+    heading = parse(HEADING_TEXT)
+    with pytest.raises(ValueError, match="substeps"):
+        sample_reach(heading, [0.0, 0.0], cfg)
+    with pytest.raises(ValueError, match="substeps"):
+        integrate(heading, [0.0, 0.0], PiecewiseControl(((1.0, (0.0,)),)), step)
+
+
+def test_flow_endpoint_blow_up_on_the_last_substep_reports_the_flow_time():
+    # 70 substeps of 0.7 / 70 add up to 0.7000000000000001; the schedule
+    # ends the segment at 0.7 itself, as `integrate` always has
+    vf = VectorField(parse("system boom\nstates x\ndx = x^2\n").rhs, 1)
+    assert 70 * (0.7 / 70) != 0.7
+    with pytest.raises(BlowUpError) as exc_info:
+        flow_endpoint(vf, [1.4485764298217412], 0.7, step=0.01)
+    assert exc_info.value.time == 0.7
+
+
+def test_a_row_that_turns_nan_is_dropped():
+    # exp(x1^400) overflows once x1 passes 1.0166, and inf - inf is NaN
+    # while the state is still near 1, far below BLOWUP_LIMIT
+    nan_sys = parse("system nan\nstates x1\ninputs u\ndx1 = exp(x1^400) - exp(x1^400) + u\n")
+    durations, values = _draw_controls(2, 30, 3, 3.0, ((0.5, 1.5),))
+    f = compile_components(nan_sys.rhs, 1, 1)
+    ends, dead = _run_batch(f, 1, np.zeros(1), durations, values, 1e-2, [])
+    assert dead.all()
+    assert not ends.any()
+    with pytest.raises(BlowUpError) as exc_info:
+        integrate(nan_sys, [0.0], PiecewiseControl(((3.0, (1.0,)),)), 1e-2)
+    assert 1.0 < exc_info.value.time < 1.1
