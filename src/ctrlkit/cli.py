@@ -40,7 +40,7 @@ from .flows import (
     save_trajectory_csv,
 )
 from .reach import ReachConfig, cells_to_csv, coverage_compare, estimate_summary, sample_reach
-from .transform import extend, extension_to_json, reduce_integrator, save_certificate
+from .transform import certificate_to_json, extend, extension_to_json, reduce_integrator
 
 
 class _InputError(ValueError):
@@ -193,9 +193,7 @@ def _cmd_reduce(args, manifest) -> int:
     sys_ = _read_system(args, manifest)
     cert = reduce_integrator(sys_)
     _write_text(manifest, args.out, serialize(cert.reduced))
-    cert_path = args.certificate or args.out + ".cert.json"
-    save_certificate(cert, cert_path)
-    manifest["outputs"].append(cert_path)
+    _write_json(manifest, args.certificate or args.out + ".cert.json", certificate_to_json(cert))
     print(f"reduced {sys_.name!r} in {cert.count} steps: {sys_.n} -> {cert.reduced.n} states")
     return 0
 
@@ -436,7 +434,7 @@ def main(argv=None) -> int:
     except BlowUpError as exc:
         print(f"error: {exc}", file=sys.stderr)
         code = 3
-    except (DslError, _InputError, OSError, ValueError) as exc:
+    except (DslError, _InputError, OSError, ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         code = 1
     manifest["exit_code"] = code

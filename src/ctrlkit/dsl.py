@@ -32,7 +32,6 @@ from .expr import (
     Neg,
     Pow,
     StateVar,
-    Sub,
     diff,
     is_probably_zero,
     max_input_index,
@@ -47,6 +46,9 @@ _IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 _NUMBER_RE = re.compile(r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
 _FUNCS = {op.symbol: t for t, op in OPS.items() if op.numpy}
 _RESERVED = {"system", "states", "inputs", *_FUNCS}
+# sums (prec 1) and products (prec 2); '^' takes an integer exponent and
+# is read by `factor`
+_BINARY = {(op.symbol, op.prec): t for t, op in OPS.items() if op.prec <= 2}
 
 
 class DslError(ValueError):
@@ -246,32 +248,18 @@ class _ExprParser:
             self.fail(f"unexpected {text!r} after expression")
         return e
 
-    def expr(self) -> Expr:
-        e = self.term()
-        while True:
-            kind, text, _ = self.peek()
-            if kind == "op" and text in "+-":
-                self.next()
-                rhs = self.term()
-                e = Add(e, rhs) if text == "+" else Sub(e, rhs)
-            else:
-                return e
-
-    def term(self) -> Expr:
-        e = self.factor()
-        while True:
-            kind, text, _ = self.peek()
-            if kind == "op" and text in "*/":
-                self.next()
-                rhs = self.factor()
-                if text == "*":
-                    e = Mul(e, rhs)
-                else:
-                    if isinstance(rhs, Constant) and rhs.value == 0.0:
-                        self.fail("division by constant zero")
-                    e = Div(e, rhs)
-            else:
-                return e
+    def expr(self, prec: int = 1) -> Expr:
+        """A left-associative chain of the binary operators of `prec`,
+        over operands that bind tighter."""
+        operand = self.factor if prec == 2 else lambda: self.expr(prec + 1)
+        e = operand()
+        while (t := _BINARY.get((self.peek()[1], prec))) is not None:
+            self.next()
+            rhs = operand()
+            if t is Div and type(rhs) is Constant and rhs.value == 0.0:
+                self.fail("division by constant zero")
+            e = t(e, rhs)
+        return e
 
     def factor(self) -> Expr:
         e = self.base()

@@ -8,7 +8,8 @@ Each node type says once what it is: `children()` and `rebuild()` give
 its subtrees, and its entry in `OPS` holds its symbol and precedence in
 the DSL, the float function that evaluation and constant folding share,
 its numpy name, its derivative rule and its unit/zero rule.  The walkers
-below read those; only Pow and the three leaves are special cases.
+below, and the DSL parser and renderer, read those; only Pow and the
+three leaves are special cases.
 """
 
 from __future__ import annotations
@@ -209,7 +210,7 @@ def _add_rule(e, a, b):
 
 
 def _sub_rule(e, a, b):
-    return a if _is(b, 0.0) else Neg(b) if _is(a, 0.0) else Sub(a, b)
+    return a if _is(b, 0.0) else rewrite(Neg(b)) if _is(a, 0.0) else Sub(a, b)
 
 
 def _mul_rule(e, a, b):
@@ -223,6 +224,14 @@ def _div_rule(e, a, b):
         # folding produced a zero denominator; keep the original shape
         return Div(a, e.right)
     return _ZERO if _is(a, 0.0) else a if _is(b, 1.0) else Div(a, b)
+
+
+def _pow_rule(e, base):
+    # Pow folds here, not in `rewrite`: its float function needs the exponent
+    k = e.exponent
+    if type(base) is Constant and not (base.value == 0.0 and k < 0):
+        return Constant(_power(base.value, k))
+    return _ONE if k == 0 else base if k == 1 else Pow(base, k)
 
 
 class Op(NamedTuple):
@@ -250,7 +259,7 @@ OPS: dict[type, Op] = {
             lambda e, da, db: Div(Sub(Mul(da, e.right), Mul(e.left, db)), Pow(e.right, 2)), _div_rule),
     Pow: Op("^", 3, _power, None,
             lambda e, db: _ZERO if e.exponent == 0
-            else Mul(Mul(Constant(float(e.exponent)), Pow(e.base, e.exponent - 1)), db)),
+            else Mul(Mul(Constant(float(e.exponent)), Pow(e.base, e.exponent - 1)), db), _pow_rule),
     Sin: Op("sin", 4, math.sin, "sin", lambda e, da: Mul(Cos(e.arg), da)),
     Cos: Op("cos", 4, math.cos, "cos", lambda e, da: Mul(Neg(Sin(e.arg)), da)),
     Exp: Op("exp", 4, _exp, "exp", lambda e, da: Mul(e, da)),
@@ -295,6 +304,11 @@ def op_of(e: Expr) -> Op:
         raise TypeError(f"not an expression node: {e!r}") from None
 
 
+def _at(x, u) -> str:
+    """The point of an EvalError message, as plain floats."""
+    return f"x={[float(v) for v in x]}, u={[float(v) for v in u]}"
+
+
 def eval_expr(e: Expr, x, u=()) -> float:
     """Evaluate at a concrete point.  x and u are indexable sequences."""
     t = type(e)
@@ -305,17 +319,17 @@ def eval_expr(e: Expr, x, u=()) -> float:
         try:
             return float(point[e.index])
         except IndexError:
-            raise EvalError(f"{kind} index {e.index} out of range for point {list(point)!r}")
+            raise EvalError(f"{kind} index {e.index} out of range at {_at(x, u)}")
     if t is Div:
         denom = eval_expr(e.right, x, u)
         if denom == 0.0:
-            raise EvalError(f"division by zero at x={list(x)!r}, u={list(u)!r}")
+            raise EvalError(f"division by zero at {_at(x, u)}")
         return eval_expr(e.left, x, u) / denom
     if t is Pow:
         try:
             return _power(eval_expr(e.base, x, u), e.exponent)
         except ZeroDivisionError:
-            raise EvalError(f"zero raised to negative power at x={list(x)!r}, u={list(u)!r}")
+            raise EvalError(f"zero raised to negative power at {_at(x, u)}")
     op = op_of(e)
     if isinstance(e, _Binary):
         return op.fn(eval_expr(e.left, x, u), eval_expr(e.right, x, u))
@@ -323,7 +337,7 @@ def eval_expr(e: Expr, x, u=()) -> float:
     try:
         return op.fn(arg)
     except ValueError:  # math.sin and math.cos of an infinite argument
-        raise EvalError(f"{op.symbol}({arg}) is undefined at x={list(x)!r}, u={list(u)!r}") from None
+        raise EvalError(f"{op.symbol}({arg}) is undefined at {_at(x, u)}") from None
 
 
 def diff(e: Expr, var: Expr) -> Expr:
@@ -340,37 +354,36 @@ def _diff(e: Expr, var: Expr) -> Expr:
     return op.deriv(e, *[_diff(k, var) for k in e.children()])
 
 
-def simplify(e: Expr) -> Expr:
-    """One bottom-up rewrite pass: constant folding and unit/zero rules.
-
-    Value-preserving wherever the input is defined; no reassociation or
-    expansion, so the result stays structurally close to the input.
-    Raises ExprError when a folded constant overflows.
-    """
+def rewrite(e: Expr, *args) -> Expr:
+    """One rewrite step at the root of `e`, whose children (or `args` in
+    their place) are already simplified: the equal-children check of Sub,
+    constant folding and the node's unit/zero rule.  Raises ExprError
+    when a folded constant overflows."""
     t = type(e)
-    if t is Pow:
-        base, k = simplify(e.base), e.exponent
-        if k == 0:
-            return _ONE
-        if k == 1:
-            return base
-        if type(base) is Constant and not (base.value == 0.0 and k < 0):
-            return Constant(_power(base.value, k))
-        return Pow(base, k)
     op = op_of(e)
     if op.fn is None:
         return e
-    args = tuple(map(simplify, e.children()))
+    args = args or e.children()
     if t is Sub and args[0] == args[1]:
         # before folding, which would give -0.0 for -0.0 - 0.0
         return _ZERO
     # first and last child: all of them, as a node has one or two
-    if type(args[0]) is Constant and type(args[-1]) is Constant:
+    if t is not Pow and type(args[0]) is Constant and type(args[-1]) is Constant:
         try:
             return Constant(op.fn(*[a.value for a in args]))
         except ZeroDivisionError:
             pass  # a zero denominator: the Div rule keeps the node
     return op.rule(e, *args) if op.rule else e.rebuild(*args)
+
+
+def simplify(e: Expr) -> Expr:
+    """`rewrite` applied bottom-up: constant folding and unit/zero rules.
+
+    Value-preserving wherever the input is defined; no reassociation or
+    expansion, so the result stays structurally close to the input.
+    Idempotent: a simplified tree is its own simplification.
+    """
+    return rewrite(e, *map(simplify, e.children()))
 
 
 def subst(e: Expr, state_map=None, input_map=None) -> Expr:

@@ -19,6 +19,7 @@ from .expr import (
     eval_expr,
     max_input_index,
     max_state_index,
+    rewrite,
     simplify,
 )
 
@@ -93,17 +94,13 @@ def jacobian_x(vf: VectorField) -> SymbolicMatrix:
 
 
 def _jacobian_times(jac: SymbolicMatrix, vf: VectorField) -> list[Expr]:
-    # row-by-row product, dropping terms that simplify away so bracket
-    # trees stay small
-    out = []
-    for row in jac.rows:
-        terms = []
-        for entry, comp in zip(row, vf.components):
-            t = simplify(Mul(entry, comp))
-            if t != Constant(0.0):
-                terms.append(t)
-        out.append(reduce(Add, terms) if terms else Constant(0.0))
-    return out
+    # row-by-row product over simplified entries, so each product and sum
+    # is one root rewrite; the Add rule drops the zero terms
+    comps = [simplify(c) for c in vf.components]
+    return [
+        reduce(lambda a, b: rewrite(Add(a, b)), (rewrite(Mul(e, c)) for e, c in zip(row, comps)))
+        for row in jac.rows
+    ]
 
 
 def lie_bracket(x_field: VectorField, y_field: VectorField) -> VectorField:
@@ -116,7 +113,7 @@ def lie_bracket(x_field: VectorField, y_field: VectorField) -> VectorField:
     jx = jacobian_x(x_field)
     first = _jacobian_times(jy, x_field)
     second = _jacobian_times(jx, y_field)
-    comps = tuple(simplify(Sub(a, b)) for a, b in zip(first, second))
+    comps = tuple(rewrite(Sub(a, b)) for a, b in zip(first, second))
     return VectorField(comps, x_field.n)
 
 

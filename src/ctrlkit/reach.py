@@ -21,6 +21,7 @@ from .transform import ExtensionRecord, extend
 
 CONSISTENCY_THRESHOLD = 0.05
 DEFAULT_RATE_BOUND = 10.0
+MAX_CELLS = 2 ** 24
 _CHUNK = 2048
 _REFINE_BATCH = 64
 
@@ -65,6 +66,8 @@ class ReachConfig:
             raise ValueError("one resolution per window axis required")
         if any(r < 2 for r in res):
             raise ValueError("resolution must be at least 2 per axis")
+        if math.prod(res) > MAX_CELLS:  # Python ints: no int64 wrap
+            raise ValueError(f"grid has {math.prod(res)} cells, more than the {MAX_CELLS} allowed")
         object.__setattr__(self, "resolution", res)
 
 

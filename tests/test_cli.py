@@ -432,3 +432,34 @@ def test_check_larc_domain_error_names_the_point(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "sin(inf) is undefined at x=" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("resolution", [[4097, 4096], [4294967296, 4294967296]])
+def test_reach_oversized_grid_exits_1(tmp_path, capsys, resolution):
+    # 2^32 x 2^32 cells wrapped to an empty int64 grid and ended in an
+    # IndexError traceback with no manifest
+    src = write(tmp_path / "heading.sys", HEADING_TEXT)
+    cfg = write(tmp_path / "cfg.json", json.dumps(reach_config(resolution=resolution, samples=10)))
+    out = tmp_path / "c.csv"
+    assert main(["reach", src, "--x0", "0,0", "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "cells" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+    manifest = json.loads((tmp_path / "heading.sys.manifest.json").read_text())
+    assert manifest["exit_code"] == 1
+
+
+def test_memory_error_exits_1_with_a_manifest(tmp_path, capsys, monkeypatch):
+    import ctrlkit.cli
+
+    def exhausted(*args):
+        raise MemoryError("Unable to allocate 74.5 GiB for an array")
+
+    monkeypatch.setattr(ctrlkit.cli, "sample_reach", exhausted)
+    src = write(tmp_path / "heading.sys", HEADING_TEXT)
+    cfg = write(tmp_path / "cfg.json", json.dumps(reach_config()))
+    assert main(["reach", src, "--x0", "0,0", "--config", cfg, "--out", str(tmp_path / "c.csv")]) == 1
+    assert "Unable to allocate" in capsys.readouterr().err
+    manifest = json.loads((tmp_path / "heading.sys.manifest.json").read_text())
+    assert manifest["exit_code"] == 1

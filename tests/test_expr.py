@@ -272,3 +272,59 @@ def test_domain_error_is_an_eval_error_at_the_point():
     # it is not are skipped
     one = Add(Pow(Sin(X1), 2), Pow(Cos(X1), 2))
     assert is_probably_zero(Mul(wild, Sub(one, Constant(1.0))), 2, 0)
+
+
+@pytest.mark.parametrize(
+    "e",
+    [
+        Sub(Constant(0.0), Neg(X0)),
+        Neg(Neg(X0)),
+        Mul(Constant(0.0), X0),
+        Div(X0, Sub(Constant(1.0), Constant(1.0))),
+        Pow(X0, 0),
+        Pow(Constant(0.0), -1),
+        Sub(Constant(0.0), Neg(Neg(Neg(X0)))),
+        Sub(Constant(0.0), Sub(Constant(0.0), X1)),
+    ],
+    ids=["0--x", "--x", "0*x", "x/(1-1)", "x^0", "0^-1", "0----x", "0-(0-y)"],
+)
+def test_simplify_is_idempotent_on_edge_cases(e):
+    once = simplify(e)
+    assert simplify(once) == once
+
+
+def test_simplify_of_zero_minus_negation_is_the_argument():
+    assert simplify(Sub(Constant(0.0), Neg(X0))) == X0
+    assert simplify(Sub(Constant(0.0), Neg(Neg(X0)))) == Neg(X0)
+
+
+def test_rewrite_is_one_root_step_over_simplified_children():
+    from ctrlkit.expr import rewrite
+
+    # children are taken as they are: nothing below the root is rewritten
+    inner = Add(X0, Constant(0.0))
+    assert rewrite(Mul(Constant(1.0), inner)) == inner
+    assert rewrite(Sub(X0, X0)) == Constant(0.0)
+    assert rewrite(Add(Constant(2.0), Constant(3.0))) == Constant(5.0)
+    assert rewrite(Pow(Constant(2.0), -1)) == Constant(0.5)
+    # a zero denominator stops the fold and keeps the original node
+    den = Sub(Constant(1.0), Constant(1.0))
+    assert rewrite(Div(X0, den), X0, Constant(0.0)) == Div(X0, den)
+    assert rewrite(X1) == X1
+
+
+@pytest.mark.parametrize(
+    "e,message",
+    [
+        (StateVar(3), "state index 3 out of range at x=[2.0, -0.25], u=[1.0]"),
+        (Div(X0, Sub(X1, X1)), "division by zero at x=[2.0, -0.25], u=[1.0]"),
+        (Pow(Sub(X1, X1), -2), "zero raised to negative power at x=[2.0, -0.25], u=[1.0]"),
+        (Sin(Exp(Pow(X0, 2000))), "sin(inf) is undefined at x=[2.0, -0.25], u=[1.0]"),
+    ],
+    ids=["index", "division", "power", "domain"],
+)
+def test_eval_error_prints_numpy_points_as_plain_floats(e, message):
+    # numpy 2 reprs a scalar as np.float64(2.0); the message shows 2.0
+    with pytest.raises(EvalError) as err:
+        eval_expr(e, np.array([2.0, -0.25]), np.array([1.0]))
+    assert str(err.value) == message

@@ -4,11 +4,18 @@ The bracket oracle is finite differencing of the two Jacobians, which
 never touches the symbolic diff code path.
 """
 
+from functools import reduce
+
 import numpy as np
 import pytest
 
-from ctrlkit.expr import Add, Constant, Cos, InputVar, Mul, Pow, Sin, StateVar, simplify
+from conftest import CUBIC_TEXT, HEADING_TEXT, chain_text
+
+from ctrlkit.certificates import larc
+from ctrlkit.dsl import parse, to_affine
+from ctrlkit.expr import Add, Constant, Cos, InputVar, Mul, Pow, Sin, StateVar, Sub, diff, simplify
 from ctrlkit.fields import SymbolicMatrix, VectorField, eval_vf, jacobian_x, lie_bracket, zero_field
+from ctrlkit.transform import extend
 
 X0, X1, X2 = StateVar(0), StateVar(1), StateVar(2)
 
@@ -142,3 +149,64 @@ def test_bracket_rejects_parametric_or_mismatched():
     other = VectorField((X0, X1), n=2)
     with pytest.raises(ValueError):
         lie_bracket(plain, other)
+
+
+
+def _fixture_systems():
+    """The affine fixtures (heading is not affine) and every extension,
+    each with its drift and channels and the fields `larc` keeps at
+    depth 4."""
+    out = []
+    for text in (HEADING_TEXT, CUBIC_TEXT, *(chain_text(n) for n in range(3, 8))):
+        sys_ = parse(text)
+        for s in (sys_, extend(sys_).extended):
+            aff = to_affine(s)
+            if hasattr(aff, "drift"):
+                report = larc(aff, np.zeros(s.n), 4)
+                out.append((s, [aff.drift, *aff.channels], _kept_fields(aff, report.formations)))
+    return out
+
+
+def _kept_fields(aff, formations):
+    """Rebuild the fields of a larc report from their names, such as
+    `[f,[f,g1]]`."""
+    by_name = dict(zip(formations, [aff.drift, *aff.channels]))
+    for name in formations[len(by_name):]:
+        depth = 0
+        for k, ch in enumerate(name):
+            depth += {"[": 1, "]": -1}.get(ch, 0)
+            if ch == "," and depth == 1:
+                break
+        by_name[name] = lie_bracket(by_name[name[1:k]], by_name[name[k + 1:-1]])
+    return [by_name[name] for name in formations]
+
+
+def test_simplify_is_idempotent_on_fixture_trees():
+    # drift, channels, Jacobian entries and brackets are all outputs of
+    # simplify, so each must be its own simplification
+    raw, simplified = [], []
+    for sys_, fields, kept in _fixture_systems():
+        raw += sys_.rhs
+        for vf in fields + kept:
+            simplified += vf.components
+            simplified += [e for row in jacobian_x(vf).rows for e in row]
+    assert len(raw) > 50 and len(simplified) > 1000
+    for e in raw:
+        once = simplify(e)
+        assert simplify(once) == once, e
+    for e in simplified:
+        assert simplify(e) == e, e
+
+
+def _times(F, G):
+    """Row i of DF G, left-nested and not simplified."""
+    return [reduce(Add, [Mul(diff(c, StateVar(j)), g) for j, g in enumerate(G.components)]) for c in F.components]
+
+
+def test_bracket_is_simplify_of_the_unsimplified_formula():
+    pairs = [(X, Y) for X in _SMOOTH_FIELDS for Y in _SMOOTH_FIELDS]
+    for _, fields, kept in _fixture_systems():
+        pairs += [(X, Y) for X in fields for Y in kept[:8]]
+    for X, Y in pairs:
+        want = tuple(simplify(Sub(a, b)) for a, b in zip(_times(Y, X), _times(X, Y)))
+        assert lie_bracket(X, Y).components == want

@@ -1,11 +1,11 @@
-"""Byte-level goldens of the sampler, the integrator and the CLI outputs
-built on them.
+"""Byte-level goldens of the sampler, the integrator, the symbolic
+commands and the CLI outputs built on them.
 
 Each case runs a small version of an acceptance or CLI run and compares
 the sha256 of its output bytes (packed bitmaps, endpoint arrays, CSV and
-JSON text) with the hash in `GOLDENS`.  A change to the stepping code
-that is meant to keep results must leave every hash as it is; a change
-that moves one must say which and why.
+JSON text) with the hash in `GOLDENS`.  A change to the stepping or
+rewriting code that is meant to keep results must leave every hash as it
+is; a change that moves one must say which and why.
 
 The hashes were taken with numpy `NUMPY_VERSION` on x86-64 Linux.  Another
 numpy build may round np.sin and np.cos differently, so on a mismatch
@@ -19,9 +19,9 @@ import math
 import numpy as np
 import pytest
 
-from conftest import CUBIC_TEXT, HEADING_TEXT
+from conftest import CUBIC_TEXT, HEADING_TEXT, chain_text
 
-from ctrlkit import cli, parse
+from ctrlkit import cli, parse, serialize
 from ctrlkit.expr import Constant, Mul, Pow, Sin, StateVar, Sub, compile_components
 from ctrlkit.fields import VectorField
 from ctrlkit.flows import BlowUpError, PiecewiseControl, flow_endpoint, integrate
@@ -49,10 +49,17 @@ GOLDENS = {
     "realize_plan": "bc3747ba8558e95810a68aad4b12b2115f75b15dd0552d35ad6d4bf27e6ed48c",
     "flow_endpoint": "a52f8500ac8c103ab4424eb99d22ab1343fce36546e91a6ae6ede64aa29063a8",
     "blowup_time": "958cdf62a5e5de9188ae6eacece19a0d3735032e916cb5a7187128dee56d1aa7",
+    "larc_depth6": "e766b22cef8a89d41f1481df69999ce22dfcc860c4c58813dc78738faf517d12",
+    "kalman_report": "52981190e36bff4c8a573b3b80aaaa7bf632abf06d488b2e234d3986b7126e97",
+    "reduce_chain5": "afb4fbc217a8a4f9177c2057de186eda117ec934acdaeeb8d16b2bb52da33c4f",
+    "extend_heading": "04745546c82d728fa2f4de7b4b494a4befa71a3bb18f58279055c8d34f44040b",
+    "round_trip": "7c1b7e9c022d6f597d6179b406443a0f8425a4c1b2913c4faafb502ca980a6cd",
 }
 
 DOUBLE_TEXT = "system double\nstates x1 x2\ninputs u\ndx1 = x2\ndx2 = u\n"
 BOOM_TEXT = "system boom\nstates x1\ninputs u\ndx1 = x1^2 + u\n"
+TRI_TEXT = "system tri\nstates x1 x2 x3\ninputs u\ndx1 = x2 - 0.5*x3\ndx2 = -x1 + 2*x3\ndx3 = x1 - x3 + u\n"
+FIXTURES = (HEADING_TEXT, CUBIC_TEXT, *(chain_text(n) for n in range(3, 8)))
 CONTROL = [
     {"duration": 0.7, "values": [1.3]},
     {"duration": 1.15, "values": [-2.0]},
@@ -202,6 +209,40 @@ def blowup_time(tmp_path) -> str:
     return _sha(exc_info.value.time)
 
 
+def _cli_outputs(tmp_path, text, command, *flags) -> tuple:
+    """Exit code and every output file of one CLI run on `text`."""
+    (tmp_path / "sys.txt").write_text(text)
+    out = tmp_path / "out"
+    code = cli.main([str(a) for a in (command, tmp_path / "sys.txt", *flags, "--out", out)])
+    files = sorted(p for p in tmp_path.iterdir() if p.name.startswith("out") and "manifest" not in p.name)
+    return (code, *[p.read_text() for p in files])
+
+
+def larc_depth6(tmp_path) -> str:
+    """`check --method larc --depth 6` on the extension of each fixture."""
+    parts = []
+    for text in FIXTURES:
+        ext = serialize(extend(parse(text)).extended)
+        parts += _cli_outputs(tmp_path, ext, "check", "--method", "larc", "--depth", 6)
+    return _sha(*parts)
+
+
+def kalman_report(tmp_path) -> str:
+    return _sha(*_cli_outputs(tmp_path, TRI_TEXT, "check", "--method", "kalman"))
+
+
+def reduce_chain5(tmp_path) -> str:
+    return _sha(*_cli_outputs(tmp_path, chain_text(5), "reduce"))
+
+
+def extend_heading(tmp_path) -> str:
+    return _sha(*_cli_outputs(tmp_path, HEADING_TEXT, "extend"))
+
+
+def round_trip(tmp_path) -> str:
+    return _sha(*[serialize(parse(text)) for text in FIXTURES])
+
+
 CASES = {
     "compare_heading": compare_heading,
     "compare_cubic": compare_cubic,
@@ -213,6 +254,11 @@ CASES = {
     "realize_plan": realize_plan,
     "flow_endpoint": flow_endpoint_case,
     "blowup_time": blowup_time,
+    "larc_depth6": larc_depth6,
+    "kalman_report": kalman_report,
+    "reduce_chain5": reduce_chain5,
+    "extend_heading": extend_heading,
+    "round_trip": round_trip,
 }
 
 

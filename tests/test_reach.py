@@ -448,3 +448,16 @@ def test_grid_flat_index_matches_ravel_multi_index():
     assert got.dtype == np.int64
     assert np.array_equal(got, want)
     assert not inside[:4].any() and 0 < inside.sum() < len(x)
+
+
+@pytest.mark.parametrize("resolution", [(4097, 4096), (2**32, 2**32), 2**12 + 1])
+def test_config_rejects_grids_past_the_cell_limit(resolution):
+    # counted with Python ints, so 2^32 x 2^32 cannot wrap to 0 as an
+    # int64 product would; building a config allocates nothing
+    with pytest.raises(ValueError, match="cells"):
+        heading_cfg(resolution=resolution)
+
+
+def test_config_accepts_a_grid_at_the_cell_limit():
+    assert heading_cfg(resolution=(4096, 4096)).resolution == (4096, 4096)
+    assert 4096 * 4096 == reach.MAX_CELLS
