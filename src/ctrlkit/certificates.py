@@ -8,7 +8,6 @@ controllability; reports say which one they carry.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -19,6 +18,7 @@ from .expr import (
     Constant, EvalError, Mul, StateVar, Sub, diff, eval_expr, is_probably_zero, node_count, probe_block, simplify,
 )
 from .fields import VectorField, eval_vf, lie_bracket
+from .records import write_json
 
 RANK_TOL = 1e-9
 NODE_BUDGET = 200_000
@@ -222,24 +222,34 @@ def larc(aff: AffineSystem, point, max_depth: int, node_budget: int = NODE_BUDGE
 
 
 def _probe_values(field: VectorField, probes: np.ndarray) -> np.ndarray:
-    return np.array([eval_vf(field, p) for p in probes])
+    """One row per probe; NaN where the field does not evaluate."""
+    rows = []
+    for p in probes:
+        try:
+            rows.append(eval_vf(field, p))
+        except EvalError:
+            rows.append(np.full(field.n, np.nan))
+    return np.array(rows)
 
 
 def _in_span_everywhere(existing: list[np.ndarray], candidate: np.ndarray) -> bool:
     """True when one constant coefficient vector reproduces the candidate
-    at every probe simultaneously.  Fields form a vector space over the
-    reals, so a per-probe fit with varying coefficients would discard
-    members that still matter at degenerate points."""
-    v = candidate.ravel()
+    at every probe simultaneously, leaving out the probes where some field
+    is not finite.  Fields form a vector space over the reals, so a
+    per-probe fit with varying coefficients would discard members that
+    still matter at degenerate points."""
+    stacked = np.stack(existing + [candidate])  # (fields, probes, n)
+    keep = np.isfinite(stacked).all(axis=(0, 2))
+    if not keep.any():
+        raise EvalError(f"no span probe evaluates all of {len(stacked)} fields")
+    v = candidate[keep].ravel()
     if not existing:
         return np.linalg.norm(v) <= 1e-8
-    basis = np.stack([e.ravel() for e in existing], axis=1)
+    basis = stacked[:-1, keep].reshape(len(existing), -1).T
     coeff, *_ = np.linalg.lstsq(basis, v, rcond=None)
     resid = np.linalg.norm(basis @ coeff - v)
     return resid <= 1e-8 * max(1.0, np.linalg.norm(v))
 
 
 def save_larc_report(report: LarcReport, path: str):
-    with open(path, "w") as fh:
-        json.dump(report.to_json(), fh, indent=2)
-        fh.write("\n")
+    write_json(path, report.to_json())

@@ -15,17 +15,17 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import json
 import re
 import sys
 import time
+from dataclasses import MISSING, fields
 from datetime import datetime, timezone
 
 import numpy as np
 
 from . import __version__
 from .certificates import NotLinearReport, kalman_rank, kalman_reduce_3to2, larc, linear_of
-from .dsl import DslError, NotAffineReport, parse, serialize, to_affine
+from .dsl import NotAffineReport, parse, serialize, to_affine
 from .flows import (
     DEFAULT_STEP,
     BlowUpError,
@@ -35,11 +35,11 @@ from .flows import (
     integrate,
     load_control,
     realize_plan,
-    require_positive,
     ideal_plan_endpoint,
-    save_trajectory_csv,
+    trajectory_to_csv,
 )
 from .reach import ReachConfig, cells_to_csv, coverage_compare, estimate_summary, sample_reach
+from .records import BAD_RECORD, integer, read_json, write_json
 from .transform import certificate_to_json, extend, extension_to_json, reduce_integrator
 
 
@@ -55,16 +55,12 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _sha256(path: str) -> str:
+def _note_input(manifest: dict, path: str):
     h = hashlib.sha256()
     with open(path, "rb") as fh:
         for block in iter(lambda: fh.read(65536), b""):
             h.update(block)
-    return h.hexdigest()
-
-
-def _note_input(manifest: dict, path: str):
-    manifest["inputs"][path] = _sha256(path)
+    manifest["inputs"][path] = h.hexdigest()
 
 
 def _write_text(manifest: dict, path: str, text: str):
@@ -74,9 +70,7 @@ def _write_text(manifest: dict, path: str, text: str):
 
 
 def _write_json(manifest: dict, path: str, data):
-    with open(path, "w") as fh:
-        json.dump(data, fh, indent=2)
-        fh.write("\n")
+    write_json(path, data)
     manifest["outputs"].append(path)
 
 
@@ -95,37 +89,27 @@ def _parse_floats(text: str, what: str) -> list[float]:
 
 def _load_json(manifest: dict, path: str, what: str):
     _note_input(manifest, path)
-    with open(path) as fh:
-        try:
-            return json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise _InputError(f"{what} {path}: not valid JSON ({exc})")
+    try:
+        return read_json(path)
+    except ValueError as exc:
+        raise _InputError(f"{what} {path}: not valid JSON ({exc})")
 
 
-_CONFIG_KEYS = {"horizon", "segments", "input_box", "samples", "window", "resolution", "seed", "step"}
+_CONFIG_FIELDS = {f.name: f for f in fields(ReachConfig)}
 
 
 def _reach_config(data, what: str) -> ReachConfig:
     if not isinstance(data, dict):
         raise _InputError(f"{what} must be a JSON object")
-    unknown = sorted(set(data) - _CONFIG_KEYS)
+    unknown = sorted(set(data) - set(_CONFIG_FIELDS))
     if unknown:
         raise _InputError(f"{what}: unknown keys {unknown}")
-    missing = sorted(_CONFIG_KEYS - {"step"} - set(data))
+    missing = sorted(k for k, f in _CONFIG_FIELDS.items() if f.default is MISSING and k not in data)
     if missing:
         raise _InputError(f"{what}: missing keys {missing}")
     try:
-        return ReachConfig(
-            horizon=float(data["horizon"]),
-            segments=int(data["segments"]),
-            input_box=tuple(tuple(pair) for pair in data["input_box"]),
-            samples=int(data["samples"]),
-            window=tuple(tuple(pair) for pair in data["window"]),
-            resolution=data["resolution"],
-            seed=int(data["seed"]),
-            step=float(data.get("step", 1e-2)),
-        )
-    except (TypeError, ValueError, IndexError) as exc:
+        return ReachConfig(**data)
+    except BAD_RECORD as exc:
         raise _InputError(f"{what}: {exc}")
 
 
@@ -134,7 +118,7 @@ def _plan_from_json(data) -> tuple[np.ndarray, FlowPlan]:
         raise _InputError("plan must be a JSON object with 'start' and 'segments'")
     try:
         start = np.array([float(v) for v in data["start"]])
-    except (TypeError, ValueError) as exc:
+    except BAD_RECORD as exc:
         raise _InputError(f"plan start must be a list of numbers: {exc}")
     if not isinstance(data["segments"], list):
         raise _InputError("plan segments must be a JSON list")
@@ -145,10 +129,10 @@ def _plan_from_json(data) -> tuple[np.ndarray, FlowPlan]:
             raise _InputError(f"plan segment {i}: kind must be 'jump' or 'drift'")
         try:
             if kind == "jump":
-                segments.append(Jump(int(seg["channel"]), float(seg["displacement"])))
+                segments.append(Jump(integer(seg["channel"]), float(seg["displacement"])))
             else:
                 segments.append(Drift(float(seg["duration"]), tuple(seg["values"])))
-        except (KeyError, TypeError, ValueError) as exc:
+        except BAD_RECORD as exc:
             raise _InputError(f"plan segment {i}: {exc}")
     return start, FlowPlan(tuple(segments))
 
@@ -250,8 +234,6 @@ def _cmd_check(args, manifest) -> int:
         return 0 if controllable else 2
 
     point = [0.0] * sys_.n if args.point is None else _parse_floats(args.point, "--point")
-    if len(point) != sys_.n:
-        raise _InputError(f"--point needs {sys_.n} entries")
     report = larc(aff, point, args.depth)
     data = {"method": "larc", "system": sys_.name}
     data.update(report.to_json())
@@ -264,13 +246,10 @@ def _cmd_check(args, manifest) -> int:
 def _cmd_simulate(args, manifest) -> int:
     sys_ = _read_system(args, manifest)
     x0 = _parse_floats(args.x0, "--x0")
-    if len(x0) != sys_.n:
-        raise _InputError(f"--x0 needs {sys_.n} entries")
     _note_input(manifest, args.control)
     ctrl = load_control(args.control)
     traj = integrate(sys_, x0, ctrl, step=args.step)
-    save_trajectory_csv(traj, sys_.states, args.out)
-    manifest["outputs"].append(args.out)
+    _write_text(manifest, args.out, trajectory_to_csv(traj, sys_.states))
     end = ", ".join(f"{v:.6g}" for v in traj.endpoint)
     print(f"simulated {traj.times[-1]:.6g}s, {len(traj.times)} points, endpoint ({end})")
     return 0
@@ -308,11 +287,8 @@ def _cmd_realize(args, manifest) -> int:
     sys_ = _read_system(args, manifest)
     record = extend(sys_)
     start, plan = _plan_from_json(_load_json(manifest, args.plan, "plan"))
-    dim = record.extended.n
-    if start.shape != (dim,):
-        raise _InputError(f"plan start needs {dim} entries (extended state)")
     gains = _gain_sweep(args.gain_sweep)
-    require_positive(args.step, "step")
+    ideal = ideal_plan_endpoint(record, plan, start, step=args.step)
 
     lines = ["gain,error"]
     if not plan.segments:
@@ -321,7 +297,6 @@ def _cmd_realize(args, manifest) -> int:
         print("empty plan, nothing to realize (error 0)")
         return 0
 
-    ideal = ideal_plan_endpoint(record, plan, start, step=args.step)
     last = None
     for gain in gains:
         ctrl = realize_plan(record, plan, gain)
@@ -434,16 +409,14 @@ def main(argv=None) -> int:
     except BlowUpError as exc:
         print(f"error: {exc}", file=sys.stderr)
         code = 3
-    except (DslError, _InputError, OSError, ValueError, MemoryError) as exc:
+    except (OSError, ValueError, OverflowError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         code = 1
     manifest["exit_code"] = code
     manifest["elapsed_seconds"] = time.monotonic() - started
     manifest["timestamp_utc"] = datetime.now(timezone.utc).isoformat()
     try:
-        with open(_manifest_path(args, manifest), "w") as fh:
-            json.dump(manifest, fh, indent=2)
-            fh.write("\n")
+        write_json(_manifest_path(args, manifest), manifest)
     except OSError as exc:
         print(f"warning: could not write manifest: {exc}", file=sys.stderr)
     return code

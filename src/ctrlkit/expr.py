@@ -409,7 +409,7 @@ def probe_block(dim: int, count: int, seed: int) -> np.ndarray:
     return np.random.default_rng(seed).uniform(-PROBE_BOX, PROBE_BOX, size=(count, dim))
 
 
-def is_probably_zero(e: Expr, n: int, m: int, seed: int = _PROBE_SEED) -> bool:
+def is_probably_zero(e: Expr, n: int, m: int) -> bool:
     """Probabilistic zero test: simplifies to 0, or vanishes at 64 random
     points in [-2, 2]^(n+m).  Points where evaluation fails are skipped,
     out of at most 128; EvalError when none of them evaluates."""
@@ -418,7 +418,7 @@ def is_probably_zero(e: Expr, n: int, m: int, seed: int = _PROBE_SEED) -> bool:
         return abs(s.value) < ZERO_TOL
     checked = 0
     failure = None
-    for pt in probe_block(n + m, 2 * _PROBE_POINTS, seed):
+    for pt in probe_block(n + m, 2 * _PROBE_POINTS, _PROBE_SEED):
         try:
             val = eval_expr(s, pt[:n], pt[n:])
         except EvalError as exc:
@@ -434,17 +434,17 @@ def is_probably_zero(e: Expr, n: int, m: int, seed: int = _PROBE_SEED) -> bool:
     return True
 
 
-def expr_source(e: Expr, state_prefix: str = "x", input_prefix: str = "u") -> str:
+def expr_source(e: Expr) -> str:
     """Render as a numpy-ready Python expression (fully parenthesized)."""
     t = type(e)
     if t is Constant:
         return repr(e.value)
     if t is StateVar:
-        return f"{state_prefix}{e.index}"
+        return f"x{e.index}"
     if t is InputVar:
-        return f"{input_prefix}{e.index}"
+        return f"u{e.index}"
     op = op_of(e)
-    args = [expr_source(k, state_prefix, input_prefix) for k in e.children()]
+    args = [expr_source(k) for k in e.children()]
     if t is Pow:
         k = e.exponent
         return f"({args[0]} ** {k if k >= 0 else f'({k})'})"

@@ -11,7 +11,6 @@ converge to as the gain grows.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -20,6 +19,7 @@ import numpy as np
 from .dsl import ControlSystem
 from .expr import Neg, compile_components
 from .fields import VectorField
+from .records import BAD_RECORD, read_json, write_json
 from .transform import ExtensionRecord
 
 BLOWUP_LIMIT = 1e12
@@ -75,20 +75,17 @@ def control_from_json(data) -> PiecewiseControl:
     for i, seg in enumerate(data):
         try:
             segments.append((float(seg["duration"]), tuple(float(v) for v in seg["values"])))
-        except (KeyError, TypeError) as exc:
+        except BAD_RECORD as exc:
             raise ValueError(f"segment {i} must have 'duration' and 'values': {exc}") from exc
     return PiecewiseControl(tuple(segments))
 
 
 def save_control(ctrl: PiecewiseControl, path: str):
-    with open(path, "w") as fh:
-        json.dump(control_to_json(ctrl), fh, indent=2)
-        fh.write("\n")
+    write_json(path, control_to_json(ctrl))
 
 
 def load_control(path: str) -> PiecewiseControl:
-    with open(path) as fh:
-        return control_from_json(json.load(fh))
+    return control_from_json(read_json(path))
 
 
 @dataclass

@@ -10,18 +10,20 @@ seed.  Bitmap merges are plain ORs, hence order-insensitive.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
 from .dsl import ControlSystem
 from .expr import compile_components
 from .flows import PiecewiseControl, Trajectory, require_positive, rk4_rows
+from .records import integer
 from .transform import ExtensionRecord, extend
 
 CONSISTENCY_THRESHOLD = 0.05
 DEFAULT_RATE_BOUND = 10.0
 MAX_CELLS = 2 ** 24
+MAX_WORK = 2 ** 30  # row-substeps of one sampler run
 _CHUNK = 2048
 _REFINE_BATCH = 64
 
@@ -48,6 +50,9 @@ class ReachConfig:
     step: float = 1e-2
 
     def __post_init__(self):
+        casts = (("horizon", float), ("segments", integer), ("samples", integer), ("seed", integer), ("step", float))
+        for name, cast in casts:
+            object.__setattr__(self, name, cast(getattr(self, name)))
         require_positive(self.horizon, "horizon")
         if self.segments < 1:
             raise ValueError("need at least one control segment")
@@ -61,7 +66,7 @@ class ReachConfig:
         res = self.resolution
         if isinstance(res, int):
             res = tuple(res for _ in self.window)
-        res = tuple(int(r) for r in res)
+        res = tuple(integer(r) for r in res)
         if len(res) != len(self.window):
             raise ValueError("one resolution per window axis required")
         if any(r < 2 for r in res):
@@ -155,6 +160,16 @@ def _draw_controls(seed: int, count: int, segments: int, horizon: float, box):
     return durations, lows + raw * spans
 
 
+def _draw(cfg: ReachConfig, count: int, box):
+    """`_draw_controls` for `count` rows of a run of `cfg`, once the run's
+    row-substeps are known to fit MAX_WORK (Python floats: horizon / step
+    may be inf)."""
+    work = cfg.samples * (cfg.segments + cfg.horizon / cfg.step)
+    if work > MAX_WORK:
+        raise ValueError(f"samples * (segments + horizon / step) is {work:.3g} row-substeps, more than {MAX_WORK}")
+    return _draw_controls(cfg.seed, count, cfg.segments, cfg.horizon, box)
+
+
 def _run_batch(f, n: int, x0, durations, values, step: float, grids):
     """Integrate all trajectories; returns (endpoints, dropped).  Cells
     are committed per chunk, and only for trajectories that never blew
@@ -207,7 +222,7 @@ def sample_reach(sys: ControlSystem, x0, cfg: ReachConfig) -> ReachEstimate:
     if len(cfg.input_box) != m:
         raise ValueError(f"input box needs {m} axes")
     f = compile_components(sys.rhs, n, m)
-    durations, values = _draw_controls(cfg.seed, cfg.samples, cfg.segments, cfg.horizon, cfg.input_box)
+    durations, values = _draw(cfg, cfg.samples, cfg.input_box)
     grid = _Grid(cfg.window, cfg.resolution)
     _, dead = _run_batch(f, n, x0, durations, values, cfg.step, [grid])
     return _estimate(grid, cfg, dead)
@@ -251,19 +266,7 @@ class CompareReport:
         return "consistent" if self.consistent else "inconsistent"
 
     def to_json(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "coverage_original": self.coverage_original,
-            "coverage_extended_projected": self.coverage_extended_projected,
-            "difference": self.difference,
-            "cell_agreement": self.cell_agreement,
-            "threshold": self.threshold,
-            "consistent": self.consistent,
-            "samples_original": self.samples_original,
-            "samples_extended": self.samples_extended,
-            "dropped_original": self.dropped_original,
-            "dropped_extended": self.dropped_extended,
-        }
+        return {"verdict": self.verdict, **asdict(self)}
 
 
 def coverage_compare(sys: ControlSystem, x0, cfg: ReachConfig, cfg_ext: ReachConfig) -> CompareReport:
@@ -287,9 +290,7 @@ def coverage_compare(sys: ControlSystem, x0, cfg: ReachConfig, cfg_ext: ReachCon
     record = extend(sys)
     x0e = np.concatenate([np.asarray(x0, dtype=float), np.zeros(m)])
     f = compile_components(record.extended.rhs, n + m, m)
-    durations, values = _draw_controls(
-        cfg_ext.seed, cfg_ext.samples, cfg_ext.segments, cfg_ext.horizon, cfg_ext.input_box
-    )
+    durations, values = _draw(cfg_ext, cfg_ext.samples, cfg_ext.input_box)
     grid_full = _Grid(cfg_ext.window, cfg_ext.resolution)
     grid_proj = _Grid(cfg.window, cfg.resolution, axes=tuple(range(n)))
     _, dead = _run_batch(f, n + m, x0e, durations, values, cfg_ext.step, [grid_full, grid_proj])
@@ -342,7 +343,7 @@ def bounded_reach_check(
     highs = np.array([b[1] for b in bound_box])
     y0 = (lows + highs) / 2.0
 
-    durations, values = _draw_controls(cfg.seed, cfg.samples, cfg.segments, cfg.horizon, rate_box)
+    durations, values = _draw(cfg, cfg.samples, rate_box)
     y_path = y0[None, None, :] + np.cumsum(values * durations[:, :, None], axis=1)
     outside = (y_path < lows) | (y_path > highs)
     rejected_mask = outside.any(axis=(1, 2))
@@ -383,7 +384,7 @@ def two_point_steer(sys: ControlSystem, x0, x1, cfg: ReachConfig, tol: float) ->
     budget = cfg.samples
 
     first = max(1, budget // 2)
-    durations, values = _draw_controls(cfg.seed, first, cfg.segments, cfg.horizon, cfg.input_box)
+    durations, values = _draw(cfg, first, cfg.input_box)
     ends, dead = _run_batch(f, n, x0, durations, values, cfg.step, [])
     dists = np.linalg.norm(ends - x1, axis=1)
     dists[dead] = np.inf

@@ -11,8 +11,7 @@ checked independently.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .dsl import (
     ControlSystem,
@@ -33,6 +32,7 @@ from .expr import (
     simplify,
     subst,
 )
+from .records import BAD_RECORD, integer, read_json, write_json
 
 
 def _unique(base: str, taken) -> str:
@@ -71,6 +71,10 @@ class ReductionStep:
     equation: str
     before: str
     after: str
+
+    def __post_init__(self):
+        for name, cast in (("state_index", integer), ("input_index", integer), ("scale", float)):
+            object.__setattr__(self, name, cast(getattr(self, name)))
 
 
 @dataclass(frozen=True)
@@ -252,53 +256,24 @@ def certificate_to_json(cert: ReductionCertificate) -> dict:
         "original": serialize(cert.original),
         "reduced": serialize(cert.reduced),
         "count": cert.count,
-        "steps": [
-            {
-                "state": s.state,
-                "state_index": s.state_index,
-                "input": s.input,
-                "input_index": s.input_index,
-                "promoted": s.promoted,
-                "scale": s.scale,
-                "equation": s.equation,
-                "before": s.before,
-                "after": s.after,
-            }
-            for s in cert.steps
-        ],
+        "steps": [asdict(s) for s in cert.steps],
     }
 
 
 def certificate_from_json(data: dict) -> ReductionCertificate:
     try:
-        steps = tuple(
-            ReductionStep(
-                state=s["state"],
-                state_index=int(s["state_index"]),
-                input=s["input"],
-                input_index=int(s["input_index"]),
-                promoted=s["promoted"],
-                scale=float(s["scale"]),
-                equation=s["equation"],
-                before=s["before"],
-                after=s["after"],
-            )
-            for s in data["steps"]
-        )
+        steps = tuple(ReductionStep(**s) for s in data["steps"])
         return ReductionCertificate(parse(data["original"]), parse(data["reduced"]), steps)
-    except (KeyError, TypeError) as exc:
+    except BAD_RECORD as exc:
         raise ValueError(f"malformed reduction certificate: {exc}") from exc
 
 
 def save_certificate(cert: ReductionCertificate, path: str):
-    with open(path, "w") as fh:
-        json.dump(certificate_to_json(cert), fh, indent=2)
-        fh.write("\n")
+    write_json(path, certificate_to_json(cert))
 
 
 def load_certificate(path: str) -> ReductionCertificate:
-    with open(path) as fh:
-        data = json.load(fh)
+    data = read_json(path)
     if not isinstance(data, dict):
         raise ValueError("certificate must be a JSON object")
     return certificate_from_json(data)

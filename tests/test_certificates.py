@@ -1,8 +1,10 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
+from ctrlkit import certificates
 from ctrlkit.certificates import (
     KalmanReduction,
     LarcReport,
@@ -16,6 +18,8 @@ from ctrlkit.certificates import (
     save_larc_report,
 )
 from ctrlkit.dsl import parse, to_affine
+from ctrlkit.expr import EvalError, probe_block
+from ctrlkit.fields import eval_vf
 from ctrlkit.transform import extend
 
 
@@ -217,3 +221,21 @@ def test_larc_report_json_round_trip(tmp_path, chain5):
     path = tmp_path / "larc.json"
     save_larc_report(rep, str(path))
     assert json.loads(path.read_text()) == data
+
+
+def test_larc_leaves_out_span_probes_where_a_field_has_no_value():
+    # exp(x1^400) overflows for |x1| > 1.0166 and sin(inf) has no value:
+    # 4 of the 8 span probes evaluate g1, and those alone decide the span
+    aff = affine_of("system dom\nstates x1\ninputs u\ndx1 = sin(exp(x1^400)) * u\n")
+    probes = probe_block(1, certificates._SPAN_PROBES, certificates._SPAN_SEED)
+    values = certificates._probe_values(aff.channels[0], probes)
+    assert np.isfinite(values).all(axis=1).sum() == 4
+    assert eval_vf(aff.channels[0], [0.5])[0] == math.sin(1.0)
+    rep = larc(aff, [0.5], 4)
+    assert rep.rank == 1 and rep.full_rank
+
+
+def test_larc_raises_when_no_span_probe_evaluates():
+    aff = affine_of("system dom\nstates x1\ninputs u\ndx1 = sin(exp(x1^2 + 1000)) * u\n")
+    with pytest.raises(EvalError, match="span probe"):
+        larc(aff, [0.5], 2)

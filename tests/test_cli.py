@@ -1,4 +1,5 @@
 import json
+import time
 
 import numpy as np
 import pytest
@@ -424,14 +425,29 @@ def test_reach_unrepresentable_substep_count_exits_1(tmp_path, capsys):
     assert manifest["exit_code"] == 1
 
 
+DOMAIN_TEXT = "system dom\nstates x1\ninputs u\ndx1 = sin(exp(x1^400)) * u\n"
+
+
 def test_check_larc_domain_error_names_the_point(tmp_path, capsys):
-    # exp overflows to inf at the span probes with |x1| > 1, and sin(inf)
-    # has no value: an input error that says where, not "math domain error"
-    src = write(tmp_path / "dom.sys", "system dom\nstates x1\ninputs u\ndx1 = sin(exp(x1^400)) * u\n")
-    assert main(["check", src, "--method", "larc", "--point", "0.5", "--out", str(tmp_path / "r.json")]) == 1
+    # exp overflows to inf at |x1| > 1, and sin(inf) has no value: at the
+    # evaluation point that is an input error that says where, not
+    # "math domain error"
+    src = write(tmp_path / "dom.sys", DOMAIN_TEXT)
+    assert main(["check", src, "--method", "larc", "--point", "2", "--out", str(tmp_path / "r.json")]) == 1
     err = capsys.readouterr().err
-    assert "sin(inf) is undefined at x=" in err
+    assert "sin(inf) is undefined at x=[2.0]" in err
     assert "Traceback" not in err
+
+
+def test_check_larc_skips_span_probes_it_cannot_evaluate(tmp_path):
+    # the span probes with |x1| > 1 have no value; the other ones decide,
+    # and the rank is taken at 0.5, where the rhs is defined
+    src = write(tmp_path / "dom.sys", DOMAIN_TEXT)
+    report = tmp_path / "r.json"
+    assert main(["check", src, "--method", "larc", "--point", "0.5", "--out", str(report)]) == 0
+    data = json.loads(report.read_text())
+    assert data["rank"] == 1
+    assert data["full_rank"] is True
 
 
 @pytest.mark.parametrize("resolution", [[4097, 4096], [4294967296, 4294967296]])
@@ -463,3 +479,63 @@ def test_memory_error_exits_1_with_a_manifest(tmp_path, capsys, monkeypatch):
     assert "Unable to allocate" in capsys.readouterr().err
     manifest = json.loads((tmp_path / "heading.sys.manifest.json").read_text())
     assert manifest["exit_code"] == 1
+
+
+def assert_input_error(tmp_path, capsys, manifest_name, *words):
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    for word in words:
+        assert word in err
+    manifest = json.loads((tmp_path / manifest_name).read_text())
+    assert manifest["exit_code"] == 1
+
+
+@pytest.mark.parametrize("overrides, words", [
+    ({"samples": float("inf")}, ["infinity"]),
+    ({"resolution": [float("inf"), 4]}, ["infinity"]),
+    ({"samples": 2.5}, ["integer", "2.5"]),
+])
+def test_reach_integer_field_that_is_not_an_integer_exits_1(tmp_path, capsys, overrides, words):
+    # int(inf) raises OverflowError, which used to escape as a traceback
+    # with no manifest; int(2.5) used to run 2 samples
+    src = write(tmp_path / "heading.sys", HEADING_TEXT)
+    cfg = write(tmp_path / "cfg.json", json.dumps(reach_config(**overrides)))
+    assert main(["reach", src, "--x0", "0,0", "--config", cfg, "--out", str(tmp_path / "c.csv")]) == 1
+    assert_input_error(tmp_path, capsys, "heading.sys.manifest.json", "config", *words)
+
+
+def test_realize_infinite_jump_channel_exits_1(tmp_path, capsys):
+    src = write(tmp_path / "cubic.sys", CUBIC_TEXT)
+    jump = {"kind": "jump", "channel": float("inf"), "displacement": 1.0}
+    plan = write(tmp_path / "plan.json", json.dumps(plan_json(segments=[jump])))
+    assert main(["realize", src, "--plan", plan, "--out", str(tmp_path / "table.csv")]) == 1
+    assert_input_error(tmp_path, capsys, "cubic.sys.manifest.json", "plan segment 0")
+
+
+@pytest.mark.parametrize("command", ["reach", "simulate", "realize"])
+def test_constant_that_overflows_when_evaluated_exits_1(tmp_path, capsys, command):
+    # 2^2000 stays a power node, and the compiled rhs evaluates the
+    # Python float 2.0 ** 2000, which raises OverflowError
+    src = write(tmp_path / "big.sys", "system big\nstates x1\ninputs u\ndx1 = 2^2000 * x1 + u\n")
+    cfg = write(tmp_path / "cfg.json", json.dumps(reach_config(window=[[-2.0, 2.0]], samples=10)))
+    ctrl = write(tmp_path / "ctrl.json", json.dumps([{"duration": 1.0, "values": [1.0]}]))
+    plan = write(tmp_path / "plan.json", json.dumps(plan_json(start=[0.0, 0.0])))
+    argv = {
+        "reach": ["--x0", "1", "--config", cfg],
+        "simulate": ["--x0", "1", "--control", ctrl],
+        "realize": ["--plan", plan],
+    }[command]
+    assert main([command, src, *argv, "--out", str(tmp_path / "out.csv")]) == 1
+    assert_input_error(tmp_path, capsys, "big.sys.manifest.json")
+
+
+def test_reach_past_the_work_budget_exits_1_at_once(tmp_path, capsys):
+    # 10 samples of 10^9 substeps each ran for more than 10 s
+    src = write(tmp_path / "heading.sys", HEADING_TEXT)
+    cfg = write(tmp_path / "cfg.json", json.dumps(reach_config(samples=10, step=1e-9)))
+    out = tmp_path / "c.csv"
+    start = time.monotonic()
+    assert main(["reach", src, "--x0", "0,0", "--config", cfg, "--out", str(out)]) == 1
+    assert time.monotonic() - start < 1.0
+    assert_input_error(tmp_path, capsys, "heading.sys.manifest.json", "row-substeps")
+    assert not out.exists()

@@ -461,3 +461,33 @@ def test_config_rejects_grids_past_the_cell_limit(resolution):
 def test_config_accepts_a_grid_at_the_cell_limit():
     assert heading_cfg(resolution=(4096, 4096)).resolution == (4096, 4096)
     assert 4096 * 4096 == reach.MAX_CELLS
+
+
+@pytest.mark.parametrize("run", ["sample", "compare", "bounded", "steer"])
+def test_runs_past_the_work_budget_are_rejected(heading, run):
+    # samples * (segments + horizon / step) row-substeps, counted in
+    # floats: 10 * (4 + 1 / 1e-9) is past MAX_WORK, 1 / 5e-324 is inf
+    for step in (1e-9, 5e-324):
+        cfg = heading_cfg(samples=10, step=step)
+        ext = heading_cfg(samples=10, step=step, window=((-2.0, 2.0),) * 3, resolution=(16, 16, 4))
+        with pytest.raises(ValueError, match="row-substeps"):
+            if run == "sample":
+                sample_reach(heading, [0.0, 0.0], cfg)
+            elif run == "compare":
+                coverage_compare(heading, [0.0, 0.0], heading_cfg(samples=10), ext)
+            elif run == "bounded":
+                bounded_reach_check(heading, [0.0, 0.0], ((-1.0, 1.0),), cfg)
+            else:
+                two_point_steer(heading, [0.0, 0.0], [1.0, 0.0], cfg, tol=1e-3)
+
+
+def test_config_casts_its_numbers():
+    cfg = heading_cfg(horizon=1, samples=500.0, seed=True, resolution=[16.0, 8])
+    assert (cfg.horizon, cfg.samples, cfg.seed, cfg.resolution) == (1.0, 500, 1, (16, 8))
+    assert type(cfg.horizon) is float and type(cfg.samples) is int
+    with pytest.raises(ValueError, match="integer"):
+        heading_cfg(segments=2.5)
+    with pytest.raises(OverflowError):
+        heading_cfg(seed=float("inf"))
+    with pytest.raises(ValueError):
+        heading_cfg(samples="x")
