@@ -243,12 +243,13 @@ def _in_span_everywhere(existing: list[np.ndarray], candidate: np.ndarray) -> bo
     if not keep.any():
         raise EvalError(f"no span probe evaluates all of {len(stacked)} fields")
     v = candidate[keep].ravel()
+    # hypot scales as it sums, so finite values near 1e300 give finite norms
     if not existing:
-        return np.linalg.norm(v) <= 1e-8
+        return math.hypot(*v) <= 1e-8
     basis = stacked[:-1, keep].reshape(len(existing), -1).T
     coeff, *_ = np.linalg.lstsq(basis, v, rcond=None)
-    resid = np.linalg.norm(basis @ coeff - v)
-    return resid <= 1e-8 * max(1.0, np.linalg.norm(v))
+    resid = math.hypot(*(basis @ coeff - v))
+    return resid <= 1e-8 * max(1.0, math.hypot(*v))
 
 
 def save_larc_report(report: LarcReport, path: str):

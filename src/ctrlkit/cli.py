@@ -20,6 +20,7 @@ import sys
 import time
 from dataclasses import MISSING, fields
 from datetime import datetime, timezone
+from functools import cache
 
 import numpy as np
 
@@ -312,6 +313,7 @@ def _cmd_realize(args, manifest) -> int:
 # --- wiring ----------------------------------------------------------------
 
 
+@cache  # built once, on the first main call: in-process callers run many commands
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="ctrlkit", description="Control-system toolkit: parse, transform, certify, simulate, explore.")
     parser.add_argument("--version", action="version", version=f"ctrlkit {__version__}")

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -53,6 +53,16 @@ class VectorField:
             if self.parametric and max_input_index(comp) >= self.m:
                 raise ValueError(f"component {i} references an input beyond index {self.m - 1}")
 
+    @cached_property
+    def jacobian(self) -> SymbolicMatrix:
+        """d component_i / d x_j, computed once per field: larc brackets a field in many pairs."""
+        rows = (tuple(simplify(diff(c, StateVar(j))) for j in range(self.n)) for c in self.components)
+        return SymbolicMatrix(tuple(rows))
+
+    @cached_property
+    def simplified(self) -> tuple[Expr, ...]:
+        return tuple(simplify(c) for c in self.components)
+
 
 @dataclass(frozen=True)
 class SymbolicMatrix:
@@ -86,19 +96,14 @@ def eval_matrix(mat: SymbolicMatrix, x, u=()) -> np.ndarray:
 
 
 def jacobian_x(vf: VectorField) -> SymbolicMatrix:
-    """Partial derivatives of each component with respect to each state."""
-    rows = []
-    for comp in vf.components:
-        rows.append(tuple(simplify(diff(comp, StateVar(j))) for j in range(vf.n)))
-    return SymbolicMatrix(tuple(rows))
+    return vf.jacobian
 
 
 def _jacobian_times(jac: SymbolicMatrix, vf: VectorField) -> list[Expr]:
     # row-by-row product over simplified entries, so each product and sum
     # is one root rewrite; the Add rule drops the zero terms
-    comps = [simplify(c) for c in vf.components]
     return [
-        reduce(lambda a, b: rewrite(Add(a, b)), (rewrite(Mul(e, c)) for e, c in zip(row, comps)))
+        reduce(lambda a, b: rewrite(Add(a, b)), (rewrite(Mul(e, c)) for e, c in zip(row, vf.simplified)))
         for row in jac.rows
     ]
 
@@ -109,10 +114,8 @@ def lie_bracket(x_field: VectorField, y_field: VectorField) -> VectorField:
         raise ValueError("lie_bracket requires non-parametric fields")
     if x_field.n != y_field.n:
         raise ValueError(f"dimension mismatch: {x_field.n} vs {y_field.n}")
-    jy = jacobian_x(y_field)
-    jx = jacobian_x(x_field)
-    first = _jacobian_times(jy, x_field)
-    second = _jacobian_times(jx, y_field)
+    first = _jacobian_times(y_field.jacobian, x_field)
+    second = _jacobian_times(x_field.jacobian, y_field)
     comps = tuple(rewrite(Sub(a, b)) for a, b in zip(first, second))
     return VectorField(comps, x_field.n)
 

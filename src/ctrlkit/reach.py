@@ -52,7 +52,10 @@ class ReachConfig:
     def __post_init__(self):
         casts = (("horizon", float), ("segments", integer), ("samples", integer), ("seed", integer), ("step", float))
         for name, cast in casts:
-            object.__setattr__(self, name, cast(getattr(self, name)))
+            try:
+                object.__setattr__(self, name, cast(getattr(self, name)))
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise type(exc)(f"{name}: {exc}") from None
         require_positive(self.horizon, "horizon")
         if self.segments < 1:
             raise ValueError("need at least one control segment")

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -239,3 +240,15 @@ def test_larc_raises_when_no_span_probe_evaluates():
     aff = affine_of("system dom\nstates x1\ninputs u\ndx1 = sin(exp(x1^2 + 1000)) * u\n")
     with pytest.raises(EvalError, match="span probe"):
         larc(aff, [0.5], 2)
+
+
+def test_larc_span_test_survives_huge_finite_probe_values():
+    # x^-400 is finite but near 1e300 at some span probes: squaring it in
+    # np.linalg.norm overflowed, and [f,g1] was dropped as in the span of
+    # f and g1 against an infinite norm
+    aff = affine_of("system ov\nstates x\ninputs u\ndx = x^-400 + u\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = larc(aff, [1.5], 4)
+    assert rep.formations == ("f", "g1", "[f,g1]")
+    assert rep.rank == 1 and rep.full_rank

@@ -494,6 +494,8 @@ def assert_input_error(tmp_path, capsys, manifest_name, *words):
     ({"samples": float("inf")}, ["infinity"]),
     ({"resolution": [float("inf"), 4]}, ["infinity"]),
     ({"samples": 2.5}, ["integer", "2.5"]),
+    ({"samples": 2.5}, ["config: samples: expected an integer, got 2.5"]),
+    ({"samples": float("inf")}, ["config: samples: cannot convert float infinity to integer"]),
 ])
 def test_reach_integer_field_that_is_not_an_integer_exits_1(tmp_path, capsys, overrides, words):
     # int(inf) raises OverflowError, which used to escape as a traceback
@@ -502,6 +504,33 @@ def test_reach_integer_field_that_is_not_an_integer_exits_1(tmp_path, capsys, ov
     cfg = write(tmp_path / "cfg.json", json.dumps(reach_config(**overrides)))
     assert main(["reach", src, "--x0", "0,0", "--config", cfg, "--out", str(tmp_path / "c.csv")]) == 1
     assert_input_error(tmp_path, capsys, "heading.sys.manifest.json", "config", *words)
+
+
+def test_reused_parser_answers_like_a_fresh_one(tmp_path, capsys):
+    from ctrlkit.cli import build_parser
+
+    src = write(tmp_path / "lin.sys", LINEAR_TEXT)
+    calls = [
+        ["parse", src],
+        ["check", src, "--method", "bogus"],
+        ["check", src, "--method", "kalman"],
+        ["reach", src, "--x0", "0,0"],
+        ["parse", src],
+    ]
+
+    def run(fresh):
+        out = []
+        for argv in calls:
+            if fresh:
+                build_parser.cache_clear()
+            code = main(argv)
+            out.append((code, *capsys.readouterr()))
+        return out
+
+    reused = run(fresh=False)
+    assert build_parser() is build_parser()
+    assert [r[0] for r in reused] == [0, 1, 0, 1, 0]
+    assert run(fresh=True) == reused
 
 
 def test_realize_infinite_jump_channel_exits_1(tmp_path, capsys):

@@ -210,3 +210,24 @@ def test_bracket_is_simplify_of_the_unsimplified_formula():
     for X, Y in pairs:
         want = tuple(simplify(Sub(a, b)) for a, b in zip(_times(Y, X), _times(X, Y)))
         assert lie_bracket(X, Y).components == want
+
+
+def test_a_field_keeps_its_jacobian():
+    f = VectorField((Mul(X0, X1), Sin(X0)), n=2)
+    assert jacobian_x(f) is jacobian_x(f)
+    assert f.simplified is f.simplified
+    assert f == VectorField((Mul(X0, X1), Sin(X0)), n=2)
+
+
+def test_larc_differentiates_each_field_at_most_once(monkeypatch):
+    # only kept fields are bracketed again, and each one's n x n entries
+    # are differentiated on its first bracket only
+    import ctrlkit.fields
+
+    calls = []
+    real_diff = ctrlkit.fields.diff
+    monkeypatch.setattr(ctrlkit.fields, "diff", lambda *args: calls.append(args) or real_diff(*args))
+    aff = to_affine(extend(parse(HEADING_TEXT)).extended)
+    report = larc(aff, np.zeros(aff.n), 6)
+    assert calls
+    assert len(calls) <= aff.n ** 2 * len(report.formations)

@@ -207,6 +207,25 @@ def _row_control(durations, values, i):
     ))
 
 
+def test_larger_sample_keeps_the_earlier_samples(heading):
+    """Run N = 1500 and 2N = 3000 trajectories, the second across the
+    chunk boundary: the first N endpoints agree bit for bit, and every
+    cell of the N-sample bitmap is in the 2N one."""
+    cfg = heading_cfg(samples=1500)
+    assert 1500 < reach._CHUNK < 3000
+    f = compile_components(heading.rhs, 2, 1)
+    runs = []
+    for samples in (1500, 3000):
+        durations, values = reach._draw_controls(cfg.seed, samples, cfg.segments, cfg.horizon, cfg.input_box)
+        grid = reach._Grid(cfg.window, cfg.resolution)
+        ends, _ = reach._run_batch(f, 2, np.zeros(2), durations, values, cfg.step, [grid])
+        runs.append((ends, grid.shaped_bitmap()))
+    (small_ends, small_map), (large_ends, large_map) = runs
+    assert np.array_equal(small_ends, large_ends[:1500])
+    assert np.all(~small_map | large_map)
+    assert large_map.sum() > small_map.sum()
+
+
 @pytest.mark.parametrize("chunk", [1, 7])
 def test_sample_reach_ignores_chunk_size(heading, monkeypatch, chunk):
     cases = [(heading, [0.0, 0.0], heading_cfg(samples=60)), (parse(BOOM_TEXT), [0.5], BOOM_MIXED_CFG)]
