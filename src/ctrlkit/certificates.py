@@ -235,19 +235,23 @@ def _probe_values(field: VectorField, probes: np.ndarray) -> np.ndarray:
 def _in_span_everywhere(existing: list[np.ndarray], candidate: np.ndarray) -> bool:
     """True when one constant coefficient vector reproduces the candidate
     at every probe simultaneously, leaving out the probes where some field
-    is not finite.  Fields form a vector space over the reals, so a
-    per-probe fit with varying coefficients would discard members that
-    still matter at degenerate points."""
-    stacked = np.stack(existing + [candidate])  # (fields, probes, n)
-    keep = np.isfinite(stacked).all(axis=(0, 2))
+    is not finite.  Also true, so the candidate is left out, when it has
+    no finite value at any probe where the kept fields all have one;
+    EvalError when the kept fields share no such probe.  Fields form a
+    vector space over the reals, so a per-probe fit with varying
+    coefficients would discard members that still matter at degenerate
+    points."""
+    stacked = np.stack(existing)  # (fields, probes, n)
+    shared = np.isfinite(stacked).all(axis=(0, 2))
+    if not shared.any():
+        raise EvalError(f"no span probe evaluates all of {len(existing)} kept fields")
+    keep = shared & np.isfinite(candidate).all(axis=1)
     if not keep.any():
-        raise EvalError(f"no span probe evaluates all of {len(stacked)} fields")
+        return True
     v = candidate[keep].ravel()
-    # hypot scales as it sums, so finite values near 1e300 give finite norms
-    if not existing:
-        return math.hypot(*v) <= 1e-8
-    basis = stacked[:-1, keep].reshape(len(existing), -1).T
+    basis = stacked[:, keep].reshape(len(existing), -1).T
     coeff, *_ = np.linalg.lstsq(basis, v, rcond=None)
+    # hypot scales as it sums, so finite values near 1e300 give finite norms
     resid = math.hypot(*(basis @ coeff - v))
     return resid <= 1e-8 * max(1.0, math.hypot(*v))
 

@@ -434,17 +434,18 @@ def is_probably_zero(e: Expr, n: int, m: int) -> bool:
     return True
 
 
-def expr_source(e: Expr) -> str:
-    """Render as a numpy-ready Python expression (fully parenthesized)."""
+def expr_source(e: Expr, state: str = "x") -> str:
+    """Render as a numpy-ready Python expression (fully parenthesized);
+    state i is named `state` followed by i."""
     t = type(e)
     if t is Constant:
         return repr(e.value)
     if t is StateVar:
-        return f"x{e.index}"
+        return f"{state}{e.index}"
     if t is InputVar:
         return f"u{e.index}"
     op = op_of(e)
-    args = [expr_source(k) for k in e.children()]
+    args = [expr_source(k, state) for k in e.children()]
     if t is Pow:
         k = e.exponent
         return f"({args[0]} ** {k if k >= 0 else f'({k})'})"
@@ -459,19 +460,35 @@ def compile_components(exprs, n: int, m: int):
     """Compile expression components into one vectorized rhs function.
 
     The returned f(x, u) accepts x of shape (..., n) and u of shape (..., m)
-    and returns an array of shape (..., len(exprs)).
+    and returns an array of shape (..., len(exprs)).  With one component
+    per state, f.step(x, u, h) is one RK4 step with the four stages inlined
+    column by column, bit-identical to `flows.rk4_step(f, x, u, h)`; a
+    component that references no state is evaluated once for all four.
     """
-    lines = ["def _rhs(x, u):"]
-    lines.append("    base = np.zeros(np.shape(x)[:-1])")
-    for i in range(n):
-        lines.append(f"    x{i} = x[..., {i}]")
-    for j in range(m):
-        lines.append(f"    u{j} = u[..., {j}]")
-    parts = []
-    for k, e in enumerate(exprs):
-        lines.append(f"    r{k} = base + ({expr_source(e)})")
-        parts.append(f"r{k}")
-    lines.append(f"    return np.stack([{', '.join(parts)}], axis=-1)")
+    # each column keeps a trailing axis of 1, so h broadcasts as in rk4_step
+    head = ["    base = np.zeros(np.shape(x)[:-1] + (1,))"]
+    head += [f"    {v}{i} = {v}[..., {i}:{i + 1}]" for v, dim in (("x", n), ("u", m)) for i in range(dim)]
+    moving = [max_state_index(e) >= 0 for e in exprs]
+
+    def k(s, i):  # component i's slope at stage s
+        return f"k{s if moving[i] else 1}_{i}"
+
+    def stage(s, state):
+        return [f"    k{s}_{i} = base + ({expr_source(e, state)})"
+                for i, e in enumerate(exprs) if s == 1 or moving[i]]
+
+    def join(columns):
+        return f"    return np.concatenate([{', '.join(columns)}], axis=-1)"
+
+    lines = ["def _rhs(x, u):", *head, *stage(1, "x"), join(k(1, i) for i in range(len(exprs)))]
+    if len(exprs) == n:
+        lines += ["def _step(x, u, h):", *head, "    h2, h6 = h / 2.0, h / 6.0", *stage(1, "x")]
+        for s, state, dt in ((2, "y", "h2"), (3, "z", "h2"), (4, "w", "h")):
+            lines += [f"    {state}{i} = x{i} + {dt} * {k(s - 1, i)}" for i in range(n)]
+            lines += stage(s, state)
+        lines.append(join(f"x{i} + h6 * ({k(1, i)} + 2.0 * {k(2, i)} + 2.0 * {k(3, i)} + {k(4, i)})"
+                          for i in range(n)))
+        lines.append("_rhs.step = _step")
     namespace = {"np": np}
     exec("\n".join(lines), namespace)
     return namespace["_rhs"]

@@ -129,8 +129,8 @@ def require_positive(value, what: str):
 
 
 def rk4_step(f, x, u, h):
-    """One classical step.  Shapes broadcast, so this serves both the
-    scalar path and the batched samplers."""
+    """One classical step, written out: the reference that the generated
+    `f.step` of `compile_components` matches bit for bit."""
     k1 = f(x, u)
     k2 = f(x + (h / 2.0) * k1, u)
     k3 = f(x + (h / 2.0) * k2, u)
@@ -164,12 +164,13 @@ def substep_count(duration: float, step: float) -> int:
 
 
 def rk4_rows(f, x, durations, values, step, visit):
-    """The one RK4 loop: steps each row of `x` (rows, n) through its own
-    segments, `durations` (rows, segments) with inputs `values`
-    (rows, segments, m), on its `_schedule`.  Rows never depend on each
-    other.  After global step k, visit(k, x, bad) sees every row; `bad` is
-    None or the mask of rows that just left the finite regime, which are
-    zeroed and stepped no more.  Returns the final states and live rows."""
+    """The one RK4 loop: steps each row of `x` (rows, n) with `f.step` of a
+    compiled rhs through its own segments, `durations` (rows, segments)
+    with inputs `values` (rows, segments, m), on its `_schedule`.  Rows
+    never depend on each other.  After global step k, visit(k, x, bad)
+    sees every row; `bad` is None or the mask of rows that just left the
+    finite regime, which are zeroed and stepped no more.  Returns the
+    final states and live rows."""
     nsub, hs = _schedule(durations, step)
     seg_end = np.cumsum(nsub, axis=1)
     # step after which a row turns to its next segment; 0 (never) on its last
@@ -188,7 +189,7 @@ def rk4_rows(f, x, durations, values, step, visit):
             u, h, turn_at = values[rows, seg], hs[rows, seg][:, None], turns[rows, seg]
             every = act.all()
             for k in range(k, stop):
-                xn = rk4_step(f, x, u, h)
+                xn = f.step(x, u, h)
                 x = xn if every else np.where(act[:, None], xn, x)
                 # NaN fails the comparison too: one test for NaN, inf and overflow
                 ok = np.abs(x) <= BLOWUP_LIMIT

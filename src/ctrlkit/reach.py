@@ -38,6 +38,14 @@ def _as_box(box) -> tuple[tuple[float, float], ...]:
     return tuple(out)
 
 
+def _cast(name: str, cast, value):
+    """cast(value); a failed cast names `name` in its message."""
+    try:
+        return cast(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise type(exc)(f"{name}: {exc}") from None
+
+
 @dataclass(frozen=True)
 class ReachConfig:
     horizon: float
@@ -52,10 +60,7 @@ class ReachConfig:
     def __post_init__(self):
         casts = (("horizon", float), ("segments", integer), ("samples", integer), ("seed", integer), ("step", float))
         for name, cast in casts:
-            try:
-                object.__setattr__(self, name, cast(getattr(self, name)))
-            except (TypeError, ValueError, OverflowError) as exc:
-                raise type(exc)(f"{name}: {exc}") from None
+            object.__setattr__(self, name, _cast(name, cast, getattr(self, name)))
         require_positive(self.horizon, "horizon")
         if self.segments < 1:
             raise ValueError("need at least one control segment")
@@ -69,7 +74,7 @@ class ReachConfig:
         res = self.resolution
         if isinstance(res, int):
             res = tuple(res for _ in self.window)
-        res = tuple(integer(r) for r in res)
+        res = _cast("resolution", lambda rs: tuple(integer(r) for r in rs), res)
         if len(res) != len(self.window):
             raise ValueError("one resolution per window axis required")
         if any(r < 2 for r in res):

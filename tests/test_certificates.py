@@ -242,6 +242,16 @@ def test_larc_raises_when_no_span_probe_evaluates():
         larc(aff, [0.5], 2)
 
 
+def test_larc_leaves_out_a_candidate_with_no_value_at_any_span_probe():
+    # [f,[f,g1]] is about 1e600 at every probe, so it has no finite value
+    # where f and g1 have one; it used to fail the whole check
+    aff = affine_of("system big\nstates x\ninputs u\ndx = 1e300*x^3 + u\n")
+    rep = larc(aff, [1.5], 4)
+    assert "[f,[f,g1]]" not in rep.formations
+    assert rep.formations[:3] == ("f", "g1", "[f,g1]")
+    assert rep.rank == 1 and rep.full_rank
+
+
 def test_larc_span_test_survives_huge_finite_probe_values():
     # x^-400 is finite but near 1e300 at some span probes: squaring it in
     # np.linalg.norm overflowed, and [f,g1] was dropped as in the span of

@@ -496,6 +496,8 @@ def assert_input_error(tmp_path, capsys, manifest_name, *words):
     ({"samples": 2.5}, ["integer", "2.5"]),
     ({"samples": 2.5}, ["config: samples: expected an integer, got 2.5"]),
     ({"samples": float("inf")}, ["config: samples: cannot convert float infinity to integer"]),
+    ({"resolution": [float("inf"), 4]}, ["config: resolution: cannot convert float infinity to integer"]),
+    ({"resolution": [2.5, 4]}, ["config: resolution: expected an integer, got 2.5"]),
 ])
 def test_reach_integer_field_that_is_not_an_integer_exits_1(tmp_path, capsys, overrides, words):
     # int(inf) raises OverflowError, which used to escape as a traceback

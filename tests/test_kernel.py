@@ -7,7 +7,9 @@ import pytest
 from conftest import CUBIC_TEXT, HEADING_TEXT
 
 from ctrlkit import flows, parse
-from ctrlkit.expr import compile_components
+from ctrlkit.expr import (
+    OPS, Add, Constant, Cos, Div, Exp, InputVar, Mul, Neg, Pow, Sin, StateVar, Sub, compile_components, iter_nodes,
+)
 from ctrlkit.fields import VectorField
 from ctrlkit.flows import BlowUpError, Drift, FlowPlan, Jump, PiecewiseControl, flow_endpoint, integrate
 from ctrlkit.reach import ReachConfig, _draw_controls, _run_batch, sample_reach
@@ -127,3 +129,67 @@ def test_a_row_that_turns_nan_is_dropped():
     with pytest.raises(BlowUpError) as exc_info:
         integrate(nan_sys, [0.0], PiecewiseControl(((3.0, (1.0,)),)), 1e-2)
     assert 1.0 < exc_info.value.time < 1.1
+
+
+# --- the generated step ----------------------------------------------------
+
+_X0, _X1, _U0 = StateVar(0), StateVar(1), InputVar(0)
+# one tree holding every node type of expr.OPS.  With x0 = -0.0 its first
+# term is 1, with x0 = +0.0 it is 0; next to dx0 = -x0, that makes the
+# -0.0 row tell `base + (...)` (which turns a -0.0 slope into +0.0) from a
+# bare slope at every stage
+_EVERY_NODE = Add(
+    Div(Constant(1.0), Add(Constant(1.0), Exp(Div(Constant(1.0), _X0)))),
+    Mul(Sin(_U0), Sub(Cos(_X1), Neg(Pow(_X1, 3)))),
+)
+_PENDULUM = VectorField((_X1, Mul(Constant(-1.0), Sin(_X0))), 2)
+_STEP_SYSTEMS = {
+    "heading": lambda: parse(HEADING_TEXT),
+    "heading_ext": lambda: extend(parse(HEADING_TEXT)).extended,
+    "cubic": lambda: parse(CUBIC_TEXT),
+    "cubic_ext": lambda: extend(parse(CUBIC_TEXT)).extended,
+    "constant": lambda: ((Constant(2.0), Constant(2.0)), 2, 0),
+    # the field `flow_endpoint` compiles for a negative time
+    "negated_flow": lambda: (tuple(Neg(c) for c in _PENDULUM.components), 2, 0),
+    "every_node": lambda: ((Neg(_X0), _EVERY_NODE), 2, 1),
+}
+
+
+def _step_case(name):
+    made = _STEP_SYSTEMS[name]()
+    exprs, n, m = (made.rhs, made.n, made.m) if hasattr(made, "rhs") else made
+    rng = np.random.default_rng(31)
+    x = rng.uniform(-2.0, 2.0, size=(2048, n))
+    u = rng.uniform(-2.0, 2.0, size=(2048, m))
+    h = rng.uniform(1e-3, 0.1, size=(2048, 1))
+    x[0], u[0] = -0.0, -0.0
+    x[1, 0] = np.nan
+    return compile_components(exprs, n, m), x, u, h
+
+
+def test_every_node_tree_holds_every_node_type():
+    assert {type(node) for node in iter_nodes(_EVERY_NODE)} == set(OPS)
+
+
+@pytest.mark.parametrize("name", sorted(_STEP_SYSTEMS))
+@pytest.mark.parametrize("rows", [slice(None), slice(0, 1), slice(1, 2), slice(2, 3)],
+                         ids=["2048 rows", "-0.0 row", "NaN row", "1 row"])
+def test_generated_step_matches_rk4_step_bit_for_bit(name, rows):
+    f, x, u, h = _step_case(name)
+    x, u, h = x[rows], u[rows], h[rows]
+    with np.errstate(all="ignore"):
+        want = flows.rk4_step(f, x, u, h)
+        got = f.step(x, u, h)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def test_generated_step_broadcasts_like_rk4_step():
+    """A single state of shape (n,) and a scalar step, as `rk4_step`
+    takes them."""
+    f, x, u, _ = _step_case("heading_ext")
+    assert f.step(x[2], u[2], 0.05).tobytes() == flows.rk4_step(f, x[2], u[2], 0.05).tobytes()
+
+
+def test_no_step_without_one_component_per_state():
+    assert not hasattr(compile_components((Constant(2.0), _X0), 1, 0), "step")
