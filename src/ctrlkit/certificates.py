@@ -35,6 +35,10 @@ class NotLinearReport:
     def __str__(self):
         return f"system {self.system!r} is not linear: {self.reason} ({self.where})"
 
+    def to_json(self) -> dict:
+        return {"system": self.system, "verdict": "not-linear", "reason": self.reason, "where": self.where,
+                "detail": str(self)}
+
 
 @dataclass(frozen=True)
 class LinearRealization:
@@ -139,6 +143,21 @@ def kalman_reduce_3to2(a, tol: float = RANK_TOL) -> KalmanReduction:
     norm = np.linalg.norm(abar)
     criterion = norm > 0.0 and abs(abar[0, 1]) > tol * norm
     return KalmanReduction(abar, bool(criterion), False)
+
+
+def kalman_report(system: str, lin: LinearRealization) -> dict:
+    """The Kalman rank verdict on (A, B), with the 3-to-2 reduction
+    criterion when it applies: three states and one input that drives
+    only the third."""
+    a, b = lin.a, lin.b
+    n, m = b.shape
+    rank = kalman_rank(a, b)
+    report = {"system": system, "n": n, "m": m, "rank": rank, "controllable": rank == n}
+    if (n, m) == (3, 1) and abs(b[0, 0]) < 1e-12 and abs(b[1, 0]) < 1e-12 and b[2, 0] != 0.0:
+        red = kalman_reduce_3to2(a)
+        abar = None if red.abar is None else red.abar.tolist()
+        report["reduction"] = {"abar": abar, "criterion": red.controllable, "degenerate": red.degenerate}
+    return report
 
 
 @dataclass(frozen=True)

@@ -18,29 +18,26 @@ import hashlib
 import re
 import sys
 import time
-from dataclasses import MISSING, fields
 from datetime import datetime, timezone
 from functools import cache
 
 import numpy as np
 
 from . import __version__
-from .certificates import NotLinearReport, kalman_rank, kalman_reduce_3to2, larc, linear_of
+from .certificates import NotLinearReport, kalman_report, larc, linear_of
 from .dsl import NotAffineReport, parse, serialize, to_affine
 from .flows import (
     DEFAULT_STEP,
     BlowUpError,
-    Drift,
-    FlowPlan,
-    Jump,
+    ideal_plan_endpoint,
     integrate,
     load_control,
+    plan_from_json,
     realize_plan,
-    ideal_plan_endpoint,
     trajectory_to_csv,
 )
 from .reach import ReachConfig, cells_to_csv, coverage_compare, estimate_summary, sample_reach
-from .records import BAD_RECORD, integer, read_json, write_json
+from .records import BAD_RECORD, finite_floats, read_json, write_json
 from .transform import certificate_to_json, extend, extension_to_json, reduce_integrator
 
 
@@ -81,13 +78,6 @@ def _read_system(args, manifest):
         return parse(fh.read())
 
 
-def _parse_floats(text: str, what: str) -> list[float]:
-    try:
-        return [float(p) for p in text.split(",")]
-    except ValueError:
-        raise _InputError(f"{what} must be comma-separated numbers, got {text!r}")
-
-
 def _load_json(manifest: dict, path: str, what: str):
     _note_input(manifest, path)
     try:
@@ -96,46 +86,13 @@ def _load_json(manifest: dict, path: str, what: str):
         raise _InputError(f"{what} {path}: not valid JSON ({exc})")
 
 
-_CONFIG_FIELDS = {f.name: f for f in fields(ReachConfig)}
-
-
 def _reach_config(data, what: str) -> ReachConfig:
     if not isinstance(data, dict):
         raise _InputError(f"{what} must be a JSON object")
-    unknown = sorted(set(data) - set(_CONFIG_FIELDS))
-    if unknown:
-        raise _InputError(f"{what}: unknown keys {unknown}")
-    missing = sorted(k for k, f in _CONFIG_FIELDS.items() if f.default is MISSING and k not in data)
-    if missing:
-        raise _InputError(f"{what}: missing keys {missing}")
     try:
         return ReachConfig(**data)
     except BAD_RECORD as exc:
         raise _InputError(f"{what}: {exc}")
-
-
-def _plan_from_json(data) -> tuple[np.ndarray, FlowPlan]:
-    if not isinstance(data, dict) or "start" not in data or "segments" not in data:
-        raise _InputError("plan must be a JSON object with 'start' and 'segments'")
-    try:
-        start = np.array([float(v) for v in data["start"]])
-    except BAD_RECORD as exc:
-        raise _InputError(f"plan start must be a list of numbers: {exc}")
-    if not isinstance(data["segments"], list):
-        raise _InputError("plan segments must be a JSON list")
-    segments = []
-    for i, seg in enumerate(data["segments"]):
-        kind = seg.get("kind") if isinstance(seg, dict) else None
-        if kind not in ("jump", "drift"):
-            raise _InputError(f"plan segment {i}: kind must be 'jump' or 'drift'")
-        try:
-            if kind == "jump":
-                segments.append(Jump(integer(seg["channel"]), float(seg["displacement"])))
-            else:
-                segments.append(Drift(float(seg["duration"]), tuple(seg["values"])))
-        except BAD_RECORD as exc:
-            raise _InputError(f"plan segment {i}: {exc}")
-    return start, FlowPlan(tuple(segments))
 
 
 def _gain_sweep(text: str) -> list[float]:
@@ -186,59 +143,24 @@ def _cmd_reduce(args, manifest) -> int:
 def _cmd_check(args, manifest) -> int:
     sys_ = _read_system(args, manifest)
     out = args.out or args.file + ".report.json"
-    aff = to_affine(sys_)
-    if isinstance(aff, NotAffineReport):
-        _write_json(manifest, out, {
-            "method": args.method,
-            "system": sys_.name,
-            "verdict": "not-affine",
-            "state": aff.state,
-            "input": aff.input,
-            "detail": str(aff),
-        })
-        print(str(aff))
+    model = to_affine(sys_)
+    if args.method == "kalman" and not isinstance(model, NotAffineReport):
+        model = linear_of(model)
+    if isinstance(model, (NotAffineReport, NotLinearReport)):
+        _write_json(manifest, out, {"method": args.method, **model.to_json()})
+        print(str(model))
         return 2
 
     if args.method == "kalman":
-        lin = linear_of(aff)
-        if isinstance(lin, NotLinearReport):
-            _write_json(manifest, out, {
-                "method": "kalman",
-                "system": sys_.name,
-                "verdict": "not-linear",
-                "reason": lin.reason,
-                "where": lin.where,
-                "detail": str(lin),
-            })
-            print(str(lin))
-            return 2
-        rank = kalman_rank(lin.a, lin.b)
-        controllable = rank == sys_.n
-        report = {
-            "method": "kalman",
-            "system": sys_.name,
-            "n": sys_.n,
-            "m": sys_.m,
-            "rank": rank,
-            "controllable": controllable,
-        }
-        b = lin.b
-        if sys_.n == 3 and sys_.m == 1 and abs(b[0, 0]) < 1e-12 and abs(b[1, 0]) < 1e-12 and b[2, 0] != 0.0:
-            red = kalman_reduce_3to2(lin.a)
-            report["reduction"] = {
-                "abar": None if red.abar is None else red.abar.tolist(),
-                "criterion": red.controllable,
-                "degenerate": red.degenerate,
-            }
-        _write_json(manifest, out, report)
+        report = kalman_report(sys_.name, model)
+        _write_json(manifest, out, {"method": "kalman", **report})
+        rank, controllable = report["rank"], report["controllable"]
         print(f"{'controllable' if controllable else 'not controllable'} (rank {rank} of {sys_.n})")
         return 0 if controllable else 2
 
-    point = [0.0] * sys_.n if args.point is None else _parse_floats(args.point, "--point")
-    report = larc(aff, point, args.depth)
-    data = {"method": "larc", "system": sys_.name}
-    data.update(report.to_json())
-    _write_json(manifest, out, data)
+    point = [0.0] * sys_.n if args.point is None else finite_floats(args.point.split(","), "--point")
+    report = larc(model, point, args.depth)
+    _write_json(manifest, out, {"method": "larc", "system": sys_.name, **report.to_json()})
     state = "full rank" if report.full_rank else "rank deficient"
     print(f"{state}: rank {report.rank} of {sys_.n} at depth {report.depth}")
     return 0 if report.full_rank else 2
@@ -246,7 +168,7 @@ def _cmd_check(args, manifest) -> int:
 
 def _cmd_simulate(args, manifest) -> int:
     sys_ = _read_system(args, manifest)
-    x0 = _parse_floats(args.x0, "--x0")
+    x0 = finite_floats(args.x0.split(","), "--x0")
     _note_input(manifest, args.control)
     ctrl = load_control(args.control)
     traj = integrate(sys_, x0, ctrl, step=args.step)
@@ -258,7 +180,7 @@ def _cmd_simulate(args, manifest) -> int:
 
 def _cmd_reach(args, manifest) -> int:
     sys_ = _read_system(args, manifest)
-    x0 = _parse_floats(args.x0, "--x0")
+    x0 = finite_floats(args.x0.split(","), "--x0")
     cfg = _reach_config(_load_json(manifest, args.config, "config"), "config")
     manifest["seed"] = cfg.seed
     est = sample_reach(sys_, x0, cfg)
@@ -271,7 +193,7 @@ def _cmd_reach(args, manifest) -> int:
 
 def _cmd_compare(args, manifest) -> int:
     sys_ = _read_system(args, manifest)
-    x0 = _parse_floats(args.x0, "--x0")
+    x0 = finite_floats(args.x0.split(","), "--x0")
     cfg = _reach_config(_load_json(manifest, args.config, "config"), "config")
     cfg_ext = _reach_config(_load_json(manifest, args.config_ext, "extended config"), "extended config")
     manifest["seed"] = cfg.seed
@@ -287,7 +209,7 @@ def _cmd_compare(args, manifest) -> int:
 def _cmd_realize(args, manifest) -> int:
     sys_ = _read_system(args, manifest)
     record = extend(sys_)
-    start, plan = _plan_from_json(_load_json(manifest, args.plan, "plan"))
+    start, plan = plan_from_json(_load_json(manifest, args.plan, "plan"))
     gains = _gain_sweep(args.gain_sweep)
     ideal = ideal_plan_endpoint(record, plan, start, step=args.step)
 

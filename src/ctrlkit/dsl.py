@@ -184,6 +184,10 @@ class NotAffineReport:
             where = f"inputs {self.input!r}, {self.input2!r}"
         return f"system {self.system!r} is not control-affine: d{self.state} is nonlinear in {where}"
 
+    def to_json(self) -> dict:
+        return {"system": self.system, "verdict": "not-affine", "state": self.state, "input": self.input,
+                "detail": str(self)}
+
 
 # --- tokenizer -------------------------------------------------------------
 
@@ -322,6 +326,21 @@ def _variables(states, inputs) -> dict[str, Expr]:
     return names
 
 
+def _declare(kind: str, lineno: int, tokens, taken: list[str]) -> list[str]:
+    """The names a `states` or `inputs` line declares; DslError at the
+    first one that is bad, reserved, or already in `taken` or the line."""
+    names: list[str] = []
+    for tok, text, col in tokens[1:]:
+        if tok != "ident":
+            raise DslError(f"bad {kind} name {text!r}", lineno, col)
+        if text in _RESERVED:
+            raise DslError(f"{kind} name {text!r} is reserved", lineno, col)
+        if text in taken or text in names:
+            raise DslError(f"duplicate name {text!r}", lineno, col)
+        names.append(text)
+    return names
+
+
 def parse(text: str) -> ControlSystem:
     """Parse a system description; raises DslError with line/column on
     failure."""
@@ -349,28 +368,13 @@ def parse(text: str) -> ControlSystem:
         raise DslError("missing 'states' declaration", lineno, tokens[0][2])
     if len(tokens) < 2:
         raise DslError("at least one state is required", lineno, tokens[0][2])
-    states = []
-    for kind, text, col in tokens[1:]:
-        if kind != "ident":
-            raise DslError(f"bad state name {text!r}", lineno, col)
-        if text in _RESERVED:
-            raise DslError(f"state name {text!r} is reserved", lineno, col)
-        if text in states:
-            raise DslError(f"duplicate state name {text!r}", lineno, col)
-        states.append(text)
+    states = _declare("state", lineno, tokens, [])
     idx += 1
 
     inputs: list[str] = []
     if idx < len(lines) and lines[idx][1][0][:2] == ("ident", "inputs"):
         lineno, tokens = lines[idx]
-        for kind, text, col in tokens[1:]:
-            if kind != "ident":
-                raise DslError(f"bad input name {text!r}", lineno, col)
-            if text in _RESERVED:
-                raise DslError(f"input name {text!r} is reserved", lineno, col)
-            if text in states or text in inputs:
-                raise DslError(f"duplicate name {text!r}", lineno, col)
-            inputs.append(text)
+        inputs = _declare("input", lineno, tokens, states)
         idx += 1
 
     names = _variables(states, inputs)

@@ -19,7 +19,7 @@ import numpy as np
 from .dsl import ControlSystem
 from .expr import Neg, compile_components
 from .fields import VectorField
-from .records import BAD_RECORD, read_json, write_json
+from .records import BAD_RECORD, finite_floats, integer, read_json, write_json
 from .transform import ExtensionRecord
 
 BLOWUP_LIMIT = 1e12
@@ -78,6 +78,28 @@ def control_from_json(data) -> PiecewiseControl:
         except BAD_RECORD as exc:
             raise ValueError(f"segment {i} must have 'duration' and 'values': {exc}") from exc
     return PiecewiseControl(tuple(segments))
+
+
+def plan_from_json(data) -> tuple[np.ndarray, FlowPlan]:
+    """The start point and plan of a `realize --plan` file."""
+    if not isinstance(data, dict) or "start" not in data or "segments" not in data:
+        raise ValueError("plan must be a JSON object with 'start' and 'segments'")
+    start = np.array(finite_floats(data["start"], "plan start"))
+    if not isinstance(data["segments"], list):
+        raise ValueError("plan segments must be a JSON list")
+    segments = []
+    for i, seg in enumerate(data["segments"]):
+        kind = seg.get("kind") if isinstance(seg, dict) else None
+        if kind not in ("jump", "drift"):
+            raise ValueError(f"plan segment {i}: kind must be 'jump' or 'drift'")
+        try:
+            if kind == "jump":
+                segments.append(Jump(integer(seg["channel"]), float(seg["displacement"])))
+            else:
+                segments.append(Drift(float(seg["duration"]), tuple(seg["values"])))
+        except BAD_RECORD as exc:
+            raise ValueError(f"plan segment {i}: {exc}") from exc
+    return start, FlowPlan(tuple(segments))
 
 
 def save_control(ctrl: PiecewiseControl, path: str):
@@ -256,8 +278,8 @@ def flow_endpoint(vf: VectorField, x0, t: float, step: float = DEFAULT_STEP) -> 
 
 @dataclass(frozen=True)
 class Drift:
-    """Flow for `duration` along the system field at the declared frozen
-    input level."""
+    """Flow for `duration` along the system field at the integrator level,
+    which `u_frozen` declares."""
 
     duration: float
     u_frozen: tuple[float, ...]
@@ -322,44 +344,56 @@ def realize_conjugated_drift(
     return PiecewiseControl(tuple(segments))
 
 
-def realize_plan(ext: ExtensionRecord, plan: FlowPlan, gain: float) -> PiecewiseControl:
-    """Concatenate jump realizations and plain drifts.  Total duration is
-    the drift time plus sum(|displacement|) / gain."""
-    require_positive(gain, "gain")
-    m = ext.extended.m
-    segments: list[tuple[float, tuple[float, ...]]] = []
-    for seg in plan.segments:
+def _walk(ext: ExtensionRecord, plan: FlowPlan):
+    """The one checked walk over a plan: (index, segment) for each Jump on
+    an input channel and each Drift with one value per input."""
+    m = ext.original.m
+    for i, seg in enumerate(plan.segments):
         if isinstance(seg, Jump):
-            segments.extend(realize_jump(ext, seg.channel, seg.displacement, gain).segments)
+            if seg.channel >= m:
+                raise ValueError(f"plan segment {i}: channel {seg.channel} out of range for {m} inputs")
         elif isinstance(seg, Drift):
             if len(seg.u_frozen) != m:
-                raise ValueError(f"drift freezes {len(seg.u_frozen)} inputs, extension has {m}")
-            segments.append((seg.duration, tuple([0.0] * m)))
+                raise ValueError(f"plan segment {i}: drift freezes {len(seg.u_frozen)} inputs, extension has {m}")
         else:
             raise TypeError(f"not a plan segment: {seg!r}")
+        yield i, seg
+
+
+def realize_plan(ext: ExtensionRecord, plan: FlowPlan, gain: float) -> PiecewiseControl:
+    """Concatenate jump realizations and drifts with zero rate input, which
+    run at the integrator level.  Total duration is the drift time plus
+    sum(|displacement|) / gain."""
+    require_positive(gain, "gain")
+    segments: list[tuple[float, tuple[float, ...]]] = []
+    for _, seg in _walk(ext, plan):
+        if isinstance(seg, Jump):
+            segments.extend(realize_jump(ext, seg.channel, seg.displacement, gain).segments)
+        else:
+            segments.append((seg.duration, (0.0,) * ext.extended.m))
     return PiecewiseControl(tuple(segments))
 
 
 def ideal_plan_endpoint(ext: ExtensionRecord, plan: FlowPlan, p0, step: float = DEFAULT_STEP) -> np.ndarray:
     """Exact-composition endpoint: jumps shift the integrator block
-    instantly, drifts flow the base block at the declared frozen input."""
+    instantly, drifts flow the base block at the integrator level `y`.  A
+    drift's declared values must match `y` to 1e-9 * max(1, |y|), the
+    rounding that a sum of displacements can leave."""
     require_positive(step, "step")
     n, m = ext.original.n, ext.original.m
     p = np.asarray(p0, dtype=float).copy()
     if p.shape != (n + m,):
         raise ValueError(f"extended point needs {n + m} entries")
     f = compile_components(ext.original.rhs, n, m)
-    for seg in plan.segments:
+    for i, seg in _walk(ext, plan):
+        y = p[n:]
         if isinstance(seg, Jump):
-            if not (0 <= seg.channel < m):
-                raise ValueError(f"channel {seg.channel} out of range")
-            p[n + seg.channel] += seg.displacement
-        elif isinstance(seg, Drift):
-            if len(seg.u_frozen) != m:
-                raise ValueError(f"drift freezes {len(seg.u_frozen)} inputs, extension has {m}")
-            p[:n] = _run_row(f, p[:n], np.array([seg.duration]), np.array([seg.u_frozen]), step)
-        else:
-            raise TypeError(f"not a plan segment: {seg!r}")
+            y[seg.channel] += seg.displacement
+            continue
+        # NaN fails the comparison too
+        if not np.all(np.abs(np.array(seg.u_frozen) - y) <= 1e-9 * np.maximum(1.0, np.abs(y))):
+            raise ValueError(f"plan segment {i}: drift values {list(seg.u_frozen)} are not the integrator level {y.tolist()}")
+        p[:n] = _run_row(f, p[:n], np.array([seg.duration]), y[None], step)
     return p
 
 

@@ -281,9 +281,8 @@ def coverage_compare(sys: ControlSystem, x0, cfg: ReachConfig, cfg_ext: ReachCon
     """Reachable-window coverage of a system against the projection of
     its integrator extension, on the same grid.  The extension starts
     with the integrator block at zero."""
+    record = extend(sys)
     n, m = sys.n, sys.m
-    if m == 0:
-        raise ValueError(f"system {sys.name!r} has no inputs, nothing to extend")
     if cfg_ext.window[:n] != cfg.window or cfg_ext.resolution[:n] != cfg.resolution:
         raise ValueError("extended window must extend the original window axes unchanged")
     if len(cfg_ext.window) != n + m:
@@ -295,7 +294,6 @@ def coverage_compare(sys: ControlSystem, x0, cfg: ReachConfig, cfg_ext: ReachCon
 
     est = sample_reach(sys, x0, cfg)
 
-    record = extend(sys)
     x0e = np.concatenate([np.asarray(x0, dtype=float), np.zeros(m)])
     f = compile_components(record.extended.rhs, n + m, m)
     durations, values = _draw(cfg_ext, cfg_ext.samples, cfg_ext.input_box)
@@ -335,15 +333,13 @@ def bounded_reach_check(
     Extension controls whose integrator path would leave the box are
     rejected up front (the path is piecewise linear, so checking segment
     endpoints suffices)."""
+    record = extend(sys)
     n, m = sys.n, sys.m
-    if m == 0:
-        raise ValueError(f"system {sys.name!r} has no inputs, nothing to extend")
     bound_box = _as_box(bound_box)
     if len(bound_box) != m:
         raise ValueError(f"bound box needs {m} axes")
     est = sample_reach(sys, x0, replace(cfg, input_box=bound_box))
 
-    record = extend(sys)
     if rate_box is None:
         rate_box = tuple((-DEFAULT_RATE_BOUND, DEFAULT_RATE_BOUND) for _ in range(m))
     rate_box = _as_box(rate_box)

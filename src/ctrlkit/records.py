@@ -4,6 +4,7 @@ one rule for what makes a record malformed."""
 from __future__ import annotations
 
 import json
+import math
 
 # what building a record from parsed JSON values raises on a malformed
 # file: a missing key, a wrong type or value, a short list, or an
@@ -27,4 +28,16 @@ def integer(value) -> int:
     out = int(value)
     if out != value:
         raise ValueError(f"expected an integer, got {value!r}")
+    return out
+
+
+def finite_floats(values, what: str) -> list[float]:
+    """`values` as floats; ValueError naming `what` unless each is a
+    finite number."""
+    try:
+        out = [float(v) for v in values]
+    except BAD_RECORD as exc:
+        raise ValueError(f"{what} must be a list of numbers: {exc}") from exc
+    if not all(map(math.isfinite, out)):
+        raise ValueError(f"{what} must be finite, got {out}")
     return out

@@ -400,6 +400,51 @@ def test_realize_infinite_step_with_empty_plan_exits_1(tmp_path, capsys):
     assert not out.exists()
 
 
+def heading_plan(*values):
+    """Jump the heading extension's integrator by 1.0, then drift at `values`."""
+    return {"start": [0.0, 0.0, 0.0], "segments": [
+        {"kind": "jump", "channel": 0, "displacement": 1.0},
+        {"kind": "drift", "duration": 0.5, "values": list(values)},
+    ]}
+
+
+def test_realize_drift_off_the_integrator_level_exits_1(tmp_path, capsys):
+    # the drift runs at the level 1.0 the jump leaves; declaring 0.3 used
+    # to exit 0 with a table that never converged
+    src = write(tmp_path / "heading.sys", HEADING_TEXT)
+    out = tmp_path / "table.csv"
+    plan = write(tmp_path / "plan.json", json.dumps(heading_plan(0.3)))
+    assert main(["realize", src, "--plan", plan, "--out", str(out)]) == 1
+    assert_input_error(tmp_path, capsys, "heading.sys.manifest.json", "plan segment 1", "integrator level")
+    assert not out.exists()
+    plan = write(tmp_path / "plan.json", json.dumps(heading_plan(1.0)))
+    assert main(["realize", src, "--plan", plan, "--out", str(out)]) == 0
+    errs = [float(line.split(",")[1]) for line in out.read_text().splitlines()[1:]]
+    assert errs == sorted(errs, reverse=True) and errs[-1] < errs[0] / 4
+
+
+@pytest.mark.parametrize("command, argv, words", [
+    ("simulate", ["--x0=inf,0", "--control", "{ctrl}"], ["--x0"]),
+    ("reach", ["--x0=nan,0", "--config", "{cfg}"], ["--x0"]),
+    ("check", ["--method", "larc", "--point=nan,0"], ["--point"]),
+    ("realize", ["--plan", "{plan}"], ["plan start"]),
+])
+def test_non_finite_number_exits_1(tmp_path, capsys, command, argv, words):
+    # these exited 3 (blow-up at the first step), 0 (coverage 0, or full
+    # rank with a bare NaN in the report JSON) and 3 (a NaN plan start)
+    src = write(tmp_path / "lin.sys", LINEAR_TEXT)
+    files = {
+        "ctrl": write(tmp_path / "ctrl.json", json.dumps([{"duration": 1.0, "values": [0.0]}])),
+        "cfg": write(tmp_path / "cfg.json", json.dumps(reach_config(samples=10))),
+        "plan": write(tmp_path / "plan.json", json.dumps(dict(heading_plan(1.0), start=[0.0, float("inf"), 0.0]))),
+    }
+    out = tmp_path / "out.csv"
+    argv = [command, src, *(a.format(**files) for a in argv), "--out", str(out)]
+    assert main(argv) == 1
+    assert_input_error(tmp_path, capsys, "lin.sys.manifest.json", *words, "finite")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("field, value", [("start", 5), ("start", ["a", 0, 0, 0]), ("segments", 5)])
 def test_realize_malformed_plan_exits_1(tmp_path, capsys, field, value):
     src = write(tmp_path / "cubic.sys", CUBIC_TEXT)
@@ -498,12 +543,16 @@ def assert_input_error(tmp_path, capsys, manifest_name, *words):
     ({"samples": float("inf")}, ["config: samples: cannot convert float infinity to integer"]),
     ({"resolution": [float("inf"), 4]}, ["config: resolution: cannot convert float infinity to integer"]),
     ({"resolution": [2.5, 4]}, ["config: resolution: expected an integer, got 2.5"]),
+    ({"bogus": 1}, ["'bogus'"]),
+    ({"seed": None}, ["'seed'"]),
 ])
 def test_reach_integer_field_that_is_not_an_integer_exits_1(tmp_path, capsys, overrides, words):
     # int(inf) raises OverflowError, which used to escape as a traceback
-    # with no manifest; int(2.5) used to run 2 samples
+    # with no manifest; int(2.5) used to run 2 samples.  A key overridden
+    # with None is left out of the config.
     src = write(tmp_path / "heading.sys", HEADING_TEXT)
-    cfg = write(tmp_path / "cfg.json", json.dumps(reach_config(**overrides)))
+    config = {k: v for k, v in reach_config(**overrides).items() if v is not None}
+    cfg = write(tmp_path / "cfg.json", json.dumps(config))
     assert main(["reach", src, "--x0", "0,0", "--config", cfg, "--out", str(tmp_path / "c.csv")]) == 1
     assert_input_error(tmp_path, capsys, "heading.sys.manifest.json", "config", *words)
 

@@ -16,6 +16,7 @@ import os
 import re
 import tempfile
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -95,6 +96,7 @@ def _run_contract(command: str, system: str, documents: dict):
         assert "Traceback" not in err.getvalue()
         with open(manifest) as fh:
             assert json.load(fh)["exit_code"] == code
+        return code
 
 
 CONTRACT = settings(derandomize=True, database=None, deadline=None, max_examples=150)
@@ -106,6 +108,15 @@ def test_malformed_json_value_keeps_the_contract(site, value):
     name, path = site
     documents = dict(DOCUMENTS, **{name: _replaced(DOCUMENTS[name], path, value)})
     _run_contract(READER[name], SYSTEM, documents)
+
+
+@pytest.mark.parametrize("value", [float("inf"), float("nan")])
+@pytest.mark.parametrize("site", JSON_SITES, ids=lambda site: "-".join(map(str, (site[0], *site[1]))))
+def test_non_finite_json_value_is_an_input_error(site, value):
+    # a non-finite plan start used to exit 3, as a blow-up
+    name, path = site
+    documents = dict(DOCUMENTS, **{name: _replaced(DOCUMENTS[name], path, value)})
+    assert _run_contract(READER[name], SYSTEM, documents) == 1
 
 
 @CONTRACT

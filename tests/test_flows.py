@@ -376,6 +376,20 @@ def test_ideal_plan_endpoint_validation(cubic):
         ideal_plan_endpoint(ext, FlowPlan((0.5,)), np.zeros(4))
 
 
+def test_ideal_plan_endpoint_drifts_at_the_integrator_level(heading):
+    ext = extend(heading)
+    jump = Jump(0, 1.0)
+    with pytest.raises(ValueError, match="plan segment 1"):
+        ideal_plan_endpoint(ext, FlowPlan((jump, Drift(0.5, (0.3,)))), np.zeros(3))
+    with pytest.raises(ValueError, match="plan segment 1"):
+        ideal_plan_endpoint(ext, FlowPlan((jump, Drift(0.5, (float("nan"),)))), np.zeros(3))
+    # 0.1 + 0.2 is 0.30000000000000004: a declared 0.3 is the same level
+    summed = FlowPlan((Jump(0, 0.1), Jump(0, 0.2), Drift(0.5, (0.3,))))
+    end = ideal_plan_endpoint(ext, summed, np.zeros(3))
+    exact = ideal_plan_endpoint(ext, FlowPlan((Jump(0, 0.1 + 0.2), Drift(0.5, (0.1 + 0.2,)))), np.zeros(3))
+    assert np.array_equal(end, exact)
+
+
 def test_realized_plan_approaches_ideal_endpoint(cubic):
     ext = extend(cubic)
     plan = FlowPlan((

@@ -87,8 +87,8 @@ def test_ideal_plan_endpoint_compiles_once(monkeypatch):
         return compile_components(*args)
 
     monkeypatch.setattr(flows, "compile_components", counted)
-    plan = FlowPlan((Drift(0.3, (1.0,)), Jump(0, 0.5), Drift(0.2, (-1.0,)), Drift(0.1, (0.5,))))
-    flows.ideal_plan_endpoint(extend(parse(CUBIC_TEXT)), plan, np.zeros(4))
+    plan = FlowPlan((Drift(0.3, (1.0,)), Jump(0, -2.0), Drift(0.2, (-1.0,)), Drift(0.1, (-1.0,))))
+    flows.ideal_plan_endpoint(extend(parse(CUBIC_TEXT)), plan, np.array([0.0, 0.0, 0.0, 1.0]))
     assert len(calls) == 1
 
 
