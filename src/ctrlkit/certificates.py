@@ -15,10 +15,10 @@ import numpy as np
 
 from .dsl import AffineSystem
 from .expr import (
-    Constant, EvalError, Mul, StateVar, Sub, diff, eval_expr, is_probably_zero, node_count, probe_block, simplify,
+    Constant, EvalError, Mul, StateVar, Sub, eval_expr, is_probably_zero, node_count, probe_block,
 )
 from .fields import VectorField, eval_vf, lie_bracket
-from .records import write_json
+from .records import finite_floats, write_json
 
 RANK_TOL = 1e-9
 NODE_BUDGET = 200_000
@@ -50,13 +50,17 @@ def linear_of(aff: AffineSystem) -> LinearRealization | NotLinearReport:
     """Extract (A, B) when the drift is exactly Ax and every channel is
     constant; otherwise report what broke."""
     n, m = aff.n, aff.m
+    jac = aff.drift.jacobian.rows
     a = np.zeros((n, n))
-    for i, comp in enumerate(aff.drift.components):
-        for j in range(n):
-            a[i, j] = _constant_derivative(comp, j, n)
-            if not math.isfinite(a[i, j]):
-                # a linear drift's derivative is defined everywhere
-                return NotLinearReport(aff.name, "drift is not linear in the states", f"d{aff.states[i]}")
+    for i, row in enumerate(jac):
+        # the Jacobian at the origin; the residual check validates the choice
+        try:
+            a[i] = [eval_expr(e, np.zeros(n)) for e in row]
+        except EvalError:
+            a[i] = math.nan
+        if not np.isfinite(a[i]).all():
+            # a linear drift's derivative is defined everywhere
+            return NotLinearReport(aff.name, "drift is not linear in the states", f"d{aff.states[i]}")
     # residual check catches both nonlinearity and constant offsets
     for i, comp in enumerate(aff.drift.components):
         residual = comp
@@ -65,31 +69,21 @@ def linear_of(aff: AffineSystem) -> LinearRealization | NotLinearReport:
         if not is_probably_zero(residual, n, 0):
             # flat residual means a pure offset, anything curved is worse
             flat = all(
-                is_probably_zero(diff(residual, StateVar(j)), n, 0) for j in range(n)
+                is_probably_zero(Sub(jac[i][j], Constant(a[i, j])), n, 0) for j in range(n)
             )
             if flat:
                 return NotLinearReport(aff.name, "drift has a constant offset", f"d{aff.states[i]}")
             return NotLinearReport(aff.name, "drift is not linear in the states", f"d{aff.states[i]}")
     b = np.zeros((n, m))
     for k, g in enumerate(aff.channels):
-        for i, comp in enumerate(g.components):
-            for j in range(n):
-                if not is_probably_zero(diff(comp, StateVar(j)), n, 0):
-                    return NotLinearReport(
-                        aff.name, "input channel depends on the state",
-                        f"channel {aff.input_names[k]!r}, d{aff.states[i]}",
-                    )
+        for i, row in enumerate(g.jacobian.rows):
+            if not all(is_probably_zero(e, n, 0) for e in row):
+                return NotLinearReport(
+                    aff.name, "input channel depends on the state",
+                    f"channel {aff.input_names[k]!r}, d{aff.states[i]}",
+                )
         b[:, k] = eval_vf(g, np.zeros(n))
     return LinearRealization(a, b)
-
-
-def _constant_derivative(comp, j: int, n: int) -> float:
-    """d comp / d x_j at the origin, nan where it cannot be evaluated."""
-    # evaluate at the origin; the residual check validates the choice
-    try:
-        return eval_expr(simplify(diff(comp, StateVar(j))), np.zeros(n))
-    except EvalError:
-        return math.nan
 
 
 def matrix_rank(mat: np.ndarray, tol: float = RANK_TOL) -> int:
@@ -184,16 +178,22 @@ class LarcReport:
         }
 
 
+def larc_point(point, max_depth: int, n: int) -> np.ndarray:
+    """`point` as an array; ValueError unless max_depth >= 1 and it has n finite entries."""
+    if max_depth < 1:
+        raise ValueError("max_depth must be at least 1")
+    point = np.array(finite_floats(point, "point"))
+    if point.shape != (n,):
+        raise ValueError(f"point needs {n} entries")
+    return point
+
+
 def larc(aff: AffineSystem, point, max_depth: int, node_budget: int = NODE_BUDGET) -> LarcReport:
     """Breadth-first bracket generation from {drift, channels} up to
     `max_depth` nesting levels, deduplicated by a span test at fixed
     random probes, then ranked at `point`."""
-    if max_depth < 1:
-        raise ValueError("max_depth must be at least 1")
-    point = np.asarray(point, dtype=float)
     n = aff.n
-    if point.shape != (n,):
-        raise ValueError(f"point needs {n} entries")
+    point = larc_point(point, max_depth, n)
 
     probes = probe_block(n, _SPAN_PROBES, _SPAN_SEED)
 

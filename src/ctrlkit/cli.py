@@ -24,7 +24,7 @@ from functools import cache
 import numpy as np
 
 from . import __version__
-from .certificates import NotLinearReport, kalman_report, larc, linear_of
+from .certificates import NotLinearReport, kalman_report, larc, larc_point, linear_of
 from .dsl import NotAffineReport, parse, serialize, to_affine
 from .flows import (
     DEFAULT_STEP,
@@ -109,7 +109,8 @@ def _gain_sweep(text: str) -> list[float]:
         raise _InputError("gain sweep needs hi >= lo and at least one step")
     if steps == 1:
         return [lo]
-    return [float(g) for g in np.geomspace(lo, hi, steps)]
+    # Python floats round through libm, the same at every numpy SIMD level
+    return [lo, *(lo * (hi / lo) ** (k / (steps - 1)) for k in range(1, steps - 1)), hi]
 
 
 # --- commands --------------------------------------------------------------
@@ -143,6 +144,10 @@ def _cmd_reduce(args, manifest) -> int:
 def _cmd_check(args, manifest) -> int:
     sys_ = _read_system(args, manifest)
     out = args.out or args.file + ".report.json"
+    if args.method == "larc":
+        # bad input is reported as such before any verdict on the system
+        point = [0.0] * sys_.n if args.point is None else finite_floats(args.point.split(","), "--point")
+        point = larc_point(point, args.depth, sys_.n)
     model = to_affine(sys_)
     if args.method == "kalman" and not isinstance(model, NotAffineReport):
         model = linear_of(model)
@@ -158,7 +163,6 @@ def _cmd_check(args, manifest) -> int:
         print(f"{'controllable' if controllable else 'not controllable'} (rank {rank} of {sys_.n})")
         return 0 if controllable else 2
 
-    point = [0.0] * sys_.n if args.point is None else finite_floats(args.point.split(","), "--point")
     report = larc(model, point, args.depth)
     _write_json(manifest, out, {"method": "larc", "system": sys_.name, **report.to_json()})
     state = "full rank" if report.full_rank else "rank deficient"

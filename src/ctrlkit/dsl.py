@@ -133,7 +133,7 @@ class ControlSystem:
 @dataclass(frozen=True)
 class AffineSystem:
     """Control-affine form: drift plus one constant-in-u channel field per
-    input.  All fields are non-parametric by construction."""
+    input.  Every field is over the states only."""
 
     name: str
     states: tuple[str, ...]
@@ -146,13 +146,12 @@ class AffineSystem:
         object.__setattr__(self, "input_names", tuple(self.input_names))
         object.__setattr__(self, "channels", tuple(self.channels))
         n = len(self.states)
-        if self.drift.parametric or self.drift.n != n:
-            raise ValueError("drift must be a non-parametric field on the state space")
+        if self.drift.n != n:
+            raise ValueError("drift must be a field on the state space")
         if len(self.channels) != len(self.input_names):
             raise ValueError("one channel field per input required")
-        for g in self.channels:
-            if g.parametric or g.n != n:
-                raise ValueError("channel fields must be non-parametric fields on the state space")
+        if any(g.n != n for g in self.channels):
+            raise ValueError("channel fields must be fields on the state space")
 
     @property
     def n(self) -> int:

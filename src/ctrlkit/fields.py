@@ -17,7 +17,6 @@ from .expr import (
     contains_input,
     diff,
     eval_expr,
-    max_input_index,
     max_state_index,
     rewrite,
     simplify,
@@ -26,16 +25,11 @@ from .expr import (
 
 @dataclass(frozen=True)
 class VectorField:
-    """A field on R^n: one expression per coordinate.
-
-    Non-parametric fields must not reference any input variable; parametric
-    ones may reference inputs up to index m-1.
-    """
+    """A field on R^n: one expression per coordinate, over the states
+    only (no component references an input)."""
 
     components: tuple[Expr, ...]
     n: int
-    m: int = 0
-    parametric: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "components", tuple(self.components))
@@ -48,10 +42,8 @@ class VectorField:
                 raise TypeError(f"component {i} is not an expression: {comp!r}")
             if max_state_index(comp) >= self.n:
                 raise ValueError(f"component {i} references a state beyond index {self.n - 1}")
-            if not self.parametric and contains_input(comp):
-                raise ValueError(f"non-parametric field references an input in component {i}")
-            if self.parametric and max_input_index(comp) >= self.m:
-                raise ValueError(f"component {i} references an input beyond index {self.m - 1}")
+            if contains_input(comp):
+                raise ValueError(f"field references an input in component {i}")
 
     @cached_property
     def jacobian(self) -> SymbolicMatrix:
@@ -83,16 +75,14 @@ class SymbolicMatrix:
         return (len(self.rows), len(self.rows[0]))
 
 
-def eval_vf(vf: VectorField, x, u=()) -> np.ndarray:
+def eval_vf(vf: VectorField, x) -> np.ndarray:
     if len(x) != vf.n:
         raise ValueError(f"point has dimension {len(x)}, field lives on R^{vf.n}")
-    if vf.parametric and len(u) < vf.m:
-        raise ValueError(f"parametric field needs {vf.m} input values, got {len(u)}")
-    return np.array([eval_expr(c, x, u) for c in vf.components], dtype=float)
+    return np.array([eval_expr(c, x) for c in vf.components], dtype=float)
 
 
-def eval_matrix(mat: SymbolicMatrix, x, u=()) -> np.ndarray:
-    return np.array([[eval_expr(e, x, u) for e in row] for row in mat.rows], dtype=float)
+def eval_matrix(mat: SymbolicMatrix, x) -> np.ndarray:
+    return np.array([[eval_expr(e, x) for e in row] for row in mat.rows], dtype=float)
 
 
 def jacobian_x(vf: VectorField) -> SymbolicMatrix:
@@ -110,8 +100,6 @@ def _jacobian_times(jac: SymbolicMatrix, vf: VectorField) -> list[Expr]:
 
 def lie_bracket(x_field: VectorField, y_field: VectorField) -> VectorField:
     """Bracket [X, Y] = (dY/dx) X - (dX/dx) Y, components simplified."""
-    if x_field.parametric or y_field.parametric:
-        raise ValueError("lie_bracket requires non-parametric fields")
     if x_field.n != y_field.n:
         raise ValueError(f"dimension mismatch: {x_field.n} vs {y_field.n}")
     first = _jacobian_times(y_field.jacobian, x_field)

@@ -262,8 +262,6 @@ def flow_endpoint(vf: VectorField, x0, t: float, step: float = DEFAULT_STEP) -> 
     """Endpoint of the autonomous flow for a signed time; negative t flows
     the negated field."""
     require_positive(step, "step")
-    if vf.parametric:
-        raise ValueError("flow_endpoint requires a non-parametric field")
     x = np.asarray(x0, dtype=float)
     if x.shape != (vf.n,):
         raise ValueError(f"x0 must have {vf.n} entries")

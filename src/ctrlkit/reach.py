@@ -115,13 +115,11 @@ def cells_to_csv(est: ReachEstimate, names) -> str:
 
 
 class _Grid:
-    """Half-open uniform grid over selected state axes, with a visited
-    bitmap."""
+    """Half-open uniform grid over the leading state axes, with a visited bitmap."""
 
-    def __init__(self, window, resolution, axes=None):
+    def __init__(self, window, resolution):
         self.window = _as_box(window)
         self.resolution = tuple(int(r) for r in resolution)
-        self.axes = None if axes is None else tuple(axes)
         self.lows = np.array([w[0] for w in self.window])
         self.highs = np.array([w[1] for w in self.window])
         self.res = np.array(self.resolution, dtype=np.int64)
@@ -131,8 +129,7 @@ class _Grid:
 
     def flat_index(self, x: np.ndarray) -> np.ndarray:
         """Flat cell index per row, -1 for points outside the window."""
-        pts = x if self.axes is None else x[:, self.axes]
-        w = (pts - self.lows) / (self.highs - self.lows)
+        w = (x[:, :len(self.window)] - self.lows) / (self.highs - self.lows)
         with np.errstate(invalid="ignore"):
             # NaN and inf compare false, so they fall outside too
             ok = np.all((w >= 0.0) & (w < 1.0), axis=1)
@@ -280,7 +277,7 @@ class CompareReport:
 def coverage_compare(sys: ControlSystem, x0, cfg: ReachConfig, cfg_ext: ReachConfig) -> CompareReport:
     """Reachable-window coverage of a system against the projection of
     its integrator extension, on the same grid.  The extension starts
-    with the integrator block at zero."""
+    with the integrator block at zero; its integrator axes are not gridded."""
     record = extend(sys)
     n, m = sys.n, sys.m
     if cfg_ext.window[:n] != cfg.window or cfg_ext.resolution[:n] != cfg.resolution:
@@ -297,9 +294,8 @@ def coverage_compare(sys: ControlSystem, x0, cfg: ReachConfig, cfg_ext: ReachCon
     x0e = np.concatenate([np.asarray(x0, dtype=float), np.zeros(m)])
     f = compile_components(record.extended.rhs, n + m, m)
     durations, values = _draw(cfg_ext, cfg_ext.samples, cfg_ext.input_box)
-    grid_full = _Grid(cfg_ext.window, cfg_ext.resolution)
-    grid_proj = _Grid(cfg.window, cfg.resolution, axes=tuple(range(n)))
-    _, dead = _run_batch(f, n + m, x0e, durations, values, cfg_ext.step, [grid_full, grid_proj])
+    grid_proj = _Grid(cfg.window, cfg.resolution)
+    _, dead = _run_batch(f, n + m, x0e, durations, values, cfg_ext.step, [grid_proj])
 
     coverage_proj = grid_proj.coverage
     agreement = float(np.mean(est.bitmap == grid_proj.shaped_bitmap()))
@@ -356,7 +352,7 @@ def bounded_reach_check(
     keep = ~rejected_mask
     x0e = np.concatenate([np.asarray(x0, dtype=float), y0])
     f = compile_components(record.extended.rhs, n + m, m)
-    grid_proj = _Grid(cfg.window, cfg.resolution, axes=tuple(range(n)))
+    grid_proj = _Grid(cfg.window, cfg.resolution)
     _, dead = _run_batch(f, n + m, x0e, durations[keep], values[keep], cfg.step, [grid_proj])
     return BoundedReachReport(original=est, extended_projected=_estimate(grid_proj, cfg, dead), rejected=rejected)
 

@@ -76,6 +76,15 @@ def test_linear_of_flags_drift_undefined_at_origin():
     assert rep.where == "dx1"
 
 
+def test_linear_of_names_the_first_row_undefined_at_origin():
+    # row 1 is defined, the undefined entry sits in row 2, column 2
+    aff = affine_of("system late\nstates x1 x2 x3\ninputs u\ndx1 = x1 + x2\ndx2 = x1 + 1/x2\ndx3 = u\n")
+    rep = linear_of(aff)
+    assert isinstance(rep, NotLinearReport)
+    assert "not linear" in rep.reason
+    assert rep.where == "dx2"
+
+
 def test_linear_of_flags_state_dependent_channel():
     aff = affine_of("system bil\nstates x1\ninputs u\ndx1 = x1*u\n")
     rep = linear_of(aff)

@@ -166,6 +166,21 @@ def test_check_larc_bad_point_exits_1(tmp_path, capsys):
     assert main(["check", src, "--method", "larc", "--point", "a,b,c,d,e", "--out", str(tmp_path / "r.json")]) == 1
 
 
+@pytest.mark.parametrize("text", [HEADING_TEXT, LINEAR_TEXT], ids=["not-affine", "affine"])
+@pytest.mark.parametrize("argv, words", [
+    (["--point=nan,0"], ["--point", "finite"]),
+    (["--point=0,0,5"], ["point needs 2 entries"]),
+    (["--depth", "0"], ["max_depth"]),
+])
+def test_check_larc_bad_arguments_exit_1_before_any_verdict(tmp_path, capsys, text, argv, words):
+    # on the not-affine heading these exited 2 with the not-affine verdict
+    src = write(tmp_path / "sys.sys", text)
+    out = tmp_path / "r.json"
+    assert main(["check", src, "--method", "larc", *argv, "--out", str(out)]) == 1
+    assert_input_error(tmp_path, capsys, "sys.sys.manifest.json", *words)
+    assert not out.exists()
+
+
 def test_check_larc_point_with_leading_minus(tmp_path):
     src = write(tmp_path / "chain5.sys", chain_text(5))
     spaced, glued = str(tmp_path / "a.json"), str(tmp_path / "b.json")

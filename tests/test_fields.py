@@ -42,8 +42,7 @@ def test_vector_field_validation():
     with pytest.raises(ValueError):
         VectorField((StateVar(3), X0), n=2)
     with pytest.raises(ValueError):
-        VectorField((InputVar(0), X0), n=2)  # input in a plain field
-    VectorField((InputVar(0), X0), n=2, m=1, parametric=True)
+        VectorField((InputVar(0), X0), n=2)  # a field is over the states only
 
 
 def test_eval_vf_and_zero_field():
@@ -141,11 +140,8 @@ def test_linear_brackets_generate_chain_directions():
     assert eval_vf(ad2, zero) == pytest.approx(a @ a @ [0, 0, 1])
 
 
-def test_bracket_rejects_parametric_or_mismatched():
-    par = VectorField((InputVar(0),), n=1, m=1, parametric=True)
+def test_bracket_rejects_mismatched_dimensions():
     plain = VectorField((X0,), n=1)
-    with pytest.raises(ValueError):
-        lie_bracket(par, plain)
     other = VectorField((X0, X1), n=2)
     with pytest.raises(ValueError):
         lie_bracket(plain, other)

@@ -237,12 +237,6 @@ def test_flow_endpoint_reversibility():
     assert np.linalg.norm(back - x0) < 1e-7
 
 
-def test_flow_endpoint_rejects_parametric():
-    vf = VectorField((StateVar(0),), 1, m=1, parametric=True)
-    with pytest.raises(ValueError):
-        flow_endpoint(vf, [1.0], 1.0)
-
-
 def test_time_reversal_is_involution(heading, cubic, chain5):
     for sys in (heading, cubic, chain5):
         rev = time_reversal(sys)

@@ -349,6 +349,8 @@ def test_coverage_compare_consistent_on_heading(heading):
 
 
 def test_coverage_compare_validates_grids(heading):
+    from dataclasses import replace
+
     cfg = heading_cfg()
     good_ext = ReachConfig(
         horizon=1.0, segments=4, input_box=((-5.0, 5.0),), samples=100,
@@ -376,6 +378,8 @@ def test_coverage_compare_validates_grids(heading):
             seed=1, step=1e-2,
         )
         coverage_compare(heading, [0.0, 0.0], cfg, bad)
+    with pytest.raises(ValueError, match="rate axes"):
+        coverage_compare(heading, [0.0, 0.0], cfg, replace(good_ext, input_box=((-5.0, 5.0), (-5.0, 5.0))))
     no_inputs = parse("system plain\nstates x1\ndx1 = x1\n")
     with pytest.raises(ValueError):
         coverage_compare(no_inputs, [0.0], cfg, good_ext)
@@ -467,6 +471,11 @@ def test_grid_flat_index_matches_ravel_multi_index():
     assert got.dtype == np.int64
     assert np.array_equal(got, want)
     assert not inside[:4].any() and 0 < inside.sum() < len(x)
+    # a grid over the leading axes reads only those: extra trailing
+    # columns, non-finite ones among them, leave the indices as they are
+    extra = rng.uniform(-3.0, 4.0, size=(len(x), 2))
+    extra[:6] = [[np.nan, 0.0], [np.inf, -np.inf], [0.0, np.nan], [-np.inf, 1.0], [np.nan, np.nan], [1e300, 0.0]]
+    assert np.array_equal(grid.flat_index(np.hstack([x, extra])), want)
 
 
 @pytest.mark.parametrize("resolution", [(4097, 4096), (2**32, 2**32), 2**12 + 1])
