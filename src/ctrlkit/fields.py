@@ -9,7 +9,6 @@ import numpy as np
 
 from .expr import (
     Add,
-    Constant,
     Expr,
     Mul,
     StateVar,
@@ -81,14 +80,6 @@ def eval_vf(vf: VectorField, x) -> np.ndarray:
     return np.array([eval_expr(c, x) for c in vf.components], dtype=float)
 
 
-def eval_matrix(mat: SymbolicMatrix, x) -> np.ndarray:
-    return np.array([[eval_expr(e, x) for e in row] for row in mat.rows], dtype=float)
-
-
-def jacobian_x(vf: VectorField) -> SymbolicMatrix:
-    return vf.jacobian
-
-
 def _jacobian_times(jac: SymbolicMatrix, vf: VectorField) -> list[Expr]:
     # row-by-row product over simplified entries, so each product and sum
     # is one root rewrite; the Add rule drops the zero terms
@@ -106,7 +97,3 @@ def lie_bracket(x_field: VectorField, y_field: VectorField) -> VectorField:
     second = _jacobian_times(x_field.jacobian, y_field)
     comps = tuple(rewrite(Sub(a, b)) for a, b in zip(first, second))
     return VectorField(comps, x_field.n)
-
-
-def zero_field(n: int) -> VectorField:
-    return VectorField(tuple(Constant(0.0) for _ in range(n)), n)

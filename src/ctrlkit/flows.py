@@ -181,10 +181,6 @@ def _step_times(durations, step) -> np.ndarray:
     return np.concatenate(times)
 
 
-def substep_count(duration: float, step: float) -> int:
-    return int(_schedule(np.array([duration]), step)[0][0]) if duration > 0.0 else 0
-
-
 def rk4_rows(f, x, durations, values, step, visit):
     """The one RK4 loop: steps each row of `x` (rows, n) with `f.step` of a
     compiled rhs through its own segments, `durations` (rows, segments)

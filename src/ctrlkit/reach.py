@@ -17,7 +17,7 @@ import numpy as np
 from .dsl import ControlSystem
 from .expr import compile_components
 from .flows import PiecewiseControl, Trajectory, require_positive, rk4_rows
-from .records import integer
+from .records import finite_floats, integer
 from .transform import ExtensionRecord, extend
 
 CONSISTENCY_THRESHOLD = 0.05
@@ -165,82 +165,82 @@ def _draw_controls(seed: int, count: int, segments: int, horizon: float, box):
     return durations, lows + raw * spans
 
 
-def _draw(cfg: ReachConfig, count: int, box):
-    """`_draw_controls` for `count` rows of a run of `cfg`, once the run's
-    row-substeps are known to fit MAX_WORK (Python floats: horizon / step
-    may be inf)."""
+def _draw(cfg: ReachConfig, m: int, count: int):
+    """`_draw_controls` for `count` rows of a run of `cfg` on a system with
+    `m` inputs, once its box is known to have one axis per input and the
+    run's row-substeps to fit MAX_WORK (Python floats: horizon / step may
+    be inf).  With count 0 it only checks."""
+    if len(cfg.input_box) != m:
+        raise ValueError(f"box has {len(cfg.input_box)} axes; input and rate axes need one per input, {m} here")
     work = cfg.samples * (cfg.segments + cfg.horizon / cfg.step)
     if work > MAX_WORK:
         raise ValueError(f"samples * (segments + horizon / step) is {work:.3g} row-substeps, more than {MAX_WORK}")
-    return _draw_controls(cfg.seed, count, cfg.segments, cfg.horizon, box)
+    return _draw_controls(cfg.seed, count, cfg.segments, cfg.horizon, cfg.input_box)
 
 
-def _run_batch(f, n: int, x0, durations, values, step: float, grids):
+def _run_batch(f, x0, durations, values, step: float, grid=None):
     """Integrate all trajectories; returns (endpoints, dropped).  Cells
     are committed per chunk, and only for trajectories that never blew
     up, so a dropped trajectory leaves no marks at all."""
     total = durations.shape[0]
-    endpoints = np.zeros((total, n))
+    endpoints = np.zeros((total, len(x0)))
     dropped = np.zeros(total, dtype=bool)
     for start in range(0, total, _CHUNK):
         rows = slice(start, start + _CHUNK)
-        endpoints[rows], dropped[rows] = _run_chunk(f, x0, durations[rows], values[rows], step, grids)
+        endpoints[rows], dropped[rows] = _run_chunk(f, x0, durations[rows], values[rows], step, grid)
     return endpoints, dropped
 
 
-def _run_chunk(f, x0, durations, values, step, grids):
-    """Integrate one chunk, marking cells into chunk-local bitmaps as it
+def _run_chunk(f, x0, durations, values, step, grid):
+    """Integrate one chunk, marking cells into a chunk-local bitmap as it
     steps, so memory does not grow with the number of steps.  A row that
     blows up may already have marked cells, so after a drop the marks are
     thrown away and the surviving rows alone run again: they take the same
     steps and cannot drop."""
     # one spare cell past the grid takes the -1 of points outside it
-    marks = [(grid, np.zeros(grid.bitmap.size + 1, dtype=bool)) for grid in grids]
+    marks = None if grid is None else np.zeros(grid.bitmap.size + 1, dtype=bool)
 
     def visit(k, x, bad):
+        nonlocal marks
         if bad is not None:
-            marks.clear()  # the marks of a chunk with a dead row are not kept
-        for grid, bm in marks:
+            marks = None  # the marks of a chunk with a dead row are not kept
+        elif marks is not None:
             # every row marks: a finished row stays in a cell it has marked
-            bm[grid.flat_index(x)] = True
+            marks[grid.flat_index(x)] = True
 
     x = np.tile(x0, (durations.shape[0], 1))
     visit(None, x, None)
     x, alive = rk4_rows(f, x, durations, values, step, visit)
-    if alive.all():
-        for grid, bm in marks:
-            grid.commit(bm[:-1])
-    elif grids and alive.any():
-        _run_chunk(f, x0, durations[alive], values[alive], step, grids)
+    if marks is not None:  # a grid, and no row dropped
+        grid.commit(marks[:-1])
+    elif grid is not None and alive.any():
+        _run_chunk(f, x0, durations[alive], values[alive], step, grid)
     return x, ~alive
 
 
-def sample_reach(sys: ControlSystem, x0, cfg: ReachConfig) -> ReachEstimate:
-    """Coverage of the window grid by random piecewise-constant controls.
-    Deterministic for a given config: same seed, same bitmap."""
-    n, m = sys.n, sys.m
-    x0 = np.asarray(x0, dtype=float)
-    if x0.shape != (n,):
-        raise ValueError(f"x0 needs {n} entries")
-    if len(cfg.window) != n:
-        raise ValueError(f"window needs {n} axes")
-    if len(cfg.input_box) != m:
-        raise ValueError(f"input box needs {m} axes")
-    f = compile_components(sys.rhs, n, m)
-    durations, values = _draw(cfg, cfg.samples, cfg.input_box)
+def _cover(sys: ControlSystem, x0, cfg: ReachConfig, step: float, durations, values) -> ReachEstimate:
+    """The one sampler run behind every estimate: `sys` from `x0` under the
+    drawn rows, stepped at `step`, marking the window grid of `cfg` over
+    the leading state axes.  The estimate counts cfg.samples samples, so
+    draws left out of `durations` are neither retained nor dropped."""
     grid = _Grid(cfg.window, cfg.resolution)
-    _, dead = _run_batch(f, n, x0, durations, values, cfg.step, [grid])
-    return _estimate(grid, cfg, dead)
-
-
-def _estimate(grid: _Grid, cfg: ReachConfig, dead) -> ReachEstimate:
-    """The estimate `grid` holds after a run of len(dead) trajectories,
-    `dead` marking the dropped ones."""
+    _, dead = _run_batch(compile_components(sys.rhs, sys.n, sys.m), x0, durations, values, step, grid)
     dropped = int(dead.sum())
     return ReachEstimate(
         window=cfg.window, resolution=cfg.resolution, bitmap=grid.shaped_bitmap(), coverage=grid.coverage,
         samples=cfg.samples, retained=len(dead) - dropped, dropped=dropped,
     )
+
+
+def sample_reach(sys: ControlSystem, x0, cfg: ReachConfig) -> ReachEstimate:
+    """Coverage of the window grid by random piecewise-constant controls.
+    Deterministic for a given config: same seed, same bitmap."""
+    x0 = np.array(finite_floats(x0, "x0"))
+    if x0.shape != (sys.n,):
+        raise ValueError(f"x0 needs {sys.n} entries")
+    if len(cfg.window) != sys.n:
+        raise ValueError(f"window needs {sys.n} axes")
+    return _cover(sys, x0, cfg, cfg.step, *_draw(cfg, sys.m, cfg.samples))
 
 
 def project_x(traj: Trajectory, record: ExtensionRecord) -> Trajectory:
@@ -284,33 +284,25 @@ def coverage_compare(sys: ControlSystem, x0, cfg: ReachConfig, cfg_ext: ReachCon
         raise ValueError("extended window must extend the original window axes unchanged")
     if len(cfg_ext.window) != n + m:
         raise ValueError(f"extended window needs {n + m} axes")
-    if len(cfg_ext.input_box) != m:
-        raise ValueError(f"extended input box needs {m} rate axes")
     if cfg_ext.horizon != cfg.horizon:
         raise ValueError("compare runs need a common horizon")
+    _draw(cfg_ext, m, 0)  # the second run's config fails before the first run
 
     est = sample_reach(sys, x0, cfg)
-
-    x0e = np.concatenate([np.asarray(x0, dtype=float), np.zeros(m)])
-    f = compile_components(record.extended.rhs, n + m, m)
-    durations, values = _draw(cfg_ext, cfg_ext.samples, cfg_ext.input_box)
-    grid_proj = _Grid(cfg.window, cfg.resolution)
-    _, dead = _run_batch(f, n + m, x0e, durations, values, cfg_ext.step, [grid_proj])
-
-    coverage_proj = grid_proj.coverage
-    agreement = float(np.mean(est.bitmap == grid_proj.shaped_bitmap()))
-    difference = abs(est.coverage - coverage_proj)
+    x0e = np.concatenate([finite_floats(x0, "x0"), np.zeros(m)])
+    proj = _cover(record.extended, x0e, cfg, cfg_ext.step, *_draw(cfg_ext, m, cfg_ext.samples))
+    difference = abs(est.coverage - proj.coverage)
     return CompareReport(
         coverage_original=est.coverage,
-        coverage_extended_projected=coverage_proj,
+        coverage_extended_projected=proj.coverage,
         difference=difference,
-        cell_agreement=agreement,
+        cell_agreement=float(np.mean(est.bitmap == proj.bitmap)),
         threshold=CONSISTENCY_THRESHOLD,
         consistent=difference < CONSISTENCY_THRESHOLD,
         samples_original=cfg.samples,
         samples_extended=cfg_ext.samples,
         dropped_original=est.dropped,
-        dropped_extended=int(dead.sum()),
+        dropped_extended=proj.dropped,
     )
 
 
@@ -330,31 +322,23 @@ def bounded_reach_check(
     rejected up front (the path is piecewise linear, so checking segment
     endpoints suffices)."""
     record = extend(sys)
-    n, m = sys.n, sys.m
-    bound_box = _as_box(bound_box)
-    if len(bound_box) != m:
-        raise ValueError(f"bound box needs {m} axes")
-    est = sample_reach(sys, x0, replace(cfg, input_box=bound_box))
-
+    m = sys.m
+    bounded = replace(cfg, input_box=bound_box)
     if rate_box is None:
         rate_box = tuple((-DEFAULT_RATE_BOUND, DEFAULT_RATE_BOUND) for _ in range(m))
-    rate_box = _as_box(rate_box)
-    lows = np.array([b[0] for b in bound_box])
-    highs = np.array([b[1] for b in bound_box])
-    y0 = (lows + highs) / 2.0
+    rates = replace(cfg, input_box=rate_box)
+    _draw(rates, m, 0)  # the extension's config fails before the first run
+    est = sample_reach(sys, x0, bounded)
 
-    durations, values = _draw(cfg, cfg.samples, rate_box)
+    lows, highs = np.array(bounded.input_box).T
+    y0 = (lows + highs) / 2.0
+    durations, values = _draw(rates, m, cfg.samples)
     y_path = y0[None, None, :] + np.cumsum(values * durations[:, :, None], axis=1)
     outside = (y_path < lows) | (y_path > highs)
-    rejected_mask = outside.any(axis=(1, 2))
-    rejected = int(rejected_mask.sum())
-
-    keep = ~rejected_mask
-    x0e = np.concatenate([np.asarray(x0, dtype=float), y0])
-    f = compile_components(record.extended.rhs, n + m, m)
-    grid_proj = _Grid(cfg.window, cfg.resolution)
-    _, dead = _run_batch(f, n + m, x0e, durations[keep], values[keep], cfg.step, [grid_proj])
-    return BoundedReachReport(original=est, extended_projected=_estimate(grid_proj, cfg, dead), rejected=rejected)
+    keep = ~outside.any(axis=(1, 2))
+    x0e = np.concatenate([finite_floats(x0, "x0"), y0])
+    proj = _cover(record.extended, x0e, cfg, cfg.step, durations[keep], values[keep])
+    return BoundedReachReport(original=est, extended_projected=proj, rejected=int((~keep).sum()))
 
 
 @dataclass
@@ -370,8 +354,8 @@ def two_point_steer(sys: ControlSystem, x0, x1, cfg: ReachConfig, tol: float) ->
     controls, then shrinking coordinate perturbations of the best one.
     The total integration budget is cfg.samples."""
     n, m = sys.n, sys.m
-    x0 = np.asarray(x0, dtype=float)
-    x1 = np.asarray(x1, dtype=float)
+    x0 = np.array(finite_floats(x0, "x0"))
+    x1 = np.array(finite_floats(x1, "x1"))
     if x0.shape != (n,) or x1.shape != (n,):
         raise ValueError(f"endpoints need {n} entries")
     start_dist = float(np.linalg.norm(x1 - x0))
@@ -379,20 +363,23 @@ def two_point_steer(sys: ControlSystem, x0, x1, cfg: ReachConfig, tol: float) ->
         return SteerResult(True, PiecewiseControl(()), start_dist, 0)
 
     f = compile_components(sys.rhs, n, m)
-    box = np.array(cfg.input_box, dtype=float).reshape(-1, 2)
-    lows, highs = box[:, 0], box[:, 1]
     budget = cfg.samples
 
-    first = max(1, budget // 2)
-    durations, values = _draw(cfg, first, cfg.input_box)
-    ends, dead = _run_batch(f, n, x0, durations, values, cfg.step, [])
-    dists = np.linalg.norm(ends - x1, axis=1)
-    dists[dead] = np.inf
-    best = int(np.argmin(dists))
-    best_dist = float(dists[best])
+    def shoot(durations, values):
+        """The row whose endpoint lies nearest x1, and its distance; a dropped row is infinitely far."""
+        ends, dead = _run_batch(f, x0, durations, values, cfg.step)
+        dists = np.linalg.norm(ends - x1, axis=1)
+        dists[dead] = np.inf
+        best = int(np.argmin(dists))
+        return best, float(dists[best])
+
+    durations, values = _draw(cfg, m, max(1, budget // 2))
+    best, best_dist = shoot(durations, values)
     best_durs = durations[best].copy()
     best_vals = values[best].copy()
-    evaluations = first
+    evaluations = len(durations)
+    box = np.array(cfg.input_box, dtype=float).reshape(-1, 2)
+    lows, highs = box[:, 0], box[:, 1]
 
     scale = 0.25
     round_id = 0
@@ -400,15 +387,11 @@ def two_point_steer(sys: ControlSystem, x0, x1, cfg: ReachConfig, tol: float) ->
         rng = np.random.default_rng([cfg.seed, 1 << 20, round_id])
         noise = rng.normal(0.0, 1.0, size=(_REFINE_BATCH, cfg.segments, m))
         cand = np.clip(best_vals[None] + noise * scale * (highs - lows), lows, highs)
-        durs = np.tile(best_durs, (_REFINE_BATCH, 1))
-        ends, dead = _run_batch(f, n, x0, durs, cand, cfg.step, [])
-        dists = np.linalg.norm(ends - x1, axis=1)
-        dists[dead] = np.inf
-        idx = int(np.argmin(dists))
+        idx, dist = shoot(np.tile(best_durs, (_REFINE_BATCH, 1)), cand)
         evaluations += _REFINE_BATCH
         round_id += 1
-        if dists[idx] < best_dist:
-            best_dist = float(dists[idx])
+        if dist < best_dist:
+            best_dist = dist
             best_vals = cand[idx].copy()
         else:
             scale *= 0.6

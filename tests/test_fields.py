@@ -13,8 +13,8 @@ from conftest import CUBIC_TEXT, HEADING_TEXT, chain_text
 
 from ctrlkit.certificates import larc
 from ctrlkit.dsl import parse, to_affine
-from ctrlkit.expr import Add, Constant, Cos, InputVar, Mul, Pow, Sin, StateVar, Sub, diff, simplify
-from ctrlkit.fields import SymbolicMatrix, VectorField, eval_vf, jacobian_x, lie_bracket, zero_field
+from ctrlkit.expr import Add, Constant, Cos, InputVar, Mul, Pow, Sin, StateVar, Sub, diff, eval_expr, simplify
+from ctrlkit.fields import SymbolicMatrix, VectorField, eval_vf, lie_bracket
 from ctrlkit.transform import extend
 
 X0, X1, X2 = StateVar(0), StateVar(1), StateVar(2)
@@ -48,20 +48,18 @@ def test_vector_field_validation():
 def test_eval_vf_and_zero_field():
     f = VectorField((Mul(X0, X1), Pow(X0, 2)), n=2)
     assert eval_vf(f, [2.0, 3.0]) == pytest.approx([6.0, 4.0])
-    z = zero_field(3)
+    z = VectorField((Constant(0.0),) * 3, n=3)
     assert eval_vf(z, [1.0, 2.0, 3.0]) == pytest.approx([0.0, 0.0, 0.0])
 
 
 def test_jacobian_golden():
     f = VectorField((Mul(X0, X1), Sin(X0)), n=2)
-    J = jacobian_x(f)
+    J = f.jacobian
     assert isinstance(J, SymbolicMatrix)
     assert J.shape == (2, 2)
     x = [0.5, 2.0]
     # rows: d(x0*x1) = (x1, x0); d(sin x0) = (cos x0, 0)
-    from ctrlkit.fields import eval_matrix
-
-    got = eval_matrix(J, x)
+    got = np.array([[eval_expr(e, x) for e in row] for row in J.rows])
     want = np.array([[2.0, 0.5], [np.cos(0.5), 0.0]])
     assert got == pytest.approx(want)
 
@@ -185,7 +183,7 @@ def test_simplify_is_idempotent_on_fixture_trees():
         raw += sys_.rhs
         for vf in fields + kept:
             simplified += vf.components
-            simplified += [e for row in jacobian_x(vf).rows for e in row]
+            simplified += [e for row in vf.jacobian.rows for e in row]
     assert len(raw) > 50 and len(simplified) > 1000
     for e in raw:
         once = simplify(e)
@@ -210,7 +208,7 @@ def test_bracket_is_simplify_of_the_unsimplified_formula():
 
 def test_a_field_keeps_its_jacobian():
     f = VectorField((Mul(X0, X1), Sin(X0)), n=2)
-    assert jacobian_x(f) is jacobian_x(f)
+    assert f.jacobian is f.jacobian
     assert f.simplified is f.simplified
     assert f == VectorField((Mul(X0, X1), Sin(X0)), n=2)
 

@@ -6,6 +6,7 @@ import pytest
 
 from conftest import CUBIC_TEXT, HEADING_TEXT
 
+from ctrlkit import flows
 from ctrlkit.dsl import parse
 from ctrlkit.expr import Constant, Mul, Pow, StateVar, Sub
 from ctrlkit.fields import VectorField
@@ -28,7 +29,6 @@ from ctrlkit.flows import (
     rk4_step,
     save_control,
     save_trajectory_csv,
-    substep_count,
     time_reversal,
     trajectory_to_csv,
 )
@@ -126,11 +126,8 @@ def test_trajectory_csv_format(tmp_path):
 # --- stepping --------------------------------------------------------------
 
 def test_substep_count():
-    assert substep_count(0.0, 0.1) == 0
-    assert substep_count(-1.0, 0.1) == 0
-    assert substep_count(1.0, 0.1) == 10
-    assert substep_count(1.05, 0.1) == 11
-    assert substep_count(0.01, 0.1) == 1
+    nsub, _ = flows._schedule(np.array([1.0, 1.05, 0.01]), 0.1)
+    assert nsub.tolist() == [10, 11, 1]
 
 
 def test_rk4_step_exact_on_constant_field():

@@ -218,7 +218,7 @@ def test_larger_sample_keeps_the_earlier_samples(heading):
     for samples in (1500, 3000):
         durations, values = reach._draw_controls(cfg.seed, samples, cfg.segments, cfg.horizon, cfg.input_box)
         grid = reach._Grid(cfg.window, cfg.resolution)
-        ends, _ = reach._run_batch(f, 2, np.zeros(2), durations, values, cfg.step, [grid])
+        ends, _ = reach._run_batch(f, np.zeros(2), durations, values, cfg.step, grid)
         runs.append((ends, grid.shaped_bitmap()))
     (small_ends, small_map), (large_ends, large_map) = runs
     assert np.array_equal(small_ends, large_ends[:1500])
@@ -245,7 +245,7 @@ def test_run_batch_endpoints_match_integrate(cubic):
     assert len(np.unique(np.ceil(durations / 2e-2))) > 10
     x0 = np.array([0.1, -0.2, 0.3])
     f = compile_components(cubic.rhs, 3, 1)
-    ends, dead = reach._run_batch(f, 3, x0, durations, values, 2e-2, [])
+    ends, dead = reach._run_batch(f, x0, durations, values, 2e-2)
     assert not dead.any()
     for i in range(20):
         want = integrate(cubic, x0, _row_control(durations, values, i), 2e-2).endpoint
@@ -258,7 +258,7 @@ def test_sample_reach_drops_exactly_the_rows_that_blow_up():
     x0 = np.array([0.5])
     durations, values = reach._draw_controls(cfg.seed, cfg.samples, cfg.segments, cfg.horizon, cfg.input_box)
     f = compile_components(boom.rhs, 1, 1)
-    _, dead = reach._run_batch(f, 1, x0, durations, values, cfg.step, [])
+    _, dead = reach._run_batch(f, x0, durations, values, cfg.step)
     grid = reach._Grid(cfg.window, cfg.resolution)
     blew_up = np.zeros(cfg.samples, dtype=bool)
     late = 0
@@ -507,6 +507,58 @@ def test_runs_past_the_work_budget_are_rejected(heading, run):
                 bounded_reach_check(heading, [0.0, 0.0], ((-1.0, 1.0),), cfg)
             else:
                 two_point_steer(heading, [0.0, 0.0], [1.0, 0.0], cfg, tol=1e-3)
+
+
+def _ext_cfg(**overrides):
+    """A small config for heading's extension."""
+    return heading_cfg(samples=10, window=((-2.0, 2.0),) * 3, resolution=(16, 16, 4), **overrides)
+
+
+@pytest.mark.parametrize("run", ["sample", "compare", "bounded", "steer"])
+def test_boxes_need_one_axis_per_input(heading, run):
+    # heading has one input: a box with a second column, or with none, is
+    # refused, the rate box of the bounded check and the steer box included
+    for box in (((-1.0, 1.0), (-50.0, 50.0)), ()):
+        with pytest.raises(ValueError, match="rate axes"):
+            if run == "sample":
+                sample_reach(heading, [0.0, 0.0], heading_cfg(samples=10, input_box=box))
+            elif run == "compare":
+                coverage_compare(heading, [0.0, 0.0], heading_cfg(samples=10), _ext_cfg(input_box=box))
+            elif run == "bounded":
+                bounded_reach_check(heading, [0.0, 0.0], ((-1.0, 1.0),), heading_cfg(samples=10), rate_box=box)
+            else:
+                two_point_steer(heading, [0.0, 0.0], [1.0, 0.0], heading_cfg(samples=10, input_box=box), tol=1e-3)
+
+
+def test_second_run_config_fails_before_anything_runs(heading, monkeypatch):
+    def no_runs(*args):
+        raise AssertionError("a run started before every config was checked")
+
+    monkeypatch.setattr(reach, "_run_batch", no_runs)
+    cfg = heading_cfg(samples=10)
+    with pytest.raises(ValueError, match="row-substeps"):
+        coverage_compare(heading, [0.0, 0.0], cfg, _ext_cfg(step=1e-9))
+    with pytest.raises(ValueError, match="rate axes"):
+        coverage_compare(heading, [0.0, 0.0], cfg, _ext_cfg(input_box=((-1.0, 1.0),) * 2))
+    with pytest.raises(ValueError, match="rate axes"):
+        bounded_reach_check(heading, [0.0, 0.0], ((-1.0, 1.0),), cfg, rate_box=((-1.0, 1.0),) * 2)
+
+
+@pytest.mark.parametrize("run", ["sample", "compare", "bounded", "steer", "steer target"])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_non_finite_start_and_target_are_rejected(heading, run, bad):
+    cfg = heading_cfg(samples=10)
+    with pytest.raises(ValueError, match="finite"):
+        if run == "sample":
+            sample_reach(heading, [bad, 0.0], cfg)
+        elif run == "compare":
+            coverage_compare(heading, [bad, 0.0], cfg, _ext_cfg())
+        elif run == "bounded":
+            bounded_reach_check(heading, [bad, 0.0], ((-1.0, 1.0),), cfg)
+        elif run == "steer":
+            two_point_steer(heading, [bad, 0.0], [1.0, 0.0], cfg, tol=1e-3)
+        else:
+            two_point_steer(heading, [0.0, 0.0], [bad, 0.0], cfg, tol=1e-3)
 
 
 def test_config_casts_its_numbers():
