@@ -18,7 +18,7 @@ from .expr import (
     Constant, EvalError, Mul, StateVar, Sub, eval_expr, is_probably_zero, node_count, probe_block,
 )
 from .fields import VectorField, eval_vf, lie_bracket
-from .records import finite_floats, write_json
+from . import records
 
 RANK_TOL = 1e-9
 NODE_BUDGET = 200_000
@@ -182,10 +182,7 @@ def larc_point(point, max_depth: int, n: int) -> np.ndarray:
     """`point` as an array; ValueError unless max_depth >= 1 and it has n finite entries."""
     if max_depth < 1:
         raise ValueError("max_depth must be at least 1")
-    point = np.array(finite_floats(point, "point"))
-    if point.shape != (n,):
-        raise ValueError(f"point needs {n} entries")
-    return point
+    return records.point(point, n, "point")
 
 
 def larc(aff: AffineSystem, point, max_depth: int, node_budget: int = NODE_BUDGET) -> LarcReport:
@@ -276,4 +273,4 @@ def _in_span_everywhere(existing: list[np.ndarray], candidate: np.ndarray) -> bo
 
 
 def save_larc_report(report: LarcReport, path: str):
-    write_json(path, report.to_json())
+    records.write_json(path, report.to_json())

@@ -19,7 +19,7 @@ import numpy as np
 from .dsl import ControlSystem
 from .expr import Neg, compile_components
 from .fields import VectorField
-from .records import BAD_RECORD, finite_floats, integer, read_json, write_json
+from .records import BAD_RECORD, finite_floats, integer, point, read_json, require_positive, write_json
 from .transform import ExtensionRecord
 
 BLOWUP_LIMIT = 1e12
@@ -42,15 +42,10 @@ class PiecewiseControl:
 
     def __post_init__(self):
         norm = []
-        for seg in self.segments:
-            duration, values = seg
+        for duration, values in self.segments:
             duration = float(duration)
-            values = tuple(float(v) for v in values)
-            if not (duration > 0.0 and math.isfinite(duration)):
-                raise ValueError(f"segment duration must be positive and finite, got {duration}")
-            if any(not math.isfinite(v) for v in values):
-                raise ValueError("control values must be finite")
-            norm.append((duration, values))
+            require_positive(duration, "segment duration")
+            norm.append((duration, tuple(finite_floats(values, "control values"))))
         object.__setattr__(self, "segments", tuple(norm))
         widths = {len(v) for _, v in norm}
         if len(widths) > 1:
@@ -144,12 +139,6 @@ def save_trajectory_csv(traj: Trajectory, state_names, path: str):
         fh.write(trajectory_to_csv(traj, state_names))
 
 
-def require_positive(value, what: str):
-    """ValueError unless `value` is positive and finite."""
-    if not (value > 0.0 and math.isfinite(value)):
-        raise ValueError(f"{what} must be positive and finite")
-
-
 def rk4_step(f, x, u, h):
     """One classical step, written out: the reference that the generated
     `f.step` of `compile_components` matches bit for bit."""
@@ -240,9 +229,7 @@ def integrate(sys: ControlSystem, x0, ctrl: PiecewiseControl, step: float = DEFA
     """Fixed-step RK4 through every control segment.  Substeps never
     exceed `step` and each segment boundary is hit exactly."""
     require_positive(step, "step")
-    x = np.asarray(x0, dtype=float)
-    if x.shape != (sys.n,):
-        raise ValueError(f"x0 must have {sys.n} entries, got shape {x.shape}")
+    x = point(x0, sys.n, "x0")
     # every segment of a PiecewiseControl has the same number of channels
     if ctrl.segments and len(ctrl.segments[0][1]) != sys.m:
         raise ValueError(f"control has {len(ctrl.segments[0][1])} channels, system expects {sys.m}")
@@ -258,11 +245,9 @@ def flow_endpoint(vf: VectorField, x0, t: float, step: float = DEFAULT_STEP) -> 
     """Endpoint of the autonomous flow for a signed time; negative t flows
     the negated field."""
     require_positive(step, "step")
-    x = np.asarray(x0, dtype=float)
-    if x.shape != (vf.n,):
-        raise ValueError(f"x0 must have {vf.n} entries")
+    x = point(x0, vf.n, "x0")
     if t == 0.0:
-        return x.copy()
+        return x
     comps = vf.components if t > 0 else tuple(Neg(c) for c in vf.components)
     f = compile_components(comps, vf.n, 0)
     return _run_row(f, x, np.array([abs(t)]), np.zeros((1, 0)), step)
@@ -326,16 +311,9 @@ def realize_conjugated_drift(
     channels = [int(c) for c in channels]
     if len(beta) != len(channels):
         raise ValueError("beta and channels must have equal length")
-    require_positive(sigma, "drift duration sigma")
-    require_positive(gain, "gain")
-    m = ext.extended.m
-    segments: list[tuple[float, tuple[float, ...]]] = []
-    for b, ch in zip(beta[::-1], channels[::-1]):
-        segments.extend(realize_jump(ext, ch, -b, gain).segments)
-    segments.append((sigma, tuple([0.0] * m)))
-    for b, ch in zip(beta, channels):
-        segments.extend(realize_jump(ext, ch, b, gain).segments)
-    return PiecewiseControl(tuple(segments))
+    out = [Jump(ch, -b) for b, ch in zip(beta[::-1], channels[::-1])]
+    back = [Jump(ch, b) for b, ch in zip(beta, channels)]
+    return realize_plan(ext, FlowPlan((*out, Drift(sigma, (0.0,) * ext.original.m), *back)), gain)
 
 
 def _walk(ext: ExtensionRecord, plan: FlowPlan):
@@ -363,7 +341,7 @@ def realize_plan(ext: ExtensionRecord, plan: FlowPlan, gain: float) -> Piecewise
     for _, seg in _walk(ext, plan):
         if isinstance(seg, Jump):
             segments.extend(realize_jump(ext, seg.channel, seg.displacement, gain).segments)
-        else:
+        else:  # its values are not read: a drift runs wherever the jumps left the integrators
             segments.append((seg.duration, (0.0,) * ext.extended.m))
     return PiecewiseControl(tuple(segments))
 
@@ -375,9 +353,7 @@ def ideal_plan_endpoint(ext: ExtensionRecord, plan: FlowPlan, p0, step: float = 
     rounding that a sum of displacements can leave."""
     require_positive(step, "step")
     n, m = ext.original.n, ext.original.m
-    p = np.asarray(p0, dtype=float).copy()
-    if p.shape != (n + m,):
-        raise ValueError(f"extended point needs {n + m} entries")
+    p = point(p0, n + m, "extended point")
     f = compile_components(ext.original.rhs, n, m)
     for i, seg in _walk(ext, plan):
         y = p[n:]

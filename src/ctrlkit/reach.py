@@ -16,8 +16,8 @@ import numpy as np
 
 from .dsl import ControlSystem
 from .expr import compile_components
-from .flows import PiecewiseControl, Trajectory, require_positive, rk4_rows
-from .records import finite_floats, integer
+from .flows import PiecewiseControl, Trajectory, rk4_rows
+from .records import integer, point, require_positive
 from .transform import ExtensionRecord, extend
 
 CONSISTENCY_THRESHOLD = 0.05
@@ -235,9 +235,7 @@ def _cover(sys: ControlSystem, x0, cfg: ReachConfig, step: float, durations, val
 def sample_reach(sys: ControlSystem, x0, cfg: ReachConfig) -> ReachEstimate:
     """Coverage of the window grid by random piecewise-constant controls.
     Deterministic for a given config: same seed, same bitmap."""
-    x0 = np.array(finite_floats(x0, "x0"))
-    if x0.shape != (sys.n,):
-        raise ValueError(f"x0 needs {sys.n} entries")
+    x0 = point(x0, sys.n, "x0")
     if len(cfg.window) != sys.n:
         raise ValueError(f"window needs {sys.n} axes")
     return _cover(sys, x0, cfg, cfg.step, *_draw(cfg, sys.m, cfg.samples))
@@ -289,7 +287,7 @@ def coverage_compare(sys: ControlSystem, x0, cfg: ReachConfig, cfg_ext: ReachCon
     _draw(cfg_ext, m, 0)  # the second run's config fails before the first run
 
     est = sample_reach(sys, x0, cfg)
-    x0e = np.concatenate([finite_floats(x0, "x0"), np.zeros(m)])
+    x0e = np.concatenate([point(x0, n, "x0"), np.zeros(m)])
     proj = _cover(record.extended, x0e, cfg, cfg_ext.step, *_draw(cfg_ext, m, cfg_ext.samples))
     difference = abs(est.coverage - proj.coverage)
     return CompareReport(
@@ -336,7 +334,7 @@ def bounded_reach_check(
     y_path = y0[None, None, :] + np.cumsum(values * durations[:, :, None], axis=1)
     outside = (y_path < lows) | (y_path > highs)
     keep = ~outside.any(axis=(1, 2))
-    x0e = np.concatenate([finite_floats(x0, "x0"), y0])
+    x0e = np.concatenate([point(x0, sys.n, "x0"), y0])
     proj = _cover(record.extended, x0e, cfg, cfg.step, durations[keep], values[keep])
     return BoundedReachReport(original=est, extended_projected=proj, rejected=int((~keep).sum()))
 
@@ -354,10 +352,8 @@ def two_point_steer(sys: ControlSystem, x0, x1, cfg: ReachConfig, tol: float) ->
     controls, then shrinking coordinate perturbations of the best one.
     The total integration budget is cfg.samples."""
     n, m = sys.n, sys.m
-    x0 = np.array(finite_floats(x0, "x0"))
-    x1 = np.array(finite_floats(x1, "x1"))
-    if x0.shape != (n,) or x1.shape != (n,):
-        raise ValueError(f"endpoints need {n} entries")
+    x0, x1 = point(x0, n, "x0"), point(x1, n, "x1")
+    _draw(cfg, m, 0)  # the config is checked even when there is nothing to steer
     start_dist = float(np.linalg.norm(x1 - x0))
     if start_dist <= tol:
         return SteerResult(True, PiecewiseControl(()), start_dist, 0)

@@ -1,10 +1,12 @@
-"""The JSON file format of every record ctrlkit reads or writes, and the
-one rule for what makes a record malformed."""
+"""The JSON file format of every record ctrlkit reads or writes, the one
+rule for what makes a record malformed, and the numeric input rules."""
 
 from __future__ import annotations
 
 import json
 import math
+
+import numpy as np
 
 # what building a record from parsed JSON values raises on a malformed
 # file: a missing key, a wrong type or value, a short list, or an
@@ -40,4 +42,19 @@ def finite_floats(values, what: str) -> list[float]:
         raise ValueError(f"{what} must be a list of numbers: {exc}") from exc
     if not all(map(math.isfinite, out)):
         raise ValueError(f"{what} must be finite, got {out}")
+    return out
+
+
+def require_positive(value, what: str):
+    """ValueError unless `value` is positive and finite."""
+    if not (value > 0.0 and math.isfinite(value)):
+        raise ValueError(f"{what} must be positive and finite")
+
+
+def point(values, n: int, what: str) -> np.ndarray:
+    """`values` as an array of `n` finite floats: the one reader of every
+    start, target and evaluation point; ValueError naming `what` otherwise."""
+    out = np.array(finite_floats(values, what))
+    if out.shape != (n,):
+        raise ValueError(f"{what} needs {n} entries")
     return out

@@ -361,6 +361,34 @@ def test_realize_rejects_bad_inputs(tmp_path, capsys):
     assert main(["realize", src, "--plan", bad_kind, "--out", out]) == 1
 
 
+@pytest.mark.parametrize("case", ["a:b:c", "0:80:4", "80:10:4", "10:80:0", "config list", "plan list"])
+def test_bad_sweep_config_or_plan_exits_1_and_writes_no_table(tmp_path, capsys, case):
+    src = write(tmp_path / "cubic.sys", CUBIC_TEXT)
+    plan = write(tmp_path / "plan.json", json.dumps(plan_json()))
+    out = str(tmp_path / "table.csv")
+    if case == "config list":
+        listed = write(tmp_path / "list.json", json.dumps([reach_config()]))
+        argv = ["reach", src, "--x0", "0,0,0", "--config", listed, "--out", out]
+    elif case == "plan list":
+        listed = write(tmp_path / "list.json", json.dumps([plan_json()]))
+        argv = ["realize", src, "--plan", listed, "--out", out]
+    else:
+        argv = ["realize", src, "--plan", plan, "--gain-sweep", case, "--out", out]
+    assert main(argv) == 1
+    assert not (tmp_path / "table.csv").exists()
+    assert_input_error(tmp_path, capsys, "cubic.sys.manifest.json")
+
+
+def test_realize_one_step_sweep_writes_one_row_at_lo(tmp_path, capsys):
+    src = write(tmp_path / "cubic.sys", CUBIC_TEXT)
+    plan = write(tmp_path / "plan.json", json.dumps(plan_json()))
+    out = str(tmp_path / "table.csv")
+    assert main(["realize", src, "--plan", plan, "--gain-sweep", "10:80:1", "--out", out]) == 0
+    lines = (tmp_path / "table.csv").read_text().splitlines()
+    assert lines[0] == "gain,error"
+    assert [ln.split(",")[0] for ln in lines[1:]] == ["10"]
+
+
 @pytest.mark.parametrize("step", ["inf", "nan"])
 def test_realize_non_finite_step_exits_1(tmp_path, capsys, step):
     src = write(tmp_path / "cubic.sys", CUBIC_TEXT)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from ctrlkit.dsl import (
+    AffineSystem,
     ControlSystem,
     DslError,
     NotAffineReport,
@@ -29,7 +30,7 @@ from ctrlkit.expr import (
     Sub,
     eval_expr,
 )
-from ctrlkit.fields import eval_vf
+from ctrlkit.fields import VectorField, eval_vf
 from conftest import CUBIC_TEXT, HEADING_TEXT
 
 
@@ -267,3 +268,36 @@ def test_every_node_type_renders_to_pinned_text():
     text = render_expression(e, ["p", "q"], ["a", "b"])
     assert text == "2.5 * p^-2 + -(3.0) / (sin(a) * q) - (cos(q - -1.25) * exp(-((p + b)^3)) - (0.5)^2)"
     assert parse_expression(text, ["p", "q"], ["a", "b"]) == e
+
+
+@pytest.mark.parametrize("fields, error", [
+    ({"name": "9lives"}, ValueError),
+    ({"name": "system"}, ValueError),
+    ({"states": ("x1", "x-2")}, ValueError),
+    ({"inputs": ("sin",)}, ValueError),
+    ({"states": (), "rhs": ()}, ValueError),
+    ({"inputs": ("x1",)}, ValueError),
+    ({"rhs": (InputVar(0),)}, ValueError),
+    ({"rhs": (StateVar(1), 1.0)}, TypeError),
+    ({"rhs": (StateVar(2), InputVar(0))}, ValueError),
+    ({"rhs": (StateVar(1), InputVar(1))}, ValueError),
+], ids=["bad name", "reserved name", "bad state", "reserved input", "no states", "duplicate",
+        "equation count", "not an expression", "undeclared state", "undeclared input"])
+def test_control_system_constructor_rejects(fields, error):
+    base = {"name": "s", "states": ("x1", "x2"), "inputs": ("u",), "rhs": (StateVar(1), InputVar(0))}
+    ControlSystem(**base)
+    with pytest.raises(error):
+        ControlSystem(**{**base, **fields})
+
+
+@pytest.mark.parametrize("fields", [
+    {"drift": VectorField((Constant(0.0),), n=1)},
+    {"channels": ()},
+    {"channels": (VectorField((Constant(1.0),), n=1),)},
+], ids=["drift off the state space", "channel count", "channel off the state space"])
+def test_affine_system_constructor_rejects(fields):
+    field = VectorField((Constant(0.0), Constant(1.0)), n=2)
+    base = {"name": "a", "states": ("x1", "x2"), "input_names": ("u",), "drift": field, "channels": (field,)}
+    AffineSystem(**base)
+    with pytest.raises(ValueError):
+        AffineSystem(**{**base, **fields})

@@ -426,6 +426,14 @@ def test_steer_trivial_when_already_there(heading):
     assert res.evaluations == 0
 
 
+@pytest.mark.parametrize("overrides, words", [({"input_box": ()}, "rate axes"), ({"step": 1e-9}, "row-substeps")])
+def test_steer_checks_its_config_when_already_there(heading, overrides, words):
+    # the trivial answer used to come before the draw that checks the box
+    # and the work budget, so a bad config returned success
+    with pytest.raises(ValueError, match=words):
+        two_point_steer(heading, [0.3, 0.4], [0.3, 0.4], heading_cfg(**overrides), 1e-6)
+
+
 def test_steer_scalar_integrator():
     scalar = parse("system scalar\nstates x\ninputs u\ndx = u\n")
     cfg = ReachConfig(

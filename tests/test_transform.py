@@ -1,12 +1,14 @@
 """Integrator extension and reduction, with certificate replay."""
 
+import json
 from dataclasses import replace
 
 import pytest
 
 from ctrlkit.dsl import NotAffineReport, parse, to_affine
-from ctrlkit.expr import InputVar, Sin, StateVar
+from ctrlkit.expr import InputVar, Mul, Sin, StateVar
 from ctrlkit.transform import (
+    _unstrip,
     certificate_from_json,
     certificate_to_json,
     extend,
@@ -168,6 +170,49 @@ def test_tampered_certificate_fails_replay(chain5):
     assert not verify_roundtrip(bad)
     bad2 = replace(cert, steps=(replace(cert.steps[1], scale=7.0),) + cert.steps[:1])
     assert not verify_roundtrip(bad2)
+
+
+def _tamper(**change):
+    def run(cert, tmp_path):
+        _unstrip(cert.reduced, replace(cert.steps[-1], **change))
+    return run
+
+
+def _load(edit):
+    def run(cert, tmp_path):
+        path = tmp_path / "cert.json"
+        path.write_text(json.dumps(edit(certificate_to_json(cert))))
+        load_certificate(str(path))
+    return run
+
+
+@pytest.mark.parametrize("case", [
+    _tamper(input_index=5),
+    _tamper(promoted="w"),
+    _tamper(state_index=9),
+    _load(lambda good: [good]),
+    _load(lambda good: {k: v for k, v in good.items() if k != "steps"}),
+    _load(lambda good: {**good, "steps": [{"bogus": 1}]}),
+    _load(lambda good: {**good, "reduced": "system ?"}),
+], ids=["input index", "promoted input", "state index", "not an object", "no steps", "bad step", "bad system"])
+def test_tampered_or_malformed_certificate_raises_value_error(chain5, tmp_path, case):
+    cert = reduce_integrator(chain5)
+    _tamper()(cert, tmp_path)
+    _load(lambda good: good)(cert, tmp_path)
+    with pytest.raises(ValueError):
+        case(cert, tmp_path)
+
+
+@pytest.mark.parametrize("states, rhs", [
+    ("z x2 x3", "dz = u\ndx2 = x3\ndx3 = z*x2"),
+    ("x1 z x3", "dx1 = x3\ndz = u\ndx3 = z*x1"),
+], ids=["first", "middle"])
+def test_strip_renumbers_the_states_after_the_stripped_one(states, rhs):
+    cert = reduce_integrator(parse(f"system p\nstates {states}\ninputs u\n{rhs}\n"))
+    assert cert.count == 1 and cert.steps[0].state == "z"
+    # the states after z move down one index; z itself becomes the input
+    assert cert.reduced.rhs == (StateVar(1), Mul(InputVar(0), StateVar(0)))
+    assert verify_roundtrip(cert)
 
 
 def test_deeper_chain_counts(cubic):
