@@ -434,9 +434,28 @@ def is_probably_zero(e: Expr, n: int, m: int) -> bool:
     return True
 
 
+def ipow(b, k: int):
+    """b ** k for an integer k by squaring and multiplying, 1.0 over that
+    for k < 0: O(log |k|) products, which round the same on every numpy
+    SIMD path, where `**` calls pow(), whose bits follow it.  Up to |k| = 3
+    these are the left-to-right products b * b * b."""
+    if k == 0:
+        return b ** 0
+    r = b
+    for bit in bin(abs(k))[3:]:
+        r = r * r
+        if bit == "1":
+            r = r * b
+    return r if k > 0 else 1.0 / r
+
+
 def expr_source(e: Expr, state: str = "x") -> str:
     """Render as a numpy-ready Python expression (fully parenthesized);
-    state i is named `state` followed by i."""
+    state i is named `state` followed by i.
+
+    A power is a call of `ipow`, which compiled code finds in its
+    namespace.  A power of a base without variables is folded here through
+    `_power`; ExprError when it is not finite or is 0 to a negative power."""
     t = type(e)
     if t is Constant:
         return repr(e.value)
@@ -444,11 +463,19 @@ def expr_source(e: Expr, state: str = "x") -> str:
         return f"{state}{e.index}"
     if t is InputVar:
         return f"u{e.index}"
-    op = op_of(e)
-    args = [expr_source(k, state) for k in e.children()]
     if t is Pow:
         k = e.exponent
-        return f"({args[0]} ** {k if k >= 0 else f'({k})'})"
+        if max_state_index(e.base) < 0 and not contains_input(e.base):
+            try:
+                value = _power(eval_expr(e.base, (), ()), k)
+            except ZeroDivisionError:
+                raise ExprError("zero raised to a negative power") from None
+            if not math.isfinite(value):
+                raise ExprError(f"constant power {value} is not finite")
+            return repr(value)
+        return f"ipow({expr_source(e.base, state)}, {k})"
+    op = op_of(e)
+    args = [expr_source(k, state) for k in e.children()]
     if op.numpy:
         return f"np.{op.numpy}({args[0]})"
     if len(args) == 1:
@@ -489,6 +516,6 @@ def compile_components(exprs, n: int, m: int):
         lines.append(join(f"x{i} + h6 * ({k(1, i)} + 2.0 * {k(2, i)} + 2.0 * {k(3, i)} + {k(4, i)})"
                           for i in range(n)))
         lines.append("_rhs.step = _step")
-    namespace = {"np": np}
+    namespace = {"np": np, "ipow": ipow}
     exec("\n".join(lines), namespace)
     return namespace["_rhs"]

@@ -246,6 +246,8 @@ def flow_endpoint(vf: VectorField, x0, t: float, step: float = DEFAULT_STEP) -> 
     the negated field."""
     require_positive(step, "step")
     x = point(x0, vf.n, "x0")
+    if not math.isfinite(t):
+        raise ValueError(f"flow time t must be finite, got {t}")
     if t == 0.0:
         return x
     comps = vf.components if t > 0 else tuple(Neg(c) for c in vf.components)

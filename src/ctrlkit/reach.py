@@ -120,21 +120,24 @@ class _Grid:
     def __init__(self, window, resolution):
         self.window = _as_box(window)
         self.resolution = tuple(int(r) for r in resolution)
-        self.lows = np.array([w[0] for w in self.window])
-        self.highs = np.array([w[1] for w in self.window])
-        self.res = np.array(self.resolution, dtype=np.int64)
         # row-major: the last axis varies fastest
-        self.strides = np.array([int(np.prod(self.res[a + 1:])) for a in range(len(self.res))], dtype=np.int64)
-        self.bitmap = np.zeros(int(np.prod(self.res)), dtype=bool)
+        strides = [math.prod(self.resolution[a + 1:]) for a in range(len(self.resolution))]
+        self.axes = tuple((lo, hi - lo, r, stride) for (lo, hi), r, stride in zip(self.window, self.resolution, strides))
+        self.bitmap = np.zeros(math.prod(self.resolution), dtype=bool)
 
     def flat_index(self, x: np.ndarray) -> np.ndarray:
-        """Flat cell index per row, -1 for points outside the window."""
-        w = (x[:, :len(self.window)] - self.lows) / (self.highs - self.lows)
+        """Flat cell index per row, -1 for points outside the window.  It
+        goes one axis at a time, with the float operations of
+        `(x - lows) / (highs - lows)` over whole rows."""
+        flat = np.zeros(len(x), dtype=np.int64)
+        ok = np.ones(len(x), dtype=bool)
         with np.errstate(invalid="ignore"):
-            # NaN and inf compare false, so they fall outside too
-            ok = np.all((w >= 0.0) & (w < 1.0), axis=1)
-            cells = np.minimum((w * self.res).astype(np.int64), self.res - 1)
-        return np.where(ok, cells @ self.strides, -1)
+            for a, (lo, span, r, stride) in enumerate(self.axes):
+                w = (x[:, a] - lo) / span
+                # NaN and inf compare false, so they fall outside too
+                ok &= (w >= 0.0) & (w < 1.0)
+                flat += np.minimum((w * float(r)).astype(np.int64), r - 1) * stride
+        return np.where(ok, flat, -1)
 
     def commit(self, marks: np.ndarray):
         self.bitmap |= marks
@@ -147,17 +150,82 @@ class _Grid:
         return self.bitmap.reshape(self.resolution)
 
 
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx) and the
+# multiplier of its PCG64
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
+_POOL = 4
+
+
+def _hasher(const: int, mult: int):
+    """SeedSequence's hashmix on uint32 arrays: each call advances the
+    hash constant, starting from `const`."""
+
+    def hash_words(value):
+        nonlocal const
+        value = value ^ np.uint32(const)
+        const = const * mult & _MASK32
+        value = value * np.uint32(const)
+        return value ^ (value >> np.uint32(16))
+
+    return hash_words
+
+
+def _mix(x, y):
+    value = np.uint32(_MIX_L) * x - np.uint32(_MIX_R) * y
+    return value ^ (value >> np.uint32(16))
+
+
+def _seed_words(seed: int, index: np.ndarray) -> list[np.ndarray]:
+    """`SeedSequence([seed, i]).generate_state(4, np.uint64)` for every
+    i of `index`, each below 2^32, as four uint64 arrays: numpy's uint32
+    arithmetic over all rows at once."""
+    # the seed's 32-bit words, low first (one word for 0), then i's one word
+    words = [seed >> shift & _MASK32 for shift in range(0, max(seed.bit_length(), 1), 32)]
+    entropy = [np.full(len(index), w, dtype=np.uint32) for w in words] + [index.astype(np.uint32)]
+    entropy += [np.zeros(len(index), dtype=np.uint32)] * (_POOL - len(entropy))
+    hashmix = _hasher(_INIT_A, _MULT_A)
+    pool = [hashmix(word) for word in entropy[:_POOL]]
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL:]:
+        for dst in range(_POOL):
+            pool[dst] = _mix(pool[dst], hashmix(word))
+    final = _hasher(_INIT_B, _MULT_B)
+    out = [final(pool[j % _POOL]).astype(np.uint64) for j in range(2 * _POOL)]
+    # little-endian pairs of 32-bit words
+    return [out[2 * j] | (out[2 * j + 1] << np.uint64(32)) for j in range(_POOL)]
+
+
 def _draw_controls(seed: int, count: int, segments: int, horizon: float, box):
-    """Per-trajectory sub-streams: sample i depends only on (seed, i)."""
+    """Per-trajectory sub-streams: sample i depends only on (seed, i).
+    Row i draws what `np.random.default_rng([seed, i])` draws, from one
+    reused Generator whose PCG64 state is seeded as numpy seeds it; i stays
+    below 2^32, one entropy word, because count <= samples <= MAX_WORK."""
     box = np.array(box, dtype=float).reshape(-1, 2)
     m = box.shape[0]
     lows, spans = box[:, 0], box[:, 1] - box[:, 0]
     gam = np.empty((count, segments))
     raw = np.empty((count, segments, m))
-    for i in range(count):
-        rng = np.random.default_rng([seed, i])
-        gam[i] = rng.standard_exponential(segments)
-        raw[i] = rng.random((segments, m))
+    bits = np.random.PCG64(0)
+    gen = np.random.Generator(bits)
+    # a block of rows at a time keeps the hash's arrays and int lists small
+    for start in range(0, count, _CHUNK):
+        index = np.arange(start, min(count, start + _CHUNK))
+        words = zip(*(w.tolist() for w in _seed_words(seed, index)))
+        for i, (s_hi, s_lo, q_hi, q_lo) in zip(index.tolist(), words):
+            # pcg64_srandom_r in 128-bit ints
+            inc = ((q_hi << 64 | q_lo) << 1 | 1) & _MASK128
+            state = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128
+            bits.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc}, "has_uint32": 0, "uinteger": 0}
+            gam[i] = gen.standard_exponential(segments)
+            raw[i] = gen.random((segments, m))
     # rng.dirichlet(ones) draws these same exponentials and scales them by
     # the reciprocal of their sum taken in order; cumsum adds in order too,
     # where np.sum pairs terms once there are 8 or more

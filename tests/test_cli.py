@@ -652,6 +652,22 @@ def test_constant_that_overflows_when_evaluated_exits_1(tmp_path, capsys, comman
     assert_input_error(tmp_path, capsys, "big.sys.manifest.json")
 
 
+@pytest.mark.parametrize("command", ["reach", "simulate", "realize"])
+def test_zero_to_a_negative_power_exits_1(tmp_path, capsys, command):
+    # 0^-1 has no variable, so it is folded when the rhs is compiled
+    src = write(tmp_path / "zero.sys", "system zero\nstates x1\ninputs u\ndx1 = 0^-1 * x1 + u\n")
+    cfg = write(tmp_path / "cfg.json", json.dumps(reach_config(window=[[-2.0, 2.0]], samples=10)))
+    ctrl = write(tmp_path / "ctrl.json", json.dumps([{"duration": 1.0, "values": [1.0]}]))
+    plan = write(tmp_path / "plan.json", json.dumps(plan_json(start=[0.0, 0.0])))
+    argv = {
+        "reach": ["--x0", "1", "--config", cfg],
+        "simulate": ["--x0", "1", "--control", ctrl],
+        "realize": ["--plan", plan],
+    }[command]
+    assert main([command, src, *argv, "--out", str(tmp_path / "out.csv")]) == 1
+    assert_input_error(tmp_path, capsys, "zero.sys.manifest.json", "zero raised to a negative power")
+
+
 def test_reach_past_the_work_budget_exits_1_at_once(tmp_path, capsys):
     # 10 samples of 10^9 substeps each ran for more than 10 s
     src = write(tmp_path / "heading.sys", HEADING_TEXT)

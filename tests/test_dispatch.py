@@ -1,11 +1,14 @@
-"""The byte goldens at a second numpy SIMD dispatch level.
+"""Bytes across numpy SIMD dispatch levels.
 
 numpy picks its SIMD kernels per process, and `NPY_DISABLE_CPU_FEATURES`
-turns the AVX-512 ones off.  np.sin, np.cos, products and squares round
-the same on the AVX2 path, but np.exp, other integer powers and
-np.geomspace need not, so a golden can hold on one CPU and fail on
-another.  This reruns `tests/test_goldens.py` in a child process with the
-AVX-512 features disabled and expects every hash to match.
+turns some of them off.  np.sin, np.cos, products and squares round the
+same on every path, but np.exp need not, so a golden can hold on one CPU
+and fail on another.  Generated code computes an integer power with
+squares and products, so powers round the same everywhere.  These tests
+run child processes with some levels disabled: one reruns
+`tests/test_goldens.py` with the AVX-512 features off and expects every
+hash to match, and one checks that the bytes of a generated RK4 step on
+a polynomial system are the same at three levels.
 """
 
 import os
@@ -15,6 +18,8 @@ from pathlib import Path
 
 import pytest
 from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+
+from conftest import CUBIC_TEXT
 
 AVX512 = ("AVX512_SPR", "AVX512_ICL", "X86_V4")
 TESTS = Path(__file__).resolve().parent
@@ -31,3 +36,44 @@ def test_goldens_hold_with_avx512_disabled():
         cwd=TESTS.parent, env=env, capture_output=True, text=True, timeout=600,
     )
     assert run.returncode == 0, run.stdout[-4000:] + run.stderr[-2000:]
+
+
+STEP_HASHES = f"""
+import hashlib
+import numpy as np
+from ctrlkit import parse
+from ctrlkit.expr import compile_components
+from ctrlkit.transform import extend
+
+cubic = parse({CUBIC_TEXT!r})
+for sys_ in (cubic, extend(cubic).extended):
+    rng = np.random.default_rng(15)
+    x = rng.uniform(-2.0, 2.0, size=(4096, sys_.n))
+    u = rng.uniform(-2.0, 2.0, size=(4096, sys_.m))
+    h = rng.uniform(1e-3, 2e-2, size=(4096, 1))
+    step = compile_components(sys_.rhs, sys_.n, sys_.m).step(x, u, h)
+    print(sys_.name, hashlib.sha256(step.tobytes()).hexdigest())
+"""
+
+
+@pytest.mark.skipif(
+    not all(f in __cpu_dispatch__ for f in (*AVX512, "X86_V3")),
+    reason="numpy on this host dispatches to no x86-64 levels above its baseline",
+)
+def test_cubic_step_bytes_are_the_same_at_three_dispatch_levels():
+    """cubic holds x3^3 and u^3, and its extension the same powers of
+    states.  Features this host lacks are already off, so naming them
+    changes nothing there."""
+    outputs = []
+    for disabled in (None, AVX512, (*AVX512, "X86_V3")):
+        env = {k: v for k, v in os.environ.items() if k != "NPY_DISABLE_CPU_FEATURES"}
+        if disabled:
+            env["NPY_DISABLE_CPU_FEATURES"] = " ".join(disabled)
+        env["PYTHONPATH"] = os.pathsep.join([str(TESTS.parent / "src"), *filter(None, [env.get("PYTHONPATH")])])
+        run = subprocess.run(
+            [sys.executable, "-c", STEP_HASHES], env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert run.returncode == 0, run.stderr[-2000:]
+        outputs.append(run.stdout)
+    assert outputs[0].count("\n") == 2
+    assert outputs[1] == outputs[0] and outputs[2] == outputs[0], outputs

@@ -262,8 +262,8 @@ def test_every_node_type_renders_to_pinned_text():
             Pow(Constant(0.5), 2)),
     )
     assert expr_source(e) == (
-        "(((2.5 * (x0 ** (-2))) + ((-3.0) / (np.sin(u0) * x1))) - "
-        "((np.cos((x1 - -1.25)) * np.exp((-((x0 + u1) ** 3)))) - (0.5 ** 2)))"
+        "(((2.5 * ipow(x0, -2)) + ((-3.0) / (np.sin(u0) * x1))) - "
+        "((np.cos((x1 - -1.25)) * np.exp((-ipow((x0 + u1), 3)))) - 0.25))"
     )
     text = render_expression(e, ["p", "q"], ["a", "b"])
     assert text == "2.5 * p^-2 + -(3.0) / (sin(a) * q) - (cos(q - -1.25) * exp(-((p + b)^3)) - (0.5)^2)"

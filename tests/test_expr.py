@@ -29,6 +29,7 @@ from ctrlkit.expr import (
     contains_input,
     diff,
     eval_expr,
+    expr_source,
     is_probably_zero,
     iter_nodes,
     max_input_index,
@@ -221,6 +222,56 @@ def test_compile_components_constant_rhs_broadcasts():
     out = f(np.zeros((7, 1)), np.zeros((7, 0)))
     assert out.shape == (7, 2)
     assert np.all(out[:, 0] == 2.0)
+
+
+def test_integer_powers_compile_to_squares_and_products():
+    x = np.random.default_rng(5).uniform(-2.0, 2.0, size=(64, 2))
+    products = {
+        0: lambda b: np.ones_like(b),
+        1: lambda b: b,
+        2: lambda b: b * b,
+        3: lambda b: b * b * b,
+        4: lambda b: (b * b) * (b * b),
+        5: lambda b: ((b * b) * (b * b)) * b,
+        6: lambda b: ((b * b) * b) * ((b * b) * b),
+    }
+    for k in (-3, -2, -1, 0, 1, 2, 3, 4, 5, 6):
+        got = compile_components([Pow(Add(X0, X1), k), Pow(X1, k)], 2, 0)(x, np.zeros((64, 0)))
+        for col, base in enumerate((x[:, :1] + x[:, 1:], x[:, 1:])):
+            prod = products[abs(k)](base)
+            assert np.array_equal(got[:, col:col + 1], prod if k >= 0 else 1.0 / prod), (k, col)
+    assert expr_source(Add(Pow(Add(Pow(Sub(X0, X1), 2), X0), 3), Pow(Neg(X1), -2))) == (
+        "(ipow((ipow((x0 - x1), 2) + x0), 3) + ipow((-x1), -2))"
+    )
+
+
+@pytest.mark.parametrize("k, want", [
+    (5000, [np.inf, 1.0, 0.0, 0.0, 0.0, 1.0, np.inf]),
+    (1_000_000_000, [np.inf, 1.0, 0.0, 0.0, 0.0, 1.0, np.inf]),
+    (-1_000_000_001, [0.0, -1.0, -np.inf, np.inf, np.inf, 1.0, 0.0]),
+])
+def test_large_powers_compile_and_evaluate(k, want):
+    # about 2 log2(k) products, not k
+    x = np.array([[-2.0], [-1.0], [-0.5], [0.0], [0.5], [1.0], [2.0]])
+    with np.errstate(over="ignore", under="ignore", divide="ignore"):
+        got = compile_components([Pow(X0, k)], 1, 0)(x, np.zeros((7, 0)))[:, 0]
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("power, words", [
+    (Pow(Constant(0.0), -1), "zero raised to a negative power"),
+    (Pow(Sub(Constant(1.0), Constant(1.0)), -2), "zero raised to a negative power"),
+    (Pow(Constant(2.0), 2000), "not finite"),
+    (Pow(Div(Constant(1.0), Sub(Constant(1.0), Constant(1.0))), 2), "division by zero"),
+])
+def test_constant_powers_that_cannot_be_folded_fail_to_compile(power, words):
+    with pytest.raises(ExprError, match=words):
+        compile_components([Mul(power, X0)], 1, 0)
+
+
+def test_constant_powers_fold_to_their_value():
+    assert expr_source(Mul(Pow(Constant(0.5), -2), X0)) == "(4.0 * x0)"
+    assert expr_source(Pow(Add(Constant(1.0), Constant(2.0)), 3)) == "27.0"
 
 
 def test_simplify_overflowing_fold_raises_expr_error():

@@ -405,3 +405,10 @@ def test_flow_endpoint_rejects_bad_step(step):
     growth = VectorField((StateVar(0),), 1)
     with pytest.raises(ValueError, match="step"):
         flow_endpoint(growth, [1.0], 1.0, step=step)
+
+
+@pytest.mark.parametrize("t", [float("nan"), float("inf"), float("-inf")])
+def test_flow_endpoint_rejects_non_finite_time(t):
+    growth = VectorField((StateVar(0),), 1)
+    with pytest.raises(ValueError, match="flow time t must be finite"):
+        flow_endpoint(growth, [1.0], t)

@@ -9,11 +9,11 @@ is; a change that moves one must say which and why.
 
 The hashes were taken with numpy `NUMPY_VERSION` on x86-64 Linux.  Another
 numpy build may round np.sin and np.cos differently, so on a mismatch
-check the numpy version first.  Within one build, np.exp and integer
-powers other than 2 round by numpy's SIMD dispatch level.  The cases here
-keep their hashes at both levels of an AVX-512 host, which
-`tests/test_dispatch.py` checks by rerunning this file with the AVX-512
-paths disabled.
+check the numpy version first.  Within one build, np.exp rounds by
+numpy's SIMD dispatch level; generated code computes integer powers
+with squares and products, so they do not.  The cases here keep their
+hashes at both levels of an AVX-512 host, which `tests/test_dispatch.py`
+checks by rerunning this file with the AVX-512 paths disabled.
 """
 
 import hashlib

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -182,6 +183,67 @@ def test_draw_controls_match_per_row_dirichlet(seed, segments, m):
         rng = np.random.default_rng([seed, i])
         assert np.array_equal(durations[i], rng.dirichlet(np.ones(segments)) * 2.5), f"row {i}"
         assert np.array_equal(values[i], lows + rng.random((segments, m)) * spans), f"row {i}"
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**31 - 2, 2**32 - 1, 2**32, 2**64 + 5, 2**200 + 3])
+@pytest.mark.parametrize("box, count", [(((0.0, 1.0),), 2049), (((0.0, 1.0), (-2.0, 3.0)), 4100)])
+def test_draw_controls_equal_per_row_default_rng(seed, box, count):
+    """Row i draws what default_rng([seed, i]) draws, exponentials first,
+    across the 2048-row blocks and for seeds of one to seven 32-bit words."""
+    segments, m = 5, len(box)
+    gam = np.empty((count, segments))
+    raw = np.empty((count, segments, m))
+    for i in range(count):
+        rng = np.random.default_rng([seed, i])
+        gam[i] = rng.standard_exponential(segments)
+        raw[i] = rng.random((segments, m))
+    durations, values = reach._draw_controls(seed, count, segments, 2.5, box)
+    assert np.array_equal(durations, gam * (1.0 / np.cumsum(gam, axis=1)[:, -1:]) * 2.5)
+    assert np.array_equal(values[:, :, 0], raw[:, :, 0])  # lo 0 and span 1 leave raw as it is
+    assert np.array_equal(values[:, :, 1:], -2.0 + raw[:, :, 1:] * 5.0)
+
+
+def _grid_arrays(grid):
+    """The grid's window and resolution as lows, highs and res arrays."""
+    lows, highs = np.array(grid.window).T
+    return lows, highs, np.array(grid.resolution, dtype=np.int64)
+
+
+def _whole_row_flat_index(grid, x):
+    """The flat index over whole rows at once, with an int64 `@`."""
+    lows, highs, res = _grid_arrays(grid)
+    w = (x[:, :len(grid.window)] - lows) / (highs - lows)
+    strides = np.array([math.prod(grid.resolution[a + 1:]) for a in range(len(grid.resolution))], dtype=np.int64)
+    with np.errstate(invalid="ignore"):
+        ok = np.all((w >= 0.0) & (w < 1.0), axis=1)
+        cells = np.minimum((w * res).astype(np.int64), res - 1)
+    return np.where(ok, cells @ strides, -1)
+
+
+@pytest.mark.parametrize("window, resolution", [
+    (((-2.0, 2.0), (0.0, 1.0)), (40, 40)),
+    (((-2.0, 2.0), (-2.0, 2.0), (-5.0, 5.0)), (40, 40, 10)),
+    (((0.0, 1.0), (-1.0, 3.0), (-0.5, 0.25), (-3.0, -1.0)), (16, 16, 16, 8)),
+])
+def test_flat_index_equals_the_whole_row_formula(window, resolution):
+    grid = reach._Grid(window, resolution)
+    d = len(window)
+    lows, highs, _ = _grid_arrays(grid)
+    rng = np.random.default_rng(11)
+    inside = rng.uniform(lows, highs, size=(300, d))
+    specials = []
+    for a, (lo, hi) in enumerate(window):
+        for v in (np.nan, np.inf, -np.inf, -0.0, lo, hi, np.nextafter(hi, -np.inf)):
+            row = inside[len(specials)].copy()
+            row[a] = v
+            specials.append(row)
+    corners = np.array([[lo for lo, _ in window], [np.nextafter(hi, -np.inf) for _, hi in window]])
+    wide = rng.uniform(lows - 1.0, highs + 1.0, size=(300, d))
+    x = np.vstack([inside, specials, corners, wide, -0.0 * np.ones((1, d))])
+    x = np.hstack([x, rng.uniform(-1.0, 1.0, size=(len(x), 1))])  # a trailing axis the grid does not cover
+    want = _whole_row_flat_index(grid, x)
+    assert np.array_equal(grid.flat_index(x), want)
+    assert (want == -1).any() and (want >= 0).sum() > 300
 
 
 def test_sample_reach_memory_does_not_grow_with_horizon(heading):
@@ -470,9 +532,10 @@ def test_grid_flat_index_matches_ravel_multi_index():
     rng = np.random.default_rng(3)
     x = rng.uniform(-3.0, 4.0, size=(500, 3))
     x[:4] = [[np.nan, 0.0, 0.5], [np.inf, 0.0, 0.5], [0.0, -np.inf, 0.5], [2.0, 0.0, 0.5]]
-    inside = np.all((x >= grid.lows) & (x < grid.highs), axis=1)
-    cells = np.floor((x[inside] - grid.lows) / (grid.highs - grid.lows) * grid.res).astype(np.int64)
-    cells = np.minimum(cells, grid.res - 1)
+    lows, highs, res = _grid_arrays(grid)
+    inside = np.all((x >= lows) & (x < highs), axis=1)
+    cells = np.floor((x[inside] - lows) / (highs - lows) * res).astype(np.int64)
+    cells = np.minimum(cells, res - 1)
     want = np.full(len(x), -1)
     want[inside] = np.ravel_multi_index(cells.T, grid.resolution)
     got = grid.flat_index(x)
