@@ -26,6 +26,7 @@ import numpy as np
 from . import __version__
 from .certificates import NotLinearReport, kalman_report, larc, larc_point, linear_of
 from .dsl import NotAffineReport, parse, serialize, to_affine
+from .expr import fold
 from .flows import (
     DEFAULT_STEP,
     BlowUpError,
@@ -75,7 +76,10 @@ def _write_json(manifest: dict, path: str, data):
 def _read_system(args, manifest):
     _note_input(manifest, args.file)
     with open(args.file) as fh:
-        return parse(fh.read())
+        sys_ = parse(fh.read())
+    for e in sys_.rhs:  # bad input on every subcommand, also on those that compile nothing
+        fold(e)
+    return sys_
 
 
 def _load_json(manifest: dict, path: str, what: str):

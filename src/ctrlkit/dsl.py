@@ -17,6 +17,7 @@ parse and serialize are exact inverses on valid systems.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from functools import reduce
@@ -286,15 +287,15 @@ class _ExprParser:
 
     def base(self) -> Expr:
         kind, text, col = self.next()
-        if kind == "number":
-            return Constant(float(text))
-        if kind == "op" and text == "-":
+        if kind == "op" and text == "-" and self.peek()[0] == "number":
             # fold a directly attached literal so -2 is the constant -2,
             # while -(2) stays an explicit negation
-            k2, t2, _ = self.peek()
-            if k2 == "number":
-                self.next()
-                return Constant(-float(t2))
+            kind, text = "number", "-" + self.next()[1]
+        if kind == "number":
+            if not math.isfinite(float(text)):
+                raise DslError(f"number {text} overflows", self.lineno, col)
+            return Constant(float(text))
+        if kind == "op" and text == "-":
             return Neg(self.base())
         if kind == "op" and text == "(":
             e = self.expr()

@@ -186,12 +186,24 @@ def _is(e: Expr, value: float) -> bool:
     return type(e) is Constant and e.value == value
 
 
-def _power(base: float, k: int) -> float:
-    # ZeroDivisionError for 0 ** -k is left to the caller
+def ipow(b, k: int):
+    """b ** k for an integer k by squaring and multiplying, 1.0 over that
+    for k < 0: O(log |k|) products, which round the same on every numpy
+    SIMD path and every libm, where `**` calls pow(), whose bits follow
+    them.  Up to |k| = 3 these are the left-to-right products b * b * b."""
+    if k == 0:
+        return b ** 0
+    r = b
+    for bit in bin(abs(k))[3:]:
+        r = r * r
+        if bit == "1":
+            r = r * b
     try:
-        return float(base ** k)
-    except OverflowError:
-        return math.inf if base > 0 or k % 2 == 0 else -math.inf
+        return r if k > 0 else 1.0 / r
+    except ZeroDivisionError:  # a float product that underflowed, unless b is 0
+        if b == 0.0:
+            raise
+        return math.copysign(math.inf, r)
 
 
 def _exp(a: float) -> float:
@@ -226,20 +238,12 @@ def _div_rule(e, a, b):
     return _ZERO if _is(a, 0.0) else a if _is(b, 1.0) else Div(a, b)
 
 
-def _pow_rule(e, base):
-    # Pow folds here, not in `rewrite`: its float function needs the exponent
-    k = e.exponent
-    if type(base) is Constant and not (base.value == 0.0 and k < 0):
-        return Constant(_power(base.value, k))
-    return _ONE if k == 0 else base if k == 1 else Pow(base, k)
-
-
 class Op(NamedTuple):
     """What one node type means."""
 
     symbol: str | None  # DSL operator or function name
     prec: int  # DSL binding: 1 sums, 2 products, 3 powers, 4 atoms, calls and '-'
-    fn: Callable | None  # float value from the children's values
+    fn: Callable | None  # float value from the children's values (and Pow's exponent)
     numpy: str | None  # numpy function in generated code
     deriv: Callable | None  # (node, derivatives of its children) -> derivative
     rule: Callable | None = None  # unit/zero rewrite: (node, simplified children) -> node
@@ -257,9 +261,10 @@ OPS: dict[type, Op] = {
             lambda e, da, db: Add(Mul(da, e.right), Mul(e.left, db)), _mul_rule),
     Div: Op("/", 2, operator.truediv, None,
             lambda e, da, db: Div(Sub(Mul(da, e.right), Mul(e.left, db)), Pow(e.right, 2)), _div_rule),
-    Pow: Op("^", 3, _power, None,
+    Pow: Op("^", 3, ipow, None,
             lambda e, db: _ZERO if e.exponent == 0
-            else Mul(Mul(Constant(float(e.exponent)), Pow(e.base, e.exponent - 1)), db), _pow_rule),
+            else Mul(Mul(Constant(float(e.exponent)), Pow(e.base, e.exponent - 1)), db),
+            lambda e, base: _ONE if e.exponent == 0 else base if e.exponent == 1 else e.rebuild(base)),
     Sin: Op("sin", 4, math.sin, "sin", lambda e, da: Mul(Cos(e.arg), da)),
     Cos: Op("cos", 4, math.cos, "cos", lambda e, da: Mul(Neg(Sin(e.arg)), da)),
     Exp: Op("exp", 4, _exp, "exp", lambda e, da: Mul(e, da)),
@@ -327,7 +332,7 @@ def eval_expr(e: Expr, x, u=()) -> float:
         return eval_expr(e.left, x, u) / denom
     if t is Pow:
         try:
-            return _power(eval_expr(e.base, x, u), e.exponent)
+            return ipow(eval_expr(e.base, x, u), e.exponent)
         except ZeroDivisionError:
             raise EvalError(f"zero raised to negative power at {_at(x, u)}")
     op = op_of(e)
@@ -354,6 +359,17 @@ def _diff(e: Expr, var: Expr) -> Expr:
     return op.deriv(e, *[_diff(k, var) for k in e.children()])
 
 
+def _constant(e: Expr, args) -> Constant | None:
+    """The one constant fold: the Constant that node `e` over the
+    constants `args` folds to, or None for a zero denominator or 0 to a
+    negative power.  ExprError when the value is not finite."""
+    values = [a.value for a in args] + ([e.exponent] if type(e) is Pow else [])
+    try:
+        return Constant(OPS[type(e)].fn(*values))
+    except ZeroDivisionError:
+        return None
+
+
 def rewrite(e: Expr, *args) -> Expr:
     """One rewrite step at the root of `e`, whose children (or `args` in
     their place) are already simplified: the equal-children check of Sub,
@@ -367,12 +383,10 @@ def rewrite(e: Expr, *args) -> Expr:
     if t is Sub and args[0] == args[1]:
         # before folding, which would give -0.0 for -0.0 - 0.0
         return _ZERO
-    # first and last child: all of them, as a node has one or two
-    if t is not Pow and type(args[0]) is Constant and type(args[-1]) is Constant:
-        try:
-            return Constant(op.fn(*[a.value for a in args]))
-        except ZeroDivisionError:
-            pass  # a zero denominator: the Div rule keeps the node
+    # first and last child: all of them, as a node has one or two;
+    # None is a zero denominator, whose node the Div and Pow rules keep
+    if type(args[0]) is Constant and type(args[-1]) is Constant and (c := _constant(e, args)) is not None:
+        return c
     return op.rule(e, *args) if op.rule else e.rebuild(*args)
 
 
@@ -434,28 +448,28 @@ def is_probably_zero(e: Expr, n: int, m: int) -> bool:
     return True
 
 
-def ipow(b, k: int):
-    """b ** k for an integer k by squaring and multiplying, 1.0 over that
-    for k < 0: O(log |k|) products, which round the same on every numpy
-    SIMD path, where `**` calls pow(), whose bits follow it.  Up to |k| = 3
-    these are the left-to-right products b * b * b."""
-    if k == 0:
-        return b ** 0
-    r = b
-    for bit in bin(abs(k))[3:]:
-        r = r * r
-        if bit == "1":
-            r = r * b
-    return r if k > 0 else 1.0 / r
+def fold(e: Expr) -> Expr:
+    """`e` with each variable-free subtree folded to its Constant by
+    `_constant` and nothing else rewritten, so signed zeros and NaNs stay
+    as they were.  ExprError where such a subtree has no finite value."""
+    args = [fold(k) for k in e.children()]
+    if args and all(type(a) is Constant for a in args):
+        c = _constant(e, args)
+        if c is None:
+            raise ExprError("division by zero" if type(e) is Div else "zero raised to a negative power")
+        return c
+    return e.rebuild(*args)  # Div's constructor rejects a folded zero denominator
 
 
 def expr_source(e: Expr, state: str = "x") -> str:
     """Render as a numpy-ready Python expression (fully parenthesized);
-    state i is named `state` followed by i.
+    state i is named `state` followed by i.  The tree is `fold`ed first,
+    so ExprError where a constant has no value.  A power is a call of
+    `ipow`, which compiled code finds in its namespace."""
+    return _source(fold(e), state)
 
-    A power is a call of `ipow`, which compiled code finds in its
-    namespace.  A power of a base without variables is folded here through
-    `_power`; ExprError when it is not finite or is 0 to a negative power."""
+
+def _source(e: Expr, state: str) -> str:
     t = type(e)
     if t is Constant:
         return repr(e.value)
@@ -463,19 +477,10 @@ def expr_source(e: Expr, state: str = "x") -> str:
         return f"{state}{e.index}"
     if t is InputVar:
         return f"u{e.index}"
+    args = [_source(k, state) for k in e.children()]
     if t is Pow:
-        k = e.exponent
-        if max_state_index(e.base) < 0 and not contains_input(e.base):
-            try:
-                value = _power(eval_expr(e.base, (), ()), k)
-            except ZeroDivisionError:
-                raise ExprError("zero raised to a negative power") from None
-            if not math.isfinite(value):
-                raise ExprError(f"constant power {value} is not finite")
-            return repr(value)
-        return f"ipow({expr_source(e.base, state)}, {k})"
+        return f"ipow({args[0]}, {e.exponent})"
     op = op_of(e)
-    args = [expr_source(k, state) for k in e.children()]
     if op.numpy:
         return f"np.{op.numpy}({args[0]})"
     if len(args) == 1:

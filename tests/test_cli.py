@@ -637,8 +637,8 @@ def test_realize_infinite_jump_channel_exits_1(tmp_path, capsys):
 
 @pytest.mark.parametrize("command", ["reach", "simulate", "realize"])
 def test_constant_that_overflows_when_evaluated_exits_1(tmp_path, capsys, command):
-    # 2^2000 stays a power node, and the compiled rhs evaluates the
-    # Python float 2.0 ** 2000, which raises OverflowError
+    # 2^2000 has no variable, so it is folded when the system is read,
+    # and its value is not finite
     src = write(tmp_path / "big.sys", "system big\nstates x1\ninputs u\ndx1 = 2^2000 * x1 + u\n")
     cfg = write(tmp_path / "cfg.json", json.dumps(reach_config(window=[[-2.0, 2.0]], samples=10)))
     ctrl = write(tmp_path / "ctrl.json", json.dumps([{"duration": 1.0, "values": [1.0]}]))
@@ -652,20 +652,36 @@ def test_constant_that_overflows_when_evaluated_exits_1(tmp_path, capsys, comman
     assert_input_error(tmp_path, capsys, "big.sys.manifest.json")
 
 
-@pytest.mark.parametrize("command", ["reach", "simulate", "realize"])
-def test_zero_to_a_negative_power_exits_1(tmp_path, capsys, command):
-    # 0^-1 has no variable, so it is folded when the rhs is compiled
-    src = write(tmp_path / "zero.sys", "system zero\nstates x1\ninputs u\ndx1 = 0^-1 * x1 + u\n")
+NO_FINITE_VALUE = {
+    "0^-1": "zero raised to a negative power",
+    "1/(1-1)": "division by zero",
+    "x1/(2-2)": "division by syntactic zero",
+    "exp(1000)": "non-finite constant inf",
+    "sin(10^300*10^300)": "non-finite constant inf",
+}
+
+
+@pytest.mark.parametrize("command", ["reach", "simulate", "realize", "compare", "larc"])
+@pytest.mark.parametrize("body", NO_FINITE_VALUE)
+def test_constant_with_no_finite_value_exits_1_on_every_subcommand(tmp_path, capsys, body, command):
+    """A constant subexpression with no finite value is folded when the
+    system is read, so every subcommand stops there with the same line."""
+    src = write(tmp_path / "zero.sys", f"system zero\nstates x1\ninputs u\ndx1 = {body} * x1 + u\n")
     cfg = write(tmp_path / "cfg.json", json.dumps(reach_config(window=[[-2.0, 2.0]], samples=10)))
+    ext = write(tmp_path / "ext.json", json.dumps(reach_config(samples=10)))
     ctrl = write(tmp_path / "ctrl.json", json.dumps([{"duration": 1.0, "values": [1.0]}]))
     plan = write(tmp_path / "plan.json", json.dumps(plan_json(start=[0.0, 0.0])))
     argv = {
-        "reach": ["--x0", "1", "--config", cfg],
-        "simulate": ["--x0", "1", "--control", ctrl],
-        "realize": ["--plan", plan],
+        "reach": ["reach", src, "--x0", "1", "--config", cfg],
+        "simulate": ["simulate", src, "--x0", "1", "--control", ctrl],
+        "realize": ["realize", src, "--plan", plan],
+        "compare": ["compare", src, "--x0", "1", "--config", cfg, "--config-ext", ext],
+        "larc": ["check", src, "--method", "larc", "--point", "1"],
     }[command]
-    assert main([command, src, *argv, "--out", str(tmp_path / "out.csv")]) == 1
-    assert_input_error(tmp_path, capsys, "zero.sys.manifest.json", "zero raised to a negative power")
+    assert main([*argv, "--out", str(tmp_path / "out.csv")]) == 1
+    assert capsys.readouterr().err == f"error: {NO_FINITE_VALUE[body]}\n"
+    assert json.loads((tmp_path / "zero.sys.manifest.json").read_text())["exit_code"] == 1
+    assert not (tmp_path / "out.csv").exists()
 
 
 def test_reach_past_the_work_budget_exits_1_at_once(tmp_path, capsys):

@@ -1,12 +1,13 @@
 """The CLI contract under malformed input.
 
 Each example takes a valid system, config, control or plan file, replaces
-one value (or one token of the system file) with something malformed, and
-runs the subcommand that reads it.  Whatever the input, `main` returns a
-documented exit code (0 success, 1 input error, 2 negative verdict, 3
-blow-up), writes a manifest that holds that code, and lets no exception
-or traceback out.  No substitute is a large finite number, so no run can
-be long.
+one value (or one token of the system file) with something malformed, or
+adds a random expression tree to one equation, and runs the subcommand
+that reads it.  Whatever the input, `main` returns a documented exit code
+(0 success, 1 input error, 2 negative verdict, 3 blow-up), writes a
+manifest that holds that code, and lets no exception or traceback out.
+No JSON substitute is a large finite number, so no run can be long; a
+1e300 in a system changes values, not the number of steps.
 """
 
 import contextlib
@@ -124,3 +125,25 @@ def test_non_finite_json_value_is_an_input_error(site, value):
 def test_malformed_system_token_keeps_the_contract(span, token, command):
     start, end = span
     _run_contract(command, SYSTEM[:start] + token + SYSTEM[end:], DOCUMENTS)
+
+
+# Trees over 0, 1 and 1e300 reach the variable-free zero denominators,
+# zero bases and overflows that single tokens do not, such as 1/-(0).
+TREES = st.recursive(
+    st.sampled_from(["0", "1", "1e300"]),
+    lambda kids: st.one_of(
+        st.tuples(kids, kids).map(lambda ab: f"({ab[0]} / {ab[1]})"),
+        kids.map(lambda a: f"-({a})"),
+        st.tuples(st.sampled_from(["sin", "cos", "exp"]), kids).map(lambda fa: f"{fa[0]}({fa[1]})"),
+        st.tuples(kids, st.sampled_from([*range(-3, 4), 2000])).map(lambda ak: f"({ak[0]})^{ak[1]}"),
+    ),
+    max_leaves=6,
+)
+
+
+@settings(CONTRACT, max_examples=300)
+@given(tree=TREES, line=st.sampled_from([3, 4]), command=st.sampled_from(sorted(COMMANDS)))
+def test_random_expression_tree_keeps_the_contract(tree, line, command):
+    lines = SYSTEM.splitlines()
+    lines[line] += f" + {tree}"
+    _run_contract(command, "\n".join(lines) + "\n", DOCUMENTS)

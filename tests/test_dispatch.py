@@ -1,14 +1,19 @@
-"""Bytes across numpy SIMD dispatch levels.
+"""Bytes across numpy SIMD dispatch levels and glibc libm variants.
 
 numpy picks its SIMD kernels per process, and `NPY_DISABLE_CPU_FEATURES`
-turns some of them off.  np.sin, np.cos, products and squares round the
-same on every path, but np.exp need not, so a golden can hold on one CPU
-and fail on another.  Generated code computes an integer power with
-squares and products, so powers round the same everywhere.  These tests
-run child processes with some levels disabled: one reruns
-`tests/test_goldens.py` with the AVX-512 features off and expects every
-hash to match, and one checks that the bytes of a generated RK4 step on
-a polynomial system are the same at three levels.
+turns some of them off.  Products and squares round the same on every
+path.  np.exp need not, so a golden can hold on one CPU and fail on
+another.  np.sin and np.cos keep their bits across numpy's levels
+because they call libm, but glibc picks its libm variant per CPU too:
+with `GLIBC_TUNABLES=glibc.cpu.hwcaps=-AVX2,-FMA,-AVX` it takes the
+non-FMA code, and 144 of 200 000 np.sin and 147 np.cos values on
+[-30, 30] change bits (110 `**` results and 130 math.exp values do too).
+Generated code computes an integer power with squares and products, so
+powers round the same everywhere.  These tests run child processes: one
+reruns `tests/test_goldens.py` with the AVX-512 features off, one with
+glibc's non-FMA libm, and each expects every hash to match; one checks
+that the bytes of a generated RK4 step on a polynomial system are the
+same at three levels.
 """
 
 import os
@@ -16,13 +21,25 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
 
 from conftest import CUBIC_TEXT
 
 AVX512 = ("AVX512_SPR", "AVX512_ICL", "X86_V4")
+NON_FMA = "glibc.cpu.hwcaps=-AVX2,-FMA,-AVX"
+# an argument whose np.sin ends in ...505p-3 with FMA and ...506p-3 without
+SIN_PROBE = -25.336530751143048
 TESTS = Path(__file__).resolve().parent
+
+
+def _run_goldens(**env):
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", str(TESTS / "test_goldens.py")],
+        cwd=TESTS.parent, env=dict(os.environ, **env), capture_output=True, text=True, timeout=600,
+    )
+    assert run.returncode == 0, run.stdout[-4000:] + run.stderr[-2000:]
 
 
 @pytest.mark.skipif(
@@ -30,12 +47,18 @@ TESTS = Path(__file__).resolve().parent
     reason="numpy takes no AVX-512 path on this host, so there is nothing to disable",
 )
 def test_goldens_hold_with_avx512_disabled():
-    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(AVX512))
-    run = subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", str(TESTS / "test_goldens.py")],
-        cwd=TESTS.parent, env=env, capture_output=True, text=True, timeout=600,
+    _run_goldens(NPY_DISABLE_CPU_FEATURES=" ".join(AVX512))
+
+
+def test_goldens_hold_with_glibc_non_fma_libm():
+    probe = subprocess.run(
+        [sys.executable, "-c", f"import numpy as np; print(float(np.sin({SIN_PROBE!r})).hex())"],
+        env=dict(os.environ, GLIBC_TUNABLES=NON_FMA), capture_output=True, text=True, timeout=60,
     )
-    assert run.returncode == 0, run.stdout[-4000:] + run.stderr[-2000:]
+    assert probe.returncode == 0, probe.stderr[-2000:]
+    if probe.stdout.strip() == float(np.sin(SIN_PROBE)).hex():
+        pytest.skip("np.sin rounds the same in the child, so the tunable took no effect")
+    _run_goldens(GLIBC_TUNABLES=NON_FMA)
 
 
 STEP_HASHES = f"""

@@ -80,6 +80,8 @@ def test_parse_no_inputs_line():
         ("system s\nstates x\ndx = q\n", 3, "undeclared"),
         ("system s\nstates x\ndx = x ^ y\n", 3, "integer"),
         ("system s\nstates x\ndx = x / 0\n", 3, "division by constant zero"),
+        ("system s\nstates x\ndx = x + 1e400\n", 3, "col 10: number 1e400 overflows"),
+        ("system s\nstates x\ndx = x * -1e400\n", 3, "col 10: number -1e400 overflows"),
         ("system s\nstates x sin\ndsin = x\n", 2, "reserved"),
         ("system s\nstates x x\ndx = x\n", 2, "duplicate"),
         ("system s\nstates x\ninputs x\ndx = x\n", 3, "duplicate"),
@@ -262,7 +264,7 @@ def test_every_node_type_renders_to_pinned_text():
             Pow(Constant(0.5), 2)),
     )
     assert expr_source(e) == (
-        "(((2.5 * ipow(x0, -2)) + ((-3.0) / (np.sin(u0) * x1))) - "
+        "(((2.5 * ipow(x0, -2)) + (-3.0 / (np.sin(u0) * x1))) - "
         "((np.cos((x1 - -1.25)) * np.exp((-ipow((x0 + u1), 3)))) - 0.25))"
     )
     text = render_expression(e, ["p", "q"], ["a", "b"])

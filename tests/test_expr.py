@@ -9,6 +9,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ctrlkit.expr import (
     Add,
@@ -30,6 +32,8 @@ from ctrlkit.expr import (
     diff,
     eval_expr,
     expr_source,
+    fold,
+    ipow,
     is_probably_zero,
     iter_nodes,
     max_input_index,
@@ -261,8 +265,14 @@ def test_large_powers_compile_and_evaluate(k, want):
 @pytest.mark.parametrize("power, words", [
     (Pow(Constant(0.0), -1), "zero raised to a negative power"),
     (Pow(Sub(Constant(1.0), Constant(1.0)), -2), "zero raised to a negative power"),
-    (Pow(Constant(2.0), 2000), "not finite"),
+    (Pow(Constant(2.0), 2000), "non-finite constant"),
     (Pow(Div(Constant(1.0), Sub(Constant(1.0), Constant(1.0))), 2), "division by zero"),
+    # every variable-free subtree folds, not only powers
+    (Div(Constant(1.0), Sub(Constant(1.0), Constant(1.0))), "division by zero"),
+    (Div(X0, Sub(Constant(2.0), Constant(2.0))), "division by syntactic zero"),
+    (Exp(Constant(1000.0)), "non-finite constant inf"),
+    (Sin(Mul(Constant(1e300), Constant(1e300))), "non-finite constant inf"),
+    (Pow(Constant(-1e-200), -3), "non-finite constant -inf"),
 ])
 def test_constant_powers_that_cannot_be_folded_fail_to_compile(power, words):
     with pytest.raises(ExprError, match=words):
@@ -272,6 +282,58 @@ def test_constant_powers_that_cannot_be_folded_fail_to_compile(power, words):
 def test_constant_powers_fold_to_their_value():
     assert expr_source(Mul(Pow(Constant(0.5), -2), X0)) == "(4.0 * x0)"
     assert expr_source(Pow(Add(Constant(1.0), Constant(2.0)), 3)) == "27.0"
+
+
+def test_compiled_code_folds_every_variable_free_subtree_and_nothing_else():
+    assert expr_source(Mul(Div(Constant(1.0), Constant(4.0)), X0)) == "(0.25 * x0)"
+    assert expr_source(Add(Exp(Constant(1.0)), X0)) == f"({math.exp(1.0)!r} + x0)"
+    assert expr_source(Neg(Sin(Sub(Constant(1.0), Constant(1.0))))) == "-0.0"
+    # no unit/zero rule and no equal-children rule: they change signed zeros and NaNs
+    assert expr_source(Mul(Constant(1.0), Sub(X0, X0))) == "(1.0 * (x0 - x0))"
+    assert expr_source(Add(X0, Mul(Constant(0.0), Constant(-1.0)))) == "(x0 + -0.0)"
+
+
+def test_powers_are_squares_and_products_everywhere():
+    b = 1.268
+    product = ((b * b) * (b * b)) * b
+    assert ipow(b, 5) == product
+    assert simplify(Pow(Constant(b), 5)) == Constant(product)
+    assert eval_expr(Pow(X0, 5), [b]) == product
+    assert eval_expr(Pow(X0, -5), [b]) == 1.0 / product
+    # a product that underflows is an overflow of the power, not 0 to a negative power
+    assert eval_expr(Pow(X0, -2), [1e-200]) == math.inf
+    assert eval_expr(Pow(X0, -3), [-1e-200]) == -math.inf
+    with pytest.raises(ZeroDivisionError):
+        ipow(0.0, -1)
+
+
+_CONSTANT_TREES = st.recursive(
+    st.sampled_from([0.0, -0.0, 1.0, -2.5, 3.0, 1e-200, 1e300]).map(Constant),
+    lambda kids: st.one_of(
+        st.sampled_from([Neg, Sin, Cos, Exp]).flatmap(lambda t: kids.map(t)),
+        st.sampled_from([Add, Sub, Mul]).flatmap(lambda t: st.tuples(kids, kids).map(lambda ab: t(*ab))),
+        st.tuples(kids, kids).filter(lambda ab: ab[1] != Constant(0.0)).map(lambda ab: Div(*ab)),
+        st.tuples(kids, st.integers(-4, 4)).map(lambda bk: Pow(*bk)),
+    ),
+    max_leaves=8,
+)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(_CONSTANT_TREES)
+def test_one_fold_for_simplify_evaluation_and_compiled_code(e):
+    """`simplify`, `eval_expr` and the compiler give a variable-free tree
+    the same value, to the bit, wherever `fold` finds one."""
+    try:
+        value = fold(e).value
+    except ExprError:
+        with pytest.raises(ExprError):
+            compile_components([Add(e, X0)], 1, 0)
+        return
+    assert simplify(e).value.hex() == value.hex()
+    assert eval_expr(e, []).hex() == value.hex()
+    x = np.array([[0.5]])
+    assert compile_components([Add(e, X0)], 1, 0)(x, np.zeros((1, 0)))[0, 0] == value + 0.5
 
 
 def test_simplify_overflowing_fold_raises_expr_error():
