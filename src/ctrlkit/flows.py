@@ -24,6 +24,7 @@ from .transform import ExtensionRecord
 
 BLOWUP_LIMIT = 1e12
 DEFAULT_STEP = 1e-3
+ROW_BLOCK = 2048  # rows stepped at once by the sampler and the gain sweep
 
 
 class BlowUpError(RuntimeError):
@@ -213,16 +214,28 @@ def rk4_rows(f, x, durations, values, step, visit):
     return x, alive
 
 
-def _run_row(f, x0, durations, values, step, states=None) -> np.ndarray:
-    """Endpoint of one row; BlowUpError at its first bad step.  `states` gets every state."""
+def _run_rows(f, x0, durations, values, step, states=None) -> np.ndarray:
+    """`rk4_rows` endpoints of the rows of `x0` (rows, n).  The lowest row
+    that blows up raises BlowUpError at its own time, as soon as no lower
+    row still steps; one row raises at its first bad step.  `states` gets
+    every state."""
+    steps = _schedule(durations, step)[0].sum(axis=1)
+    # rows below row r have all stepped once done[r] steps are done
+    done = np.concatenate(([0], np.maximum.accumulate(steps)[:-1]))
+    first_bad = np.zeros(len(x0), dtype=np.int64)
+    low = len(x0)
 
     def visit(k, x, bad):
+        nonlocal low
         if bad is not None:
-            raise BlowUpError(float(_step_times(durations, step)[k + 1]))
+            first_bad[bad] = k
+            low = min(low, int(np.argmax(bad)))
+        if low < len(x0) and k + 1 >= done[low]:
+            raise BlowUpError(float(_step_times(durations[low], step)[first_bad[low] + 1]))
         if states is not None:
             states.append(x)
 
-    return rk4_rows(f, x0[None, :], durations[None], values[None], step, visit)[0][0]
+    return rk4_rows(f, x0, durations, values, step, visit)[0]
 
 
 def integrate(sys: ControlSystem, x0, ctrl: PiecewiseControl, step: float = DEFAULT_STEP) -> Trajectory:
@@ -237,7 +250,7 @@ def integrate(sys: ControlSystem, x0, ctrl: PiecewiseControl, step: float = DEFA
     durations = np.array([d for d, _ in ctrl.segments], dtype=float)
     values = np.array([v for _, v in ctrl.segments], dtype=float).reshape(len(durations), sys.m)
     states = [x]
-    _run_row(f, x, durations, values, step, states)
+    _run_rows(f, x[None], durations[None], values[None], step, states)
     return Trajectory(_step_times(durations, step), np.vstack(states))
 
 
@@ -252,7 +265,7 @@ def flow_endpoint(vf: VectorField, x0, t: float, step: float = DEFAULT_STEP) -> 
         return x
     comps = vf.components if t > 0 else tuple(Neg(c) for c in vf.components)
     f = compile_components(comps, vf.n, 0)
-    return _run_row(f, x, np.array([abs(t)]), np.zeros((1, 0)), step)
+    return _run_rows(f, x[None], np.array([[abs(t)]]), np.zeros((1, 1, 0)), step)[0]
 
 
 # --- plans and realization -------------------------------------------------
@@ -348,6 +361,26 @@ def realize_plan(ext: ExtensionRecord, plan: FlowPlan, gain: float) -> Piecewise
     return PiecewiseControl(tuple(segments))
 
 
+def realize_sweep(ext: ExtensionRecord, plan: FlowPlan, start, gains, step: float = DEFAULT_STEP) -> np.ndarray:
+    """One endpoint per gain: row i has the bytes of `integrate` of
+    `realize_plan(ext, plan, gains[i])` from `start`, and no states are
+    kept.  The gains run as rows of `rk4_rows`, ROW_BLOCK at a time; a
+    BlowUpError names the first gain, in order, that blows up, at its own
+    time."""
+    require_positive(step, "step")
+    sys_ = ext.extended
+    p = point(start, sys_.n, "extended point")
+    f = compile_components(sys_.rhs, sys_.n, sys_.m)
+    ends = np.empty((len(gains), sys_.n))
+    for lo in range(0, len(gains), ROW_BLOCK):
+        # a zero jump gives no segment at any gain, so all rows have as many
+        rows = [realize_plan(ext, plan, g).segments for g in gains[lo:lo + ROW_BLOCK]]
+        durations = np.array([[d for d, _ in segs] for segs in rows], dtype=float)
+        values = np.array([[v for _, v in segs] for segs in rows], dtype=float).reshape(*durations.shape, sys_.m)
+        ends[lo:lo + len(rows)] = _run_rows(f, np.tile(p, (len(rows), 1)), durations, values, step)
+    return ends
+
+
 def ideal_plan_endpoint(ext: ExtensionRecord, plan: FlowPlan, p0, step: float = DEFAULT_STEP) -> np.ndarray:
     """Exact-composition endpoint: jumps shift the integrator block
     instantly, drifts flow the base block at the integrator level `y`.  A
@@ -365,7 +398,7 @@ def ideal_plan_endpoint(ext: ExtensionRecord, plan: FlowPlan, p0, step: float = 
         # NaN fails the comparison too
         if not np.all(np.abs(np.array(seg.u_frozen) - y) <= 1e-9 * np.maximum(1.0, np.abs(y))):
             raise ValueError(f"plan segment {i}: drift values {list(seg.u_frozen)} are not the integrator level {y.tolist()}")
-        p[:n] = _run_row(f, p[:n], np.array([seg.duration]), y[None], step)
+        p[:n] = _run_rows(f, p[None, :n], np.array([[seg.duration]]), y[None, None], step)[0]
     return p
 
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from .dsl import ControlSystem
 from .expr import compile_components
-from .flows import PiecewiseControl, Trajectory, rk4_rows
+from .flows import ROW_BLOCK, PiecewiseControl, Trajectory, rk4_rows
 from .records import integer, point, require_positive
 from .transform import ExtensionRecord, extend
 
@@ -24,7 +24,7 @@ CONSISTENCY_THRESHOLD = 0.05
 DEFAULT_RATE_BOUND = 10.0
 MAX_CELLS = 2 ** 24
 MAX_WORK = 2 ** 30  # row-substeps of one sampler run
-_CHUNK = 2048
+_CHUNK = ROW_BLOCK
 _REFINE_BATCH = 64
 
 

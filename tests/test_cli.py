@@ -361,6 +361,23 @@ def test_realize_rejects_bad_inputs(tmp_path, capsys):
     assert main(["realize", src, "--plan", bad_kind, "--out", out]) == 1
 
 
+def test_realize_blow_up_names_the_lowest_gain_that_blew_up(tmp_path, capsys):
+    """The ideal endpoint is finite; gains 0.1 and 0.93 blow up, gain 0.93
+    at an earlier time.  The lower gain is the one reported, at its own
+    time."""
+    src = write(tmp_path / "boom.sys", "system boom\nstates x\ninputs u\ndx = x^2 + u\n")
+    plan = write(tmp_path / "plan.json", json.dumps({"start": [0.5, 0.0], "segments": [
+        {"kind": "jump", "channel": 0, "displacement": 1.0},
+        {"kind": "drift", "duration": 0.1, "values": [1.0]},
+        {"kind": "jump", "channel": 0, "displacement": -1.0},
+    ]}))
+    out = tmp_path / "table.csv"
+    assert main(["realize", src, "--plan", plan, "--gain-sweep", "0.1:80:4", "--out", str(out)]) == 3
+    assert capsys.readouterr().err == "error: state blew up at t=1.887\n"
+    assert json.loads((tmp_path / "boom.sys.manifest.json").read_text())["exit_code"] == 3
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("case", ["a:b:c", "0:80:4", "80:10:4", "10:80:0", "config list", "plan list"])
 def test_bad_sweep_config_or_plan_exits_1_and_writes_no_table(tmp_path, capsys, case):
     src = write(tmp_path / "cubic.sys", CUBIC_TEXT)

@@ -26,6 +26,7 @@ from ctrlkit.flows import (
     realize_conjugated_drift,
     realize_jump,
     realize_plan,
+    realize_sweep,
     rk4_step,
     save_control,
     save_trajectory_csv,
@@ -397,6 +398,42 @@ def test_realized_plan_approaches_ideal_endpoint(cubic):
         errs.append(float(np.linalg.norm(end - ideal)))
     assert errs[1] < errs[0]
     assert errs[1] < 0.05
+
+
+SWEEP_PLAN = FlowPlan((Jump(0, 1.0), Drift(0.5, (1.0,)), Jump(0, -1.5), Drift(0.4, (-0.5,))))
+
+
+@pytest.mark.parametrize("text", [HEADING_TEXT, CUBIC_TEXT], ids=["heading", "cubic"])
+@pytest.mark.parametrize("plan, gains", [
+    (SWEEP_PLAN, [25.0]),
+    (SWEEP_PLAN, [80.0, 10.0, 33.3, 12.5]),
+    (SWEEP_PLAN, [3.0, 7.5, 11.0, 40.0, 41.0]),
+    # a zero jump gives no segment: every row stays at the start
+    (FlowPlan((Jump(0, 0.0), Jump(0, -0.0))), [1.0, 4.0, 9.0, 16.0]),
+], ids=["1 gain", "4 gains", "5 gains", "zero jumps"])
+def test_realize_sweep_rows_equal_integrate(text, plan, gains):
+    ext = extend(parse(text))
+    start = np.linspace(0.1, 0.4, ext.extended.n)
+    ends = realize_sweep(ext, plan, start, gains, step=2e-3)
+    assert ends.shape == (len(gains), ext.extended.n)
+    for gain, end in zip(gains, ends):
+        want = integrate(ext.extended, start, realize_plan(ext, plan, gain), step=2e-3).endpoint
+        assert end.tobytes() == want.tobytes(), f"gain {gain}"
+
+
+@pytest.mark.parametrize("text", [HEADING_TEXT, CUBIC_TEXT], ids=["heading", "cubic"])
+def test_realize_sweep_second_block_of_rows(text):
+    """ROW_BLOCK + 1 gains run as two blocks of rows; rows on both sides
+    of the block edge, and a stride through the rest, equal `integrate`."""
+    block = flows.ROW_BLOCK
+    ext = extend(parse(text))
+    plan = FlowPlan((Jump(0, 0.5), Drift(0.004, (0.5,)), Jump(0, -0.2)))
+    gains = np.linspace(300.0, 2000.0, block + 1).tolist()
+    start = np.linspace(0.1, 0.4, ext.extended.n)
+    ends = realize_sweep(ext, plan, start, gains)
+    for i in [*range(0, block + 1, 97), block - 2, block - 1, block]:
+        want = integrate(ext.extended, start, realize_plan(ext, plan, gains[i])).endpoint
+        assert ends[i].tobytes() == want.tobytes(), f"row {i}"
 
 
 @pytest.mark.parametrize("step", [float("inf"), float("nan"), 0.0, -1e-3])

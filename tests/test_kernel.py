@@ -117,6 +117,30 @@ def test_flow_endpoint_blow_up_on_the_last_substep_reports_the_flow_time():
     assert exc_info.value.time == 0.7
 
 
+def test_rows_raise_for_the_lowest_row_that_blows_up():
+    """Row 1 blows up while row 0 still steps, so it raises only when
+    row 0 has ended without blowing up, at row 1's own time; a lower row
+    that blows up later in steps is the one reported."""
+    boom = parse(BOOM_TEXT)
+    f = compile_components(boom.rhs, 1, 1)
+
+    def blow_up_time(rows):
+        durations = np.array([[d] for d, _ in rows])
+        values = np.array([[[u]] for _, u in rows])
+        with pytest.raises(BlowUpError) as exc_info:
+            flows._run_rows(f, np.full((len(rows), 1), 0.5), durations, values, 1e-2)
+        return exc_info.value.time
+
+    def alone(duration, u):
+        with pytest.raises(BlowUpError) as exc_info:
+            integrate(boom, [0.5], PiecewiseControl(((duration, (u,)),)), 1e-2)
+        return exc_info.value.time
+
+    # x' = x^2 - 1 settles at -1; x' = x^2 + u escapes sooner the larger u is
+    assert blow_up_time([(3.0, -1.0), (1.5, 1.0)]) == alone(1.5, 1.0)
+    assert blow_up_time([(3.0, 1.0), (3.0, 4.0)]) == alone(3.0, 1.0) > alone(3.0, 4.0)
+
+
 def test_a_row_that_turns_nan_is_dropped():
     # exp(x1^400) overflows once x1 passes 1.0166, and inf - inf is NaN
     # while the state is still near 1, far below BLOWUP_LIMIT
