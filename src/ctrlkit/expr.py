@@ -465,7 +465,8 @@ def expr_source(e: Expr, state: str = "x") -> str:
     """Render as a numpy-ready Python expression (fully parenthesized);
     state i is named `state` followed by i.  The tree is `fold`ed first,
     so ExprError where a constant has no value.  A power is a call of
-    `ipow`, which compiled code finds in its namespace."""
+    `ipow`, which compiled code finds in its namespace, or for a variable
+    to the power 1 to 3 the product that `ipow` computes."""
     return _source(fold(e), state)
 
 
@@ -479,6 +480,8 @@ def _source(e: Expr, state: str) -> str:
         return f"u{e.index}"
     args = [_source(k, state) for k in e.children()]
     if t is Pow:
+        if type(e.base) in (StateVar, InputVar) and 1 <= e.exponent <= 3:
+            return f"({' * '.join(args * e.exponent)})"
         return f"ipow({args[0]}, {e.exponent})"
     op = op_of(e)
     if op.numpy:
@@ -494,20 +497,26 @@ def compile_components(exprs, n: int, m: int):
     The returned f(x, u) accepts x of shape (..., n) and u of shape (..., m)
     and returns an array of shape (..., len(exprs)).  With one component
     per state, f.step(x, u, h) is one RK4 step with the four stages inlined
-    column by column, bit-identical to `flows.rk4_step(f, x, u, h)`; a
-    component that references no state is evaluated once for all four.
+    column by column, bit-identical to `flows.rk4_step(f, x, u, h)`.  A
+    component that reads no state is evaluated once for all four stages,
+    one that reads only such states reuses k2 as k3, and a stage point is
+    computed only for a state that some computed slope reads.
     """
     # each column keeps a trailing axis of 1, so h broadcasts as in rk4_step
     head = ["    base = np.zeros(np.shape(x)[:-1] + (1,))"]
     head += [f"    {v}{i} = {v}[..., {i}:{i + 1}]" for v, dim in (("x", n), ("u", m)) for i in range(dim)]
-    moving = [max_state_index(e) >= 0 for e in exprs]
+    reads = [{node.index for node in iter_nodes(e) if type(node) is StateVar} for e in exprs]
 
-    def k(s, i):  # component i's slope at stage s
-        return f"k{s if moving[i] else 1}_{i}"
+    def k(s, i):  # the slope that component i has at stage s
+        s = 2 if s == 3 and not any(reads[j] for j in reads[i]) else s
+        return f"k{s if reads[i] else 1}_{i}"
 
-    def stage(s, state):
-        return [f"    k{s}_{i} = base + ({expr_source(e, state)})"
-                for i, e in enumerate(exprs) if s == 1 or moving[i]]
+    def stage(s, state, dt=None):
+        slopes = [i for i in range(len(exprs)) if k(s, i) == f"k{s}_{i}"]
+        points = sorted(set().union(*(reads[i] for i in slopes))) if s > 1 else []
+        # a state whose slope reads no state has equal stage-2 and stage-3 points
+        return [f"    z{j} = y{j}" if s == 3 and not reads[j] else f"    {state}{j} = x{j} + {dt} * {k(s - 1, j)}"
+                for j in points] + [f"    k{s}_{i} = base + ({expr_source(exprs[i], state)})" for i in slopes]
 
     def join(columns):
         return f"    return np.concatenate([{', '.join(columns)}], axis=-1)"
@@ -516,8 +525,7 @@ def compile_components(exprs, n: int, m: int):
     if len(exprs) == n:
         lines += ["def _step(x, u, h):", *head, "    h2, h6 = h / 2.0, h / 6.0", *stage(1, "x")]
         for s, state, dt in ((2, "y", "h2"), (3, "z", "h2"), (4, "w", "h")):
-            lines += [f"    {state}{i} = x{i} + {dt} * {k(s - 1, i)}" for i in range(n)]
-            lines += stage(s, state)
+            lines += stage(s, state, dt)
         lines.append(join(f"x{i} + h6 * ({k(1, i)} + 2.0 * {k(2, i)} + 2.0 * {k(3, i)} + {k(4, i)})"
                           for i in range(n)))
         lines.append("_rhs.step = _step")

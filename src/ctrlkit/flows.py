@@ -181,21 +181,19 @@ def rk4_rows(f, x, durations, values, step, visit):
     final states and live rows."""
     nsub, hs = _schedule(durations, step)
     seg_end = np.cumsum(nsub, axis=1)
+    alive = np.ones(len(x), dtype=bool)
+    if not durations.shape[1]:
+        return x, alive
     # step after which a row turns to its next segment; 0 (never) on its last
     turns = np.where(np.arange(durations.shape[1]) < durations.shape[1] - 1, seg_end, 0)
-    rows = np.arange(len(x))
     seg = np.zeros(len(x), dtype=np.int64)
-    alive = np.ones(len(x), dtype=bool)
-    k = 0
+    u, h, turn_at = values[:, 0].copy(), hs[:, :1].copy(), turns[:, 0].copy()
+    ends = set(seg_end[:, -1].tolist())
+    act, every, k = alive.copy(), True, 0
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        # inputs, step sizes and active rows change only where a segment
-        # ends, so they are gathered once per span between such steps
+        # inputs and step sizes change only for the rows that turn at a
+        # stop, and the active rows only where some row's schedule ends
         for stop in np.unique(seg_end).tolist():
-            act = alive & (k < seg_end[:, -1])
-            if not act.any():
-                break
-            u, h, turn_at = values[rows, seg], hs[rows, seg][:, None], turns[rows, seg]
-            every = act.all()
             for k in range(k, stop):
                 xn = f.step(x, u, h)
                 x = xn if every else np.where(act[:, None], xn, x)
@@ -210,7 +208,14 @@ def rk4_rows(f, x, durations, values, step, visit):
                     x[bad] = 0.0
                 visit(k, x, bad)
             k = stop
-            seg += turn_at == k
+            if k in ends:
+                act = alive & (k < seg_end[:, -1])
+                every = act.all()
+            if not act.any():
+                break
+            turn = np.flatnonzero(turn_at == k)
+            seg[turn] += 1
+            u[turn], h[turn, 0], turn_at[turn] = values[turn, seg[turn]], hs[turn, seg[turn]], turns[turn, seg[turn]]
     return x, alive
 
 

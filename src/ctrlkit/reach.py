@@ -79,8 +79,6 @@ class ReachConfig:
             raise ValueError("one resolution per window axis required")
         if any(r < 2 for r in res):
             raise ValueError("resolution must be at least 2 per axis")
-        if math.prod(res) > MAX_CELLS:  # Python ints: no int64 wrap
-            raise ValueError(f"grid has {math.prod(res)} cells, more than the {MAX_CELLS} allowed")
         object.__setattr__(self, "resolution", res)
 
 
@@ -123,7 +121,10 @@ class _Grid:
         # row-major: the last axis varies fastest
         strides = [math.prod(self.resolution[a + 1:]) for a in range(len(self.resolution))]
         self.axes = tuple((lo, hi - lo, r, stride) for (lo, hi), r, stride in zip(self.window, self.resolution, strides))
-        self.bitmap = np.zeros(math.prod(self.resolution), dtype=bool)
+        cells = math.prod(self.resolution)  # Python ints: no int64 wrap
+        if cells > MAX_CELLS:
+            raise ValueError(f"grid has {cells} cells, more than the {MAX_CELLS} allowed")
+        self.bitmap = np.zeros(cells, dtype=bool)
 
     def flat_index(self, x: np.ndarray) -> np.ndarray:
         """Flat cell index per row, -1 for points outside the window.  It

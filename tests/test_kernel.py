@@ -4,9 +4,9 @@
 import numpy as np
 import pytest
 
-from conftest import CUBIC_TEXT, HEADING_TEXT
+from conftest import CUBIC_TEXT, HEADING_TEXT, chain_text
 
-from ctrlkit import flows, parse
+from ctrlkit import expr, flows, parse
 from ctrlkit.expr import (
     OPS, Add, Constant, Cos, Div, Exp, InputVar, Mul, Neg, Pow, Sin, StateVar, Sub, compile_components, iter_nodes,
 )
@@ -176,6 +176,12 @@ _STEP_SYSTEMS = {
     # the field `flow_endpoint` compiles for a negative time
     "negated_flow": lambda: (tuple(Neg(c) for c in _PENDULUM.components), 2, 0),
     "every_node": lambda: ((Neg(_X0), _EVERY_NODE), 2, 1),
+    # dx5 = u reads no state, so dx4 = x5 reuses k2 as k3; dx3 = x4 reads
+    # the moving x4 and does not
+    "chain5": lambda: parse(chain_text(5)),
+    # dx1 reads the static x2 and the moving x3, so the stage-3 point of x2
+    # is its stage-2 point and that of x3 is not
+    "static_and_moving": lambda: parse("system sm\nstates x1 x2 x3\ninputs u\ndx1 = x2 * x3\ndx2 = u\ndx3 = x1\n"),
 }
 
 
@@ -215,5 +221,77 @@ def test_generated_step_broadcasts_like_rk4_step():
     assert f.step(x[2], u[2], 0.05).tobytes() == flows.rk4_step(f, x[2], u[2], 0.05).tobytes()
 
 
+def test_step_evaluates_each_slope_only_where_it_can_change(monkeypatch):
+    """Per step, a slope that reads no state is evaluated once, one that
+    reads only such states three times (k3 is k2), any other four times;
+    powers past 3 stay calls of `ipow`, so the calls can be counted."""
+    calls = []
+    monkeypatch.setattr(expr, "ipow", lambda b, k: calls.append(k) or np.power(b, k))
+    sys_ = parse("system count\nstates x1 x2 x3\ninputs u\ndx1 = x2^4\ndx2 = u^5\ndx3 = x1^6\n")
+    f = compile_components(sys_.rhs, 3, 1)
+    f.step(np.full((4, 3), 0.5), np.full((4, 1), 0.5), 0.1)
+    assert sorted(calls) == [4, 4, 4, 5, 6, 6, 6, 6]
+
+
+def test_small_powers_of_a_variable_are_the_products_of_ipow():
+    x = np.random.default_rng(7).uniform(-3.0, 3.0, size=(1000, 1))
+    for k in (1, 2, 3):
+        f = compile_components((Pow(_X0, k), Pow(_U0, k)), 1, 1)
+        assert f(x, x).tobytes() == np.hstack([expr.ipow(x, k)] * 2).tobytes()
+    assert "ipow" in expr.expr_source(Pow(_X0, 4)) and "ipow" in expr.expr_source(Pow(Neg(_X0), 2))
+
+
 def test_no_step_without_one_component_per_state():
     assert not hasattr(compile_components((Constant(2.0), _X0), 1, 0), "step")
+
+
+# rows that turn at different steps and end at different steps: row 1
+# blows up before its first turn, row 3 blows up on a later segment
+_RAGGED = {
+    3: ([[0.3, 0.5, 0.2], [1.0, 0.1, 0.4], [0.05, 0.9, 0.33], [0.7, 0.7, 0.9], [0.013, 0.021, 1.4]],
+        [[-1.0, 0.0, -1.0], [4.0, 0.0, 0.0], [0.5, -2.0, 1.0], [0.0, 0.2, 3.0], [-0.3, 0.9, -1.2]]),
+    1: ([[0.3], [1.0], [0.077], [2.5]], [[-1.0], [4.0], [0.5], [0.0]]),
+}
+
+
+def _visited(f, x0, durations, values):
+    """rk4_rows' endpoints and live rows, and the states and `bad` mask of
+    every visit."""
+    seen = []
+
+    def visit(k, x, bad):
+        seen.append((k, x.copy(), np.zeros(len(x), dtype=bool) if bad is None else bad.copy()))
+
+    x, alive = flows.rk4_rows(f, x0, durations, values, 1e-2, visit)
+    return x, alive, seen
+
+
+@pytest.mark.parametrize("segments", sorted(_RAGGED))
+def test_ragged_rows_step_as_they_do_alone(segments):
+    """Each row's endpoint, states and `bad` masks are those of a one-row
+    run of that row; once it ends or drops, the row stays as it is."""
+    f = compile_components(parse(BOOM_TEXT).rhs, 1, 1)
+    durations = np.array(_RAGGED[segments][0])
+    values = np.array(_RAGGED[segments][1])[:, :, None]
+    x0 = np.full((len(durations), 1), 0.5)
+    x, alive, seen = _visited(f, x0, durations, values)
+    assert [k for k, _, _ in seen] == list(range(len(seen)))
+    if segments == 3:
+        assert not alive[1] and not alive[3] and alive[[0, 2, 4]].all()
+    for i in range(len(durations)):
+        x_i, alive_i, seen_i = _visited(f, x0[i:i + 1], durations[i:i + 1], values[i:i + 1])
+        assert x[i].tobytes() == x_i[0].tobytes(), f"row {i}"
+        assert alive[i] == alive_i[0]
+        for k, state, bad in seen:
+            if k < len(seen_i):
+                assert state[i].tobytes() == seen_i[k][1][0].tobytes(), f"row {i} step {k}"
+                assert bad[i] == seen_i[k][2][0], f"row {i} step {k}"
+            else:
+                assert state[i].tobytes() == x_i[0].tobytes() and not bad[i]
+
+
+def test_rows_without_segments_are_returned_alive():
+    f = compile_components(parse(BOOM_TEXT).rhs, 1, 1)
+    x0 = np.array([[0.5], [np.inf]])
+    x, alive, seen = _visited(f, x0, np.zeros((2, 0)), np.zeros((2, 0, 1)))
+    assert x is x0 and alive.all() and not seen

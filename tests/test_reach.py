@@ -1,10 +1,15 @@
+import json
 import math
 import tracemalloc
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
+from conftest import HEADING_TEXT
+
 from ctrlkit import reach
+from ctrlkit.cli import main
 from ctrlkit.dsl import parse
 from ctrlkit.expr import compile_components
 from ctrlkit.flows import BlowUpError, PiecewiseControl, Trajectory, integrate, time_reversal
@@ -550,11 +555,37 @@ def test_grid_flat_index_matches_ravel_multi_index():
 
 
 @pytest.mark.parametrize("resolution", [(4097, 4096), (2**32, 2**32), 2**12 + 1])
-def test_config_rejects_grids_past_the_cell_limit(resolution):
-    # counted with Python ints, so 2^32 x 2^32 cannot wrap to 0 as an
-    # int64 product would; building a config allocates nothing
+def test_config_rejects_grids_past_the_cell_limit(heading, tmp_path, capsys, resolution):
+    """The cells are counted where a grid is built, with Python ints, so
+    2^32 x 2^32 cannot wrap to 0 as an int64 product would.  A config
+    allocates nothing; its run is refused, and on the CLI that is exit 1
+    with no output."""
+    cfg = heading_cfg(resolution=resolution, samples=10)
     with pytest.raises(ValueError, match="cells"):
-        heading_cfg(resolution=resolution)
+        sample_reach(heading, [0.0, 0.0], cfg)
+    system, config = tmp_path / "heading.sys", tmp_path / "cfg.json"
+    system.write_text(HEADING_TEXT)
+    config.write_text(json.dumps(asdict(cfg)))
+    out = tmp_path / "cells.csv"
+    assert main(["reach", str(system), "--x0", "0,0", "--config", str(config), "--out", str(out)]) == 1
+    assert "cells" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_compare_counts_only_the_gridded_axes_against_the_cell_limit(heading, tmp_path):
+    """compare grids both runs on the original window, so an extended
+    resolution of (4096, 4096, 2), twice the limit over all its axes, is
+    accepted: only its 4096 x 4096 projection is built."""
+    cfg = heading_cfg(samples=10, resolution=(4096, 4096))
+    cfg_ext = heading_cfg(samples=10, window=((-2.0, 2.0), (-2.0, 2.0), (-18.0, 18.0)), resolution=(4096, 4096, 2))
+    assert coverage_compare(heading, [0.0, 0.0], cfg, cfg_ext).samples_extended == 10
+    paths = [tmp_path / name for name in ("heading.sys", "cfg.json", "cfg_ext.json")]
+    for path, text in zip(paths, (HEADING_TEXT, json.dumps(asdict(cfg)), json.dumps(asdict(cfg_ext)))):
+        path.write_text(text)
+    out = tmp_path / "report.json"
+    argv = ["compare", str(paths[0]), "--x0", "0,0", "--config", str(paths[1]), "--config-ext", str(paths[2])]
+    assert main([*argv, "--out", str(out)]) in (0, 2)
+    assert json.loads(out.read_text())["samples_extended"] == 10
 
 
 def test_config_accepts_a_grid_at_the_cell_limit():
