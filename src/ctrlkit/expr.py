@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 import operator
+import re
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -497,38 +498,76 @@ def compile_components(exprs, n: int, m: int):
     The returned f(x, u) accepts x of shape (..., n) and u of shape (..., m)
     and returns an array of shape (..., len(exprs)).  With one component
     per state, f.step(x, u, h) is one RK4 step with the four stages inlined
-    column by column, bit-identical to `flows.rk4_step(f, x, u, h)`.  A
-    component that reads no state is evaluated once for all four stages,
-    one that reads only such states reuses k2 as k3, and a stage point is
-    computed only for a state that some computed slope reads.
+    column by column, bit-identical to `flows.rk4_step(f, x, u, h)`.  It is
+    f.advance(x, f.table(u, h)): the table holds, one column each, what a
+    step reads of u and h alone (h, h2, h6 and the inputs of slopes that
+    read state; for a slope that reads no state, its products with h2 and h
+    and its whole increment), so a control segment computes it once for all
+    its substeps.  A slope that reads only such states reuses k2 as k3, and
+    a stage point is computed only for a state that some computed slope
+    reads.
     """
-    # each column keeps a trailing axis of 1, so h broadcasts as in rk4_step
-    head = ["    base = np.zeros(np.shape(x)[:-1] + (1,))"]
-    head += [f"    {v}{i} = {v}[..., {i}:{i + 1}]" for v, dim in (("x", n), ("u", m)) for i in range(dim)]
     reads = [{node.index for node in iter_nodes(e) if type(node) is StateVar} for e in exprs]
+    hoisted = {}  # table column -> its text, for slopes that read no state
 
     def k(s, i):  # the slope that component i has at stage s
         s = 2 if s == 3 and not any(reads[j] for j in reads[i]) else s
         return f"k{s if reads[i] else 1}_{i}"
 
-    def stage(s, state, dt=None):
-        slopes = [i for i in range(len(exprs)) if k(s, i) == f"k{s}_{i}"]
+    def per_segment(i, name, text):
+        """`text` where slope i reads state, else the table column `name` that holds it."""
+        if reads[i]:
+            return text
+        hoisted[name] = text
+        return name
+
+    def stage(s, state, dt=None, rows=range(len(exprs))):
+        slopes = [i for i in rows if k(s, i) == f"k{s}_{i}"]
         points = sorted(set().union(*(reads[i] for i in slopes))) if s > 1 else []
         # a state whose slope reads no state has equal stage-2 and stage-3 points
-        return [f"    z{j} = y{j}" if s == 3 and not reads[j] else f"    {state}{j} = x{j} + {dt} * {k(s - 1, j)}"
+        return [f"    z{j} = y{j}" if s == 3 and not reads[j]
+                else f"    {state}{j} = x{j} + {per_segment(j, f'{dt}_{k(s - 1, j)}', f'{dt} * {k(s - 1, j)}')}"
                 for j in points] + [f"    k{s}_{i} = base + ({expr_source(exprs[i], state)})" for i in slopes]
 
-    def join(columns):
-        return f"    return np.concatenate([{', '.join(columns)}], axis=-1)"
+    def names(lines):
+        return set(re.findall(r"\w+", "\n".join(lines)))
 
-    lines = ["def _rhs(x, u):", *head, *stage(1, "x"), join(k(1, i) for i in range(len(exprs)))]
+    def define(signature, sources, body, result):
+        """def `signature` that binds those `sources` that the rest reads."""
+        used = names([*body, result])
+        return [f"def {signature}:", *(f"    {name} = {src}" for name, src in sources if name in used),
+                *body, f"    return {result}"]
+
+    def join(columns):
+        return f"np.concatenate([{', '.join(columns)}], axis=-1)"
+
+    # each column keeps a trailing axis of 1, so h broadcasts as in rk4_step
+    xs = [(f"x{i}", f"x[..., {i}:{i + 1}]") for i in range(n)]
+    us = [(f"u{j}", f"u[..., {j}:{j + 1}]") for j in range(m)]
+    base = ("base", "np.zeros(np.shape(x)[:-1] + (1,))")
+    lines = define("_rhs(x, u)", [base, *xs, *us], stage(1, "x"), join(k(1, i) for i in range(len(exprs))))
     if len(exprs) == n:
-        lines += ["def _step(x, u, h):", *head, "    h2, h6 = h / 2.0, h / 6.0", *stage(1, "x")]
-        for s, state, dt in ((2, "y", "h2"), (3, "z", "h2"), (4, "w", "h")):
-            lines += stage(s, state, dt)
-        lines.append(join(f"x{i} + h6 * ({k(1, i)} + 2.0 * {k(2, i)} + 2.0 * {k(3, i)} + {k(4, i)})"
-                          for i in range(n)))
-        lines.append("_rhs.step = _step")
+        body = stage(1, "x", rows=[i for i in range(n) if reads[i]])
+        body += stage(2, "y", "h2") + stage(3, "z", "h2") + stage(4, "w", "h")
+        incs = [per_segment(i, f"inc_{i}", f"h6 * ({k(1, i)} + 2.0 * {k(2, i)} + 2.0 * {k(3, i)} + {k(4, i)})")
+                for i in range(n)]
+        used = names(body + incs)
+        columns = [name for name in ("h", "h2", "h6", *(u for u, _ in us), *hoisted) if name in used]
+        # x + c where the table holds every increment in state order, else
+        # the sums column by column as rk4_step is matched: where both terms
+        # are NaN, numpy's inner loop picks the sign that survives
+        result = "x + c" if incs == columns else join(f"x{i} + {inc}" for i, inc in enumerate(incs))
+        lines += define("_advance(x, c)", [base, *xs, *((name, f"c[..., {j}:{j + 1}]") for j, name in enumerate(columns))],
+                        body, result)
+        lines += define(
+            "_table(u, h)",
+            [("base", "np.zeros(np.broadcast_shapes(np.shape(u)[:-1], np.shape(h)[:-1]) + (1,))"),
+             *us, ("h2", "h / 2.0"), ("h6", "h / 6.0")],
+            stage(1, "x", rows=[i for i in range(n) if not reads[i]]) + [f"    {c} = {t}" for c, t in hoisted.items()],
+            f"np.concatenate(np.broadcast_arrays({', '.join(columns)}), axis=-1)",
+        )
+        lines += ["def _step(x, u, h):", "    return _advance(x, _table(u, h))",
+                  "_rhs.step, _rhs.advance, _rhs.table = _step, _advance, _table"]
     namespace = {"np": np, "ipow": ipow}
     exec("\n".join(lines), namespace)
     return namespace["_rhs"]

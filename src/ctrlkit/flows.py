@@ -172,10 +172,12 @@ def _step_times(durations, step) -> np.ndarray:
 
 
 def rk4_rows(f, x, durations, values, step, visit):
-    """The one RK4 loop: steps each row of `x` (rows, n) with `f.step` of a
-    compiled rhs through its own segments, `durations` (rows, segments)
-    with inputs `values` (rows, segments, m), on its `_schedule`.  Rows
-    never depend on each other.  After global step k, visit(k, x, bad)
+    """The one RK4 loop: steps each row of `x` (rows, n) through its own
+    segments, `durations` (rows, segments) with inputs `values` (rows,
+    segments, m), on its `_schedule`, with `f.step` of a compiled rhs
+    taken in its two parts: `f.table` once for every segment of every row,
+    then `f.advance` with each row's entry per substep.  Rows never depend
+    on each other.  After global step k, visit(k, x, bad)
     sees every row; `bad` is None or the mask of rows that just left the
     finite regime, which are zeroed and stepped no more.  Returns the
     final states and live rows."""
@@ -187,15 +189,16 @@ def rk4_rows(f, x, durations, values, step, visit):
     # step after which a row turns to its next segment; 0 (never) on its last
     turns = np.where(np.arange(durations.shape[1]) < durations.shape[1] - 1, seg_end, 0)
     seg = np.zeros(len(x), dtype=np.int64)
-    u, h, turn_at = values[:, 0].copy(), hs[:, :1].copy(), turns[:, 0].copy()
+    table = f.table(values, hs[..., None])
+    c, turn_at = table[:, 0].copy(), turns[:, 0].copy()
     ends = set(seg_end[:, -1].tolist())
     act, every, k = alive.copy(), True, 0
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        # inputs and step sizes change only for the rows that turn at a
-        # stop, and the active rows only where some row's schedule ends
+        # a row's table entry changes only when it turns at a stop, and the
+        # active rows only where some row's schedule ends
         for stop in np.unique(seg_end).tolist():
             for k in range(k, stop):
-                xn = f.step(x, u, h)
+                xn = f.advance(x, c)
                 x = xn if every else np.where(act[:, None], xn, x)
                 # NaN fails the comparison too: one test for NaN, inf and overflow
                 ok = np.abs(x) <= BLOWUP_LIMIT
@@ -215,7 +218,7 @@ def rk4_rows(f, x, durations, values, step, visit):
                 break
             turn = np.flatnonzero(turn_at == k)
             seg[turn] += 1
-            u[turn], h[turn, 0], turn_at[turn] = values[turn, seg[turn]], hs[turn, seg[turn]], turns[turn, seg[turn]]
+            c[turn], turn_at[turn] = table[turn, seg[turn]], turns[turn, seg[turn]]
     return x, alive
 
 

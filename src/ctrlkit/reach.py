@@ -216,6 +216,9 @@ def _draw_controls(seed: int, count: int, segments: int, horizon: float, box):
     raw = np.empty((count, segments, m))
     bits = np.random.PCG64(0)
     gen = np.random.Generator(bits)
+    # the setter copies the numbers out, so one dict serves every row
+    pcg = {"state": 0, "inc": 0}
+    full = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
     # a block of rows at a time keeps the hash's arrays and int lists small
     for start in range(0, count, _CHUNK):
         index = np.arange(start, min(count, start + _CHUNK))
@@ -223,10 +226,10 @@ def _draw_controls(seed: int, count: int, segments: int, horizon: float, box):
         for i, (s_hi, s_lo, q_hi, q_lo) in zip(index.tolist(), words):
             # pcg64_srandom_r in 128-bit ints
             inc = ((q_hi << 64 | q_lo) << 1 | 1) & _MASK128
-            state = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128
-            bits.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc}, "has_uint32": 0, "uinteger": 0}
-            gam[i] = gen.standard_exponential(segments)
-            raw[i] = gen.random((segments, m))
+            pcg["state"], pcg["inc"] = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128, inc
+            bits.state = full
+            gen.standard_exponential(out=gam[i])
+            gen.random(out=raw[i])
     # rng.dirichlet(ones) draws these same exponentials and scales them by
     # the reciprocal of their sum taken in order; cumsum adds in order too,
     # where np.sum pairs terms once there are 8 or more
@@ -287,13 +290,15 @@ def _run_chunk(f, x0, durations, values, step, grid):
     return x, ~alive
 
 
-def _cover(sys: ControlSystem, x0, cfg: ReachConfig, step: float, durations, values) -> ReachEstimate:
+def _cover(sys: ControlSystem, x0, cfg: ReachConfig, step: float, draw) -> ReachEstimate:
     """The one sampler run behind every estimate: `sys` from `x0` under the
-    drawn rows, stepped at `step`, marking the window grid of `cfg` over
-    the leading state axes.  The estimate counts cfg.samples samples, so
-    draws left out of `durations` are neither retained nor dropped."""
+    rows (durations, values) that `draw()` gives, stepped at `step`,
+    marking the window grid of `cfg` over the leading state axes.  The
+    grid is built first, so one past the cell limit fails before anything
+    is drawn.  The estimate counts cfg.samples samples, so draws left out
+    of the rows are neither retained nor dropped."""
     grid = _Grid(cfg.window, cfg.resolution)
-    _, dead = _run_batch(compile_components(sys.rhs, sys.n, sys.m), x0, durations, values, step, grid)
+    _, dead = _run_batch(compile_components(sys.rhs, sys.n, sys.m), x0, *draw(), step, grid)
     dropped = int(dead.sum())
     return ReachEstimate(
         window=cfg.window, resolution=cfg.resolution, bitmap=grid.shaped_bitmap(), coverage=grid.coverage,
@@ -307,7 +312,7 @@ def sample_reach(sys: ControlSystem, x0, cfg: ReachConfig) -> ReachEstimate:
     x0 = point(x0, sys.n, "x0")
     if len(cfg.window) != sys.n:
         raise ValueError(f"window needs {sys.n} axes")
-    return _cover(sys, x0, cfg, cfg.step, *_draw(cfg, sys.m, cfg.samples))
+    return _cover(sys, x0, cfg, cfg.step, lambda: _draw(cfg, sys.m, cfg.samples))
 
 
 def project_x(traj: Trajectory, record: ExtensionRecord) -> Trajectory:
@@ -357,7 +362,7 @@ def coverage_compare(sys: ControlSystem, x0, cfg: ReachConfig, cfg_ext: ReachCon
 
     est = sample_reach(sys, x0, cfg)
     x0e = np.concatenate([point(x0, n, "x0"), np.zeros(m)])
-    proj = _cover(record.extended, x0e, cfg, cfg_ext.step, *_draw(cfg_ext, m, cfg_ext.samples))
+    proj = _cover(record.extended, x0e, cfg, cfg_ext.step, lambda: _draw(cfg_ext, m, cfg_ext.samples))
     difference = abs(est.coverage - proj.coverage)
     return CompareReport(
         coverage_original=est.coverage,
@@ -404,7 +409,7 @@ def bounded_reach_check(
     outside = (y_path < lows) | (y_path > highs)
     keep = ~outside.any(axis=(1, 2))
     x0e = np.concatenate([point(x0, sys.n, "x0"), y0])
-    proj = _cover(record.extended, x0e, cfg, cfg.step, durations[keep], values[keep])
+    proj = _cover(record.extended, x0e, cfg, cfg.step, lambda: (durations[keep], values[keep]))
     return BoundedReachReport(original=est, extended_projected=proj, rejected=int((~keep).sum()))
 
 

@@ -7,6 +7,7 @@ expected number was measured against an independent closed form or a
 cross-implementation oracle before being locked in.
 """
 
+import hashlib
 import math
 import time
 
@@ -186,6 +187,9 @@ def test_criterion_7_bounded_inputs_cost_nothing(heading):
         window=((-2.0, 2.0), (-2.0, 2.0)), resolution=40, seed=2026, step=2e-2,
     )
     unbounded = sample_reach(heading, [0.0, 0.0], cfg)
+    # the full-size bitmap that every change to the sampler must keep
+    digest = hashlib.sha256(np.packbits(unbounded.bitmap).tobytes()).hexdigest()
+    assert digest == "d0f9b20e11b4dee02da0e8da52ebeda2c6f00792f241238819f2b280ad10ba33"
     report = bounded_reach_check(
         heading, [0.0, 0.0], ((-math.pi, math.pi),), cfg, rate_box=((-2.0, 2.0),)
     )

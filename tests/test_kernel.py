@@ -182,12 +182,22 @@ _STEP_SYSTEMS = {
     # dx1 reads the static x2 and the moving x3, so the stage-3 point of x2
     # is its stage-2 point and that of x3 is not
     "static_and_moving": lambda: parse("system sm\nstates x1 x2 x3\ninputs u\ndx1 = x2 * x3\ndx2 = u\ndx3 = x1\n"),
+    # the slope of x2 reads no state and both inputs, so the step's table
+    # takes strided input columns; x1 and x3 read an input each as well
+    "two_inputs": lambda: parse(
+        "system two\nstates x1 x2 x3\ninputs u v\ndx1 = x2 * sin(u)\n"
+        "dx2 = exp(u) * sin(v) + sin(u) * exp(v) + u^5 - v^5\ndx3 = x1 * v\n"
+    ),
 }
 
 
-def _step_case(name):
+def _made(name):
     made = _STEP_SYSTEMS[name]()
-    exprs, n, m = (made.rhs, made.n, made.m) if hasattr(made, "rhs") else made
+    return (made.rhs, made.n, made.m) if hasattr(made, "rhs") else made
+
+
+def _step_case(name):
+    exprs, n, m = _made(name)
     rng = np.random.default_rng(31)
     x = rng.uniform(-2.0, 2.0, size=(2048, n))
     u = rng.uniform(-2.0, 2.0, size=(2048, m))
@@ -231,6 +241,45 @@ def test_step_evaluates_each_slope_only_where_it_can_change(monkeypatch):
     f = compile_components(sys_.rhs, 3, 1)
     f.step(np.full((4, 3), 0.5), np.full((4, 1), 0.5), 0.1)
     assert sorted(calls) == [4, 4, 4, 5, 6, 6, 6, 6]
+
+
+@pytest.mark.parametrize("name", sorted(_STEP_SYSTEMS))
+def test_rk4_rows_ends_where_a_loop_of_rk4_step_ends(name):
+    """A ragged batch ends, state for state, where a plain loop of
+    `rk4_step` over each row's `_schedule` ends."""
+    exprs, n, m = _made(name)
+    f = compile_components(exprs, n, m)
+    # short and small enough that no row of any system blows up
+    durations = np.array(_RAGGED[3][0]) / 4.0
+    rng = np.random.default_rng(19)
+    values = rng.uniform(-0.8, 0.8, size=(*durations.shape, m))
+    x0 = rng.uniform(-0.5, 0.5, size=(len(durations), n))
+    with np.errstate(all="ignore"):
+        x, alive = flows.rk4_rows(f, x0, durations, values, 1e-2, lambda k, x, bad: None)
+        for i in range(len(durations)):
+            want = x0[i]
+            nsub, hs = flows._schedule(durations[i], 1e-2)
+            for count, h, u in zip(nsub.tolist(), hs.tolist(), values[i]):
+                for _ in range(count):
+                    want = flows.rk4_step(f, want, u, h)
+            assert x[i].tobytes() == want.tobytes(), f"row {i}"
+    assert alive.all()
+
+
+def test_rk4_rows_evaluates_a_slope_that_reads_no_state_once(monkeypatch):
+    """Once per `rk4_rows` call, for every segment of every row, however
+    many substeps follow; the other slopes once per stage they are read."""
+    calls = []
+    monkeypatch.setattr(expr, "ipow", lambda b, k: calls.append(k) or np.power(b, k))
+    sys_ = parse("system count\nstates x1 x2 x3\ninputs u\ndx1 = x2^4\ndx2 = u^5\ndx3 = x1^6\n")
+    f = compile_components(sys_.rhs, 3, 1)
+    durations = np.array(_RAGGED[3][0])
+    values = np.array(_RAGGED[3][1])[:, :, None]
+    steps = []
+    flows.rk4_rows(f, np.full((len(durations), 3), 0.5), durations, values, 1e-2, lambda k, x, bad: steps.append(k))
+    assert len(steps) > 100
+    assert calls.count(5) == 1
+    assert calls.count(4) == 3 * len(steps) and calls.count(6) == 4 * len(steps)
 
 
 def test_small_powers_of_a_variable_are_the_products_of_ipow():

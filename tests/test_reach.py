@@ -572,6 +572,25 @@ def test_config_rejects_grids_past_the_cell_limit(heading, tmp_path, capsys, res
     assert not out.exists()
 
 
+@pytest.mark.parametrize("run", ["sample", "compare", "bounded"])
+def test_grid_past_the_cell_limit_fails_before_any_control_is_drawn(heading, monkeypatch, run):
+    """A refused grid costs no draw: every `_draw_controls` call before the
+    error has count 0, the config checks that `_draw` makes."""
+    draw = reach._draw_controls
+    counts = []
+    monkeypatch.setattr(reach, "_draw_controls", lambda seed, count, *rest: counts.append(count) or draw(seed, count, *rest))
+    cfg = heading_cfg(resolution=(4097, 4096), samples=10)
+    with pytest.raises(ValueError, match="cells"):
+        if run == "sample":
+            sample_reach(heading, [0.0, 0.0], cfg)
+        elif run == "compare":
+            coverage_compare(heading, [0.0, 0.0], cfg, heading_cfg(
+                samples=10, window=((-2.0, 2.0), (-2.0, 2.0), (-18.0, 18.0)), resolution=(4097, 4096, 2)))
+        else:
+            bounded_reach_check(heading, [0.0, 0.0], ((-1.0, 1.0),), cfg)
+    assert not any(counts)
+
+
 def test_compare_counts_only_the_gridded_axes_against_the_cell_limit(heading, tmp_path):
     """compare grids both runs on the original window, so an extended
     resolution of (4096, 4096, 2), twice the limit over all its axes, is
