@@ -186,17 +186,21 @@ def rk4_rows(f, x, durations, values, step, visit):
     alive = np.ones(len(x), dtype=bool)
     if not durations.shape[1]:
         return x, alive
-    # step after which a row turns to its next segment; 0 (never) on its last
-    turns = np.where(np.arange(durations.shape[1]) < durations.shape[1] - 1, seg_end, 0)
-    seg = np.zeros(len(x), dtype=np.int64)
     table = f.table(values, hs[..., None])
-    c, turn_at = table[:, 0].copy(), turns[:, 0].copy()
+    c = table[:, 0].copy()
+    # row r turns to segment j + 1 after step turns[r, j]; in step order,
+    # the turns at stops[i] are those of turn_row[upto[i - 1]:upto[i]]
+    turns = seg_end[:, :-1]
+    order = np.argsort(turns, axis=None, kind="stable")
+    turn_row, turn_seg = np.unravel_index(order, turns.shape)
+    stops = np.unique(seg_end)
+    upto = np.searchsorted(turns.ravel()[order], stops, side="right").tolist()
     ends = set(seg_end[:, -1].tolist())
-    act, every, k = alive.copy(), True, 0
+    act, every, k, lo = alive.copy(), True, 0, 0
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         # a row's table entry changes only when it turns at a stop, and the
         # active rows only where some row's schedule ends
-        for stop in np.unique(seg_end).tolist():
+        for stop, hi in zip(stops.tolist(), upto):
             for k in range(k, stop):
                 xn = f.advance(x, c)
                 x = xn if every else np.where(act[:, None], xn, x)
@@ -216,9 +220,9 @@ def rk4_rows(f, x, durations, values, step, visit):
                 every = act.all()
             if not act.any():
                 break
-            turn = np.flatnonzero(turn_at == k)
-            seg[turn] += 1
-            c[turn], turn_at[turn] = table[turn, seg[turn]], turns[turn, seg[turn]]
+            turn = turn_row[lo:hi]
+            c[turn] = table[turn, turn_seg[lo:hi] + 1]
+            lo = hi
     return x, alive
 
 

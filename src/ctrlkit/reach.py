@@ -25,6 +25,7 @@ DEFAULT_RATE_BOUND = 10.0
 MAX_CELLS = 2 ** 24
 MAX_WORK = 2 ** 30  # row-substeps of one sampler run
 _CHUNK = ROW_BLOCK
+_MARK_BLOCK = 8 * ROW_BLOCK  # row-states per grid index: more spill the temporaries out of cache
 _REFINE_BATCH = 64
 
 
@@ -129,16 +130,21 @@ class _Grid:
     def flat_index(self, x: np.ndarray) -> np.ndarray:
         """Flat cell index per row, -1 for points outside the window.  It
         goes one axis at a time, with the float operations of
-        `(x - lows) / (highs - lows)` over whole rows."""
+        `(x - lows) / (highs - lows)` over whole rows, in temporaries
+        that every axis reuses."""
         flat = np.zeros(len(x), dtype=np.int64)
         ok = np.ones(len(x), dtype=bool)
+        w, cell, test = np.empty(len(x)), np.empty(len(x), dtype=np.int64), np.empty(len(x), dtype=bool)
         with np.errstate(invalid="ignore"):
             for a, (lo, span, r, stride) in enumerate(self.axes):
-                w = (x[:, a] - lo) / span
+                np.divide(np.subtract(x[:, a], lo, out=w), span, out=w)
                 # NaN and inf compare false, so they fall outside too
-                ok &= (w >= 0.0) & (w < 1.0)
-                flat += np.minimum((w * float(r)).astype(np.int64), r - 1) * stride
-        return np.where(ok, flat, -1)
+                ok &= np.greater_equal(w, 0.0, out=test)
+                ok &= np.less(w, 1.0, out=test)
+                np.copyto(cell, np.multiply(w, float(r), out=w), casting="unsafe")
+                flat += np.multiply(np.minimum(cell, r - 1, out=cell), stride, out=cell)
+        flat[~ok] = -1
+        return flat
 
     def commit(self, marks: np.ndarray):
         self.bitmap |= marks
@@ -265,25 +271,40 @@ def _run_batch(f, x0, durations, values, step: float, grid=None):
 
 def _run_chunk(f, x0, durations, values, step, grid):
     """Integrate one chunk, marking cells into a chunk-local bitmap as it
-    steps, so memory does not grow with the number of steps.  A row that
-    blows up may already have marked cells, so after a drop the marks are
-    thrown away and the surviving rows alone run again: they take the same
-    steps and cannot drop."""
+    steps, so memory does not grow with the number of steps.  One
+    `flat_index` call indexes the states of as many substeps as fit in
+    _MARK_BLOCK row-states, one at least.  A row that blows up may
+    already have marked cells, so after a drop the marks are thrown away
+    and the surviving rows alone run again: they take the same steps and
+    cannot drop."""
+    rows = durations.shape[0]
     # one spare cell past the grid takes the -1 of points outside it
     marks = None if grid is None else np.zeros(grid.bitmap.size + 1, dtype=bool)
+    # the grid's axes of the states visited since the last index, column
+    # by column, so that `flat_index` reads each axis contiguously
+    held = None if grid is None else np.empty((max(1, _MARK_BLOCK // rows) * rows, len(grid.axes)), order="F")
+    filled = 0
+
+    def index():
+        marks[grid.flat_index(held[:filled])] = True
 
     def visit(k, x, bad):
-        nonlocal marks
+        nonlocal marks, filled
         if bad is not None:
             marks = None  # the marks of a chunk with a dead row are not kept
         elif marks is not None:
             # every row marks: a finished row stays in a cell it has marked
-            marks[grid.flat_index(x)] = True
+            held[filled:filled + rows] = x[:, :held.shape[1]]
+            filled += rows
+            if filled == len(held):
+                index()
+                filled = 0
 
-    x = np.tile(x0, (durations.shape[0], 1))
+    x = np.tile(x0, (rows, 1))
     visit(None, x, None)
     x, alive = rk4_rows(f, x, durations, values, step, visit)
     if marks is not None:  # a grid, and no row dropped
+        index()
         grid.commit(marks[:-1])
     elif grid is not None and alive.any():
         _run_chunk(f, x0, durations[alive], values[alive], step, grid)

@@ -339,6 +339,40 @@ def test_ragged_rows_step_as_they_do_alone(segments):
                 assert state[i].tobytes() == x_i[0].tobytes() and not bad[i]
 
 
+# durations and inputs of boom rows from x1 = 0.5, at step 1e-2
+_TURN_ORDER = {
+    # rows 0, 1 and 3 turn after step 30, rows 1 and 2 after step 50
+    "same step": ([[0.3, 0.5, 0.2], [0.3, 0.2, 0.5], [0.1, 0.4, 0.5], [0.3, 0.4, 0.1]],
+                  [[-1.0, 0.0, 0.5], [0.2, -0.3, 0.1], [0.0, 0.1, -1.2], [-0.5, 0.3, 0.0]]),
+    # no row turns, so the turn order is empty
+    "one segment": ([[0.3], [0.5], [0.3]], [[-1.0], [0.2], [0.0]]),
+    # segments of a single substep: rows 0 and 1 turn after steps 1 and 2, row 2 after 20, 21 and 22
+    "single substeps": ([[0.004, 0.01, 0.003, 0.2], [0.01, 0.002, 0.3, 0.005], [0.2, 0.006, 0.01, 0.009]],
+                        [[3.0, -1.0, 0.5, 0.0], [0.1, 0.2, -0.3, 0.4], [-0.2, 9.0, 0.0, 1.0]]),
+    # row 0 blows up (at about t = 0.66) before its turn after step 100,
+    # where row 1 turns
+    "dead before its turn": ([[1.0, 0.5], [1.0, 0.3], [0.4, 0.2]], [[4.0, -1.0], [0.0, 0.1], [-0.5, 0.2]]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_TURN_ORDER))
+def test_turns_in_step_order_match_one_row_runs(case):
+    """Rows turn to their next segment from one order of every turn of the
+    batch; each row's states and `bad` masks are those of a one-row run."""
+    f = compile_components(parse(BOOM_TEXT).rhs, 1, 1)
+    durations = np.array(_TURN_ORDER[case][0])
+    values = np.array(_TURN_ORDER[case][1])[:, :, None]
+    x0 = np.full((len(durations), 1), 0.5)
+    x, alive, seen = _visited(f, x0, durations, values)
+    assert alive.tolist() == [case != "dead before its turn"] + [True] * (len(durations) - 1)
+    for i in range(len(durations)):
+        x_i, alive_i, seen_i = _visited(f, x0[i:i + 1], durations[i:i + 1], values[i:i + 1])
+        assert x[i].tobytes() == x_i[0].tobytes() and alive[i] == alive_i[0], f"row {i}"
+        for k, state, bad in seen[:len(seen_i)]:
+            assert state[i].tobytes() == seen_i[k][1][0].tobytes(), f"row {i} step {k}"
+            assert bad[i] == seen_i[k][2][0], f"row {i} step {k}"
+
+
 def test_rows_without_segments_are_returned_alive():
     f = compile_components(parse(BOOM_TEXT).rhs, 1, 1)
     x0 = np.array([[0.5], [np.inf]])

@@ -8,7 +8,7 @@ import pytest
 
 from conftest import HEADING_TEXT
 
-from ctrlkit import reach
+from ctrlkit import flows, reach
 from ctrlkit.cli import main
 from ctrlkit.dsl import parse
 from ctrlkit.expr import compile_components
@@ -249,6 +249,79 @@ def test_flat_index_equals_the_whole_row_formula(window, resolution):
     want = _whole_row_flat_index(grid, x)
     assert np.array_equal(grid.flat_index(x), want)
     assert (want == -1).any() and (want >= 0).sum() > 300
+
+
+def test_flat_index_of_a_whole_block_equals_the_whole_row_formula():
+    """One call over a block of `_MARK_BLOCK` rows and more, in the
+    column-major layout the sampler indexes, with NaN, inf, -0.0, hi and
+    the float below hi spread across it, and a trailing axis the grid does
+    not cover, as `compare` indexes an extension."""
+    window = ((-2.0, 2.0), (-1.0, 3.0), (-18.0, 18.0))
+    grid = reach._Grid(window, (40, 40, 10))
+    lows, highs, _ = _grid_arrays(grid)
+    rng = np.random.default_rng(20)
+    x = rng.uniform(lows - 0.5, highs + 0.5, size=(reach._MARK_BLOCK + 1000, 3))
+    for a, (lo, hi) in enumerate(window):
+        for v in (np.nan, np.inf, -np.inf, -0.0, lo, hi, np.nextafter(hi, lo)):
+            x[rng.choice(len(x), 40, replace=False), a] = v
+    x = np.hstack([x, rng.uniform(-1.0, 1.0, size=(len(x), 1))])
+    want = _whole_row_flat_index(grid, x)
+    assert np.array_equal(grid.flat_index(x), want)
+    assert np.array_equal(grid.flat_index(np.asfortranarray(x[:, :3])), want)
+    assert (want == -1).sum() > 1000 and (want >= 0).sum() > reach._MARK_BLOCK // 2
+
+
+def _marks_one_substep_at_a_time(f, x0, durations, values, step, grid):
+    """The bitmap of every state that the rows which never drop visit, each
+    substep's states indexed in a `flat_index` call of their own, and the
+    number of visits of that run."""
+    keep = flows.rk4_rows(f, np.tile(x0, (len(durations), 1)), durations, values, step, lambda k, x, bad: None)[1]
+    marks = np.zeros(grid.bitmap.size + 1, dtype=bool)
+    visits = []
+
+    def visit(k, x, bad):
+        marks[grid.flat_index(x)] = True
+        visits.append(k)
+
+    x = np.tile(x0, (int(keep.sum()), 1))
+    visit(None, x, None)
+    flows.rk4_rows(f, x, durations[keep], values[keep], step, visit)
+    return marks[:-1], len(visits)
+
+
+_LAYOUT_CASES = {
+    # horizon 0.51 at step 1e-2 makes 52 to 54 visits, none a multiple of
+    # the 8 or 5 substeps of a block of 2048 or 3000 rows
+    "heading": (parse(HEADING_TEXT), [0.0, 0.0], heading_cfg(
+        horizon=0.51, segments=3, window=((-0.4, 0.4), (-0.2, 0.5)))),
+    # a grid over the leading axes only, as `compare` builds on an extension
+    "heading_ext": (extend(parse(HEADING_TEXT)).extended, [0.0, 0.0, 0.3], heading_cfg(
+        horizon=0.51, segments=3, window=((-0.4, 0.4), (-0.2, 0.5)))),
+    "boom": (parse(BOOM_TEXT), [0.5], BOOM_MIXED_CFG),
+}
+
+
+@pytest.mark.parametrize("rows", [1, 7, 3000, 2048])
+@pytest.mark.parametrize("case", sorted(_LAYOUT_CASES))
+def test_block_marking_is_layout_free(case, rows):
+    """`_run_chunk` indexes the states of several substeps in one call; its
+    bitmap is the one that indexing every substep alone gives, however the
+    chunk's rows divide the block, with a last block part full, and when a
+    row drops and the survivors run again."""
+    sys_, x0, cfg = _LAYOUT_CASES[case]
+    f = compile_components(sys_.rhs, sys_.n, sys_.m)
+    x0 = np.array(x0)
+    durations, values = reach._draw_controls(cfg.seed, rows, cfg.segments, cfg.horizon, cfg.input_box)
+    grid = reach._Grid(cfg.window, cfg.resolution)
+    want, visits = _marks_one_substep_at_a_time(f, x0, durations, values, cfg.step, grid)
+    _, dead = reach._run_chunk(f, x0, durations, values, cfg.step, grid)
+    assert np.array_equal(grid.bitmap, want)
+    assert want.sum() < want.size
+    assert want.any() or dead.all()
+    if case == "boom" and rows > 1:
+        assert dead.any() and not dead.all()
+    if case != "boom" and rows >= 2048:
+        assert visits % (reach._MARK_BLOCK // rows) != 0
 
 
 def test_sample_reach_memory_does_not_grow_with_horizon(heading):
