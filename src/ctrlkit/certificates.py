@@ -8,6 +8,7 @@ controllability; reports say which one they carry.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -203,27 +204,23 @@ def larc(aff: AffineSystem, point, max_depth: int, node_budget: int = NODE_BUDGE
     truncated = False
 
     for level in range(2, max_depth + 1):
+        for i, j in itertools.combinations(range(len(fields)), 2):
+            if max(depths[i], depths[j]) != level - 1:
+                continue
+            candidate = lie_bracket(fields[i], fields[j])
+            spent += sum(node_count(c) for c in candidate.components)
+            if spent > node_budget:
+                truncated = True
+                break
+            vals = _probe_values(candidate, probes)
+            if _in_span_everywhere(values, vals):
+                continue
+            names.append(f"[{names[i]},{names[j]}]")
+            fields.append(candidate)
+            depths.append(level)
+            values.append(vals)
         if truncated:
             break
-        count = len(fields)
-        for i in range(count):
-            if truncated:
-                break
-            for j in range(i + 1, count):
-                if max(depths[i], depths[j]) != level - 1:
-                    continue
-                candidate = lie_bracket(fields[i], fields[j])
-                spent += sum(node_count(c) for c in candidate.components)
-                if spent > node_budget:
-                    truncated = True
-                    break
-                vals = _probe_values(candidate, probes)
-                if _in_span_everywhere(values, vals):
-                    continue
-                names.append(f"[{names[i]},{names[j]}]")
-                fields.append(candidate)
-                depths.append(level)
-                values.append(vals)
 
     stacked = np.array([eval_vf(f, point) for f in fields])
     rank = matrix_rank(stacked)

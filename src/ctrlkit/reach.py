@@ -210,32 +210,29 @@ def _seed_words(seed: int, index: np.ndarray) -> list[np.ndarray]:
     return [out[2 * j] | (out[2 * j + 1] << np.uint64(32)) for j in range(_POOL)]
 
 
-def _draw_controls(seed: int, count: int, segments: int, horizon: float, box):
+def _draw_controls(seed: int, count: int, segments: int, horizon: float, box, first: int = 0):
     """Per-trajectory sub-streams: sample i depends only on (seed, i).
-    Row i draws what `np.random.default_rng([seed, i])` draws, from one
-    reused Generator whose PCG64 state is seeded as numpy seeds it; i stays
-    below 2^32, one entropy word, because count <= samples <= MAX_WORK."""
+    Row i draws what `np.random.default_rng([seed, i])` draws, for i from
+    `first` on, from one reused Generator whose PCG64 state is seeded as
+    numpy seeds it; i < first + count <= samples <= MAX_WORK < 2^32, one
+    entropy word."""
     box = np.array(box, dtype=float).reshape(-1, 2)
-    m = box.shape[0]
     lows, spans = box[:, 0], box[:, 1] - box[:, 0]
     gam = np.empty((count, segments))
-    raw = np.empty((count, segments, m))
+    raw = np.empty((count, segments, len(box)))
     bits = np.random.PCG64(0)
     gen = np.random.Generator(bits)
     # the setter copies the numbers out, so one dict serves every row
     pcg = {"state": 0, "inc": 0}
     full = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
-    # a block of rows at a time keeps the hash's arrays and int lists small
-    for start in range(0, count, _CHUNK):
-        index = np.arange(start, min(count, start + _CHUNK))
-        words = zip(*(w.tolist() for w in _seed_words(seed, index)))
-        for i, (s_hi, s_lo, q_hi, q_lo) in zip(index.tolist(), words):
-            # pcg64_srandom_r in 128-bit ints
-            inc = ((q_hi << 64 | q_lo) << 1 | 1) & _MASK128
-            pcg["state"], pcg["inc"] = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128, inc
-            bits.state = full
-            gen.standard_exponential(out=gam[i])
-            gen.random(out=raw[i])
+    words = zip(*(w.tolist() for w in _seed_words(seed, np.arange(first, first + count))))
+    for i, (s_hi, s_lo, q_hi, q_lo) in enumerate(words):
+        # pcg64_srandom_r in 128-bit ints
+        inc = ((q_hi << 64 | q_lo) << 1 | 1) & _MASK128
+        pcg["state"], pcg["inc"] = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128, inc
+        bits.state = full
+        gen.standard_exponential(out=gam[i])
+        gen.random(out=raw[i])
     # rng.dirichlet(ones) draws these same exponentials and scales them by
     # the reciprocal of their sum taken in order; cumsum adds in order too,
     # where np.sum pairs terms once there are 8 or more
@@ -243,17 +240,17 @@ def _draw_controls(seed: int, count: int, segments: int, horizon: float, box):
     return durations, lows + raw * spans
 
 
-def _draw(cfg: ReachConfig, m: int, count: int):
-    """`_draw_controls` for `count` rows of a run of `cfg` on a system with
-    `m` inputs, once its box is known to have one axis per input and the
-    run's row-substeps to fit MAX_WORK (Python floats: horizon / step may
-    be inf).  With count 0 it only checks."""
+def _draw(cfg: ReachConfig, m: int, count: int, first: int = 0):
+    """`_draw_controls` for rows first ... first + count - 1 of a run of
+    `cfg` on a system with `m` inputs, once its box is known to have one
+    axis per input and the run's row-substeps to fit MAX_WORK (Python
+    floats: horizon / step may be inf).  With count 0 it only checks."""
     if len(cfg.input_box) != m:
         raise ValueError(f"box has {len(cfg.input_box)} axes; input and rate axes need one per input, {m} here")
     work = cfg.samples * (cfg.segments + cfg.horizon / cfg.step)
     if work > MAX_WORK:
         raise ValueError(f"samples * (segments + horizon / step) is {work:.3g} row-substeps, more than {MAX_WORK}")
-    return _draw_controls(cfg.seed, count, cfg.segments, cfg.horizon, cfg.input_box)
+    return _draw_controls(cfg.seed, count, cfg.segments, cfg.horizon, cfg.input_box, first)
 
 
 def _run_batch(f, x0, durations, values, step: float, grid=None):
@@ -311,19 +308,24 @@ def _run_chunk(f, x0, durations, values, step, grid):
     return x, ~alive
 
 
-def _cover(sys: ControlSystem, x0, cfg: ReachConfig, step: float, draw) -> ReachEstimate:
+def _cover(sys: ControlSystem, x0, cfg: ReachConfig, runs: ReachConfig, keep=None) -> ReachEstimate:
     """The one sampler run behind every estimate: `sys` from `x0` under the
-    rows (durations, values) that `draw()` gives, stepped at `step`,
-    marking the window grid of `cfg` over the leading state axes.  The
-    grid is built first, so one past the cell limit fails before anything
-    is drawn.  The estimate counts cfg.samples samples, so draws left out
-    of the rows are neither retained nor dropped."""
+    rows of `runs`, each chunk drawn just before it runs, marking the window
+    grid of `cfg` over the leading state axes.  Rows that `keep(durations,
+    values)` refuses are neither retained nor dropped.  The grid is built
+    first, so one past the cell limit fails before anything is drawn."""
     grid = _Grid(cfg.window, cfg.resolution)
-    _, dead = _run_batch(compile_components(sys.rhs, sys.n, sys.m), x0, *draw(), step, grid)
-    dropped = int(dead.sum())
+    f = compile_components(sys.rhs, sys.n, sys.m)
+    ran = dropped = 0
+    for first in range(0, runs.samples, _CHUNK):
+        durations, values = _draw(runs, sys.m, min(_CHUNK, runs.samples - first), first)
+        kept = slice(None) if keep is None else keep(durations, values)
+        _, dead = _run_batch(f, x0, durations[kept], values[kept], runs.step, grid)
+        ran += len(dead)
+        dropped += int(dead.sum())
     return ReachEstimate(
         window=cfg.window, resolution=cfg.resolution, bitmap=grid.shaped_bitmap(), coverage=grid.coverage,
-        samples=cfg.samples, retained=len(dead) - dropped, dropped=dropped,
+        samples=cfg.samples, retained=ran - dropped, dropped=dropped,
     )
 
 
@@ -333,7 +335,7 @@ def sample_reach(sys: ControlSystem, x0, cfg: ReachConfig) -> ReachEstimate:
     x0 = point(x0, sys.n, "x0")
     if len(cfg.window) != sys.n:
         raise ValueError(f"window needs {sys.n} axes")
-    return _cover(sys, x0, cfg, cfg.step, lambda: _draw(cfg, sys.m, cfg.samples))
+    return _cover(sys, x0, cfg, cfg)
 
 
 def project_x(traj: Trajectory, record: ExtensionRecord) -> Trajectory:
@@ -383,7 +385,7 @@ def coverage_compare(sys: ControlSystem, x0, cfg: ReachConfig, cfg_ext: ReachCon
 
     est = sample_reach(sys, x0, cfg)
     x0e = np.concatenate([point(x0, n, "x0"), np.zeros(m)])
-    proj = _cover(record.extended, x0e, cfg, cfg_ext.step, lambda: _draw(cfg_ext, m, cfg_ext.samples))
+    proj = _cover(record.extended, x0e, cfg, cfg_ext)
     difference = abs(est.coverage - proj.coverage)
     return CompareReport(
         coverage_original=est.coverage,
@@ -415,23 +417,23 @@ def bounded_reach_check(
     rejected up front (the path is piecewise linear, so checking segment
     endpoints suffices)."""
     record = extend(sys)
-    m = sys.m
     bounded = replace(cfg, input_box=bound_box)
     if rate_box is None:
-        rate_box = tuple((-DEFAULT_RATE_BOUND, DEFAULT_RATE_BOUND) for _ in range(m))
+        rate_box = tuple((-DEFAULT_RATE_BOUND, DEFAULT_RATE_BOUND) for _ in range(sys.m))
     rates = replace(cfg, input_box=rate_box)
-    _draw(rates, m, 0)  # the extension's config fails before the first run
+    _draw(rates, sys.m, 0)  # the extension's config fails before the first run
     est = sample_reach(sys, x0, bounded)
 
     lows, highs = np.array(bounded.input_box).T
     y0 = (lows + highs) / 2.0
-    durations, values = _draw(rates, m, cfg.samples)
-    y_path = y0[None, None, :] + np.cumsum(values * durations[:, :, None], axis=1)
-    outside = (y_path < lows) | (y_path > highs)
-    keep = ~outside.any(axis=(1, 2))
+
+    def inside(durations, values):
+        y_path = y0 + np.cumsum(values * durations[:, :, None], axis=1)
+        return ~((y_path < lows) | (y_path > highs)).any(axis=(1, 2))
+
     x0e = np.concatenate([point(x0, sys.n, "x0"), y0])
-    proj = _cover(record.extended, x0e, cfg, cfg.step, lambda: (durations[keep], values[keep]))
-    return BoundedReachReport(original=est, extended_projected=proj, rejected=int((~keep).sum()))
+    proj = _cover(record.extended, x0e, cfg, rates, inside)
+    return BoundedReachReport(original=est, extended_projected=proj, rejected=cfg.samples - proj.retained - proj.dropped)
 
 
 @dataclass
@@ -464,13 +466,14 @@ def two_point_steer(sys: ControlSystem, x0, x1, cfg: ReachConfig, tol: float) ->
         best = int(np.argmin(dists))
         return best, float(dists[best])
 
-    durations, values = _draw(cfg, m, max(1, budget // 2))
-    best, best_dist = shoot(durations, values)
-    best_durs = durations[best].copy()
-    best_vals = values[best].copy()
-    evaluations = len(durations)
-    box = np.array(cfg.input_box, dtype=float).reshape(-1, 2)
-    lows, highs = box[:, 0], box[:, 1]
+    evaluations = max(1, budget // 2)
+    for first in range(0, evaluations, _CHUNK):
+        durations, values = _draw(cfg, m, min(_CHUNK, evaluations - first), first)
+        best, dist = shoot(durations, values)
+        # strictly nearer, so a tie keeps the lowest row, as argmin does
+        if first == 0 or dist < best_dist:
+            best_dist, best_durs, best_vals = dist, durations[best].copy(), values[best].copy()
+    lows, highs = np.array(cfg.input_box, dtype=float).reshape(-1, 2).T
 
     scale = 0.25
     round_id = 0

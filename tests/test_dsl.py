@@ -86,6 +86,10 @@ def test_parse_no_inputs_line():
         ("system s\nstates x x\ndx = x\n", 2, "duplicate"),
         ("system s\nstates x\ninputs x\ndx = x\n", 3, "duplicate"),
         ("system s\nstates 2x\nd2x = 0\n", 2, "bad state name"),
+        ("system sin\nstates x\ndx = x\n", 1, "system name 'sin' is reserved"),
+        ("system s\n", 1, "missing 'states' declaration"),
+        ("system s\nstates\n", 2, "at least one state"),
+        ("system s\nstates x\ndz = x\n", 3, "equation for undeclared state 'z'"),
     ],
 )
 def test_parse_errors(text, line, frag):
@@ -223,6 +227,21 @@ def test_to_affine_state_dependent_channel():
     pt = [3.0, 2.0]
     assert eval_vf(aff.drift, pt) == pytest.approx([3.0, -2.0])
     assert eval_vf(aff.channels[0], pt) == pytest.approx([2.0, 0.0])
+
+
+def test_parse_expression_rejects_empty_text():
+    with pytest.raises(DslError, match="empty expression"):
+        parse_expression("", ["a"], ["w"])
+
+
+@pytest.mark.parametrize("a, b, words", [
+    ([[0.0, 1.0]], [[0.0]], "A must be square"),
+    ([1.0, 2.0], [1.0, 2.0], "A must be square"),
+    ([[0.0, 1.0], [-2.0, 0.5]], [[1.0], [0.0], [1.0]], "B must have one row per state"),
+])
+def test_from_linear_checks_shapes(a, b, words):
+    with pytest.raises(ValueError, match=words):
+        from_linear("lin", a, b)
 
 
 def test_from_linear_golden():

@@ -208,6 +208,28 @@ def test_draw_controls_equal_per_row_default_rng(seed, box, count):
     assert np.array_equal(values[:, :, 1:], -2.0 + raw[:, :, 1:] * 5.0)
 
 
+@pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**64 + 5])
+@pytest.mark.parametrize("first", [1, 2047, 2048, 2**31 + 3])
+def test_draw_controls_from_a_first_row_equal_per_row_default_rng(seed, first):
+    """Rows first, first + 1, ... draw what default_rng([seed, first + i])
+    draws, so a chunk drawn just before it runs has the bits that a draw of
+    every row before it would give that chunk."""
+    segments, box, count = 5, ((0.0, 1.0), (-2.0, 3.0)), 30
+    gam = np.empty((count, segments))
+    raw = np.empty((count, segments, 2))
+    for i in range(count):
+        rng = np.random.default_rng([seed, first + i])
+        gam[i] = rng.standard_exponential(segments)
+        raw[i] = rng.random((segments, 2))
+    durations, values = reach._draw_controls(seed, count, segments, 2.5, box, first)
+    assert np.array_equal(durations, gam * (1.0 / np.cumsum(gam, axis=1)[:, -1:]) * 2.5)
+    assert np.array_equal(values[:, :, 0], raw[:, :, 0])
+    assert np.array_equal(values[:, :, 1], -2.0 + raw[:, :, 1] * 5.0)
+    if first < 4096:
+        whole = reach._draw_controls(seed, first + count, segments, 2.5, box)
+        assert np.array_equal(whole[0][first:], durations) and np.array_equal(whole[1][first:], values)
+
+
 def _grid_arrays(grid):
     """The grid's window and resolution as lows, highs and res arrays."""
     lows, highs = np.array(grid.window).T
@@ -339,6 +361,32 @@ def test_sample_reach_memory_does_not_grow_with_horizon(heading):
 
     short, long = traced_peak(0.25), traced_peak(2.0)
     assert long <= short + 2**20
+
+
+def test_sampler_memory_does_not_grow_with_samples(heading, monkeypatch):
+    """Each chunk's controls are drawn just before it runs, and the bounded
+    check rejects them chunk by chunk, so ten times the samples take no more
+    traced memory than one.  A chunk of 256 rows keeps the traced runs
+    short; the chunk bounds the memory whatever its size."""
+    monkeypatch.setattr(reach, "_CHUNK", 256)
+    runs = {
+        "sample": lambda cfg: sample_reach(heading, [0.0, 0.0], cfg),
+        "bounded": lambda cfg: bounded_reach_check(heading, [0.0, 0.0], ((-1.0, 1.0),), cfg, rate_box=((-3.0, 3.0),)),
+    }
+
+    def traced_peak(run, samples):
+        cfg = heading_cfg(horizon=0.05, segments=16, samples=samples, step=0.05)
+        tracemalloc.start()
+        try:
+            run(cfg)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    for name, run in runs.items():
+        run(heading_cfg(samples=10))  # what the first call compiles and caches is not the sampler's
+        one, ten = traced_peak(run, 512), traced_peak(run, 5120)
+        assert ten <= one + 2**20, name
 
 
 def _row_control(durations, values, i):
@@ -548,6 +596,31 @@ def test_bounded_check_rejects_escaping_integrator_paths(heading):
     assert report.extended_projected.retained <= kept
 
 
+@pytest.mark.parametrize("chunk", [1, 7])
+def test_bounded_check_ignores_chunk_size(heading, monkeypatch, chunk):
+    """Rejection and stepping go chunk by chunk, so the chunk size leaves
+    both bitmaps and every count as they are, with rows rejected and rows
+    dropped on both legs."""
+    cases = [
+        (heading, [0.0, 0.0], ((-0.5, 0.5),), heading_cfg(samples=60), ((-6.0, 6.0),)),
+        (parse(BOOM_TEXT), [0.5], ((-1.5, 1.5),), BOOM_MIXED_CFG, ((-1.0, 1.0),)),
+    ]
+
+    def counts(report):
+        legs = (report.original, report.extended_projected)
+        return [report.rejected] + [(leg.retained, leg.dropped) for leg in legs]
+
+    wide = [bounded_reach_check(s, x0, bounds, cfg, rate_box=rates) for s, x0, bounds, cfg, rates in cases]
+    monkeypatch.setattr(reach, "_CHUNK", chunk)
+    for (s, x0, bounds, cfg, rates), want in zip(cases, wide):
+        got = bounded_reach_check(s, x0, bounds, cfg, rate_box=rates)
+        assert np.array_equal(got.original.bitmap, want.original.bitmap)
+        assert np.array_equal(got.extended_projected.bitmap, want.extended_projected.bitmap)
+        assert counts(got) == counts(want)
+    assert all(want.rejected > 0 for want in wide)
+    assert wide[1].original.dropped > 0 and wide[1].extended_projected.dropped > 0
+
+
 def test_bounded_check_validates(heading):
     cfg = heading_cfg()
     with pytest.raises(ValueError):
@@ -598,6 +671,36 @@ def test_steer_cubic_between_given_points(cubic):
     assert res.success
     end = integrate(cubic, [0.0, 0.0, 0.0], res.control, cfg.step).endpoint
     assert abs(np.linalg.norm(end - np.array([1.0, 1.0, 1.0])) - res.distance) < 1e-9
+
+
+_STEER_CASES = {
+    "heading": (parse(HEADING_TEXT), [0.0, 0.0], [0.6, 0.5], heading_cfg(samples=300), 1e-6),
+    "scalar": (parse("system scalar\nstates x\ninputs u\ndx = u\n"), [0.0], [1.0], ReachConfig(
+        horizon=1.5, segments=3, input_box=((-2.0, 2.0),), samples=40,
+        window=((-2.0, 2.0),), resolution=4, seed=9, step=1e-2), 1e-3),
+    # from 1 with inputs of at least 1/2, every row blows up before t = 4
+    "boom": (parse(BOOM_TEXT), [1.0], [0.0], ReachConfig(
+        horizon=4.0, segments=2, input_box=((0.5, 1.5),), samples=40,
+        window=((-2.0, 2.0),), resolution=8, seed=1, step=1e-2), 1e-3),
+}
+
+
+@pytest.mark.parametrize("chunk", [1, 7])
+def test_steer_ignores_chunk_size(monkeypatch, chunk):
+    """The first shot runs a chunk at a time and keeps a chunk's best row
+    only if it is strictly nearer, so it picks the row that one argmin over
+    every row picks; where every row drops, that is row 0, at inf."""
+    wide = {name: two_point_steer(*case) for name, case in _STEER_CASES.items()}
+    monkeypatch.setattr(reach, "_CHUNK", chunk)
+    for name, case in _STEER_CASES.items():
+        got, want = two_point_steer(*case), wide[name]
+        assert (got.control, got.distance, got.evaluations) == (want.control, want.distance, want.evaluations), name
+    boom = wide["boom"]
+    assert boom.distance == math.inf and not boom.success
+    cfg = _STEER_CASES["boom"][3]
+    durations, values = reach._draw_controls(cfg.seed, 1, cfg.segments, cfg.horizon, cfg.input_box)
+    assert boom.control == _row_control(durations, values, 0)
+    assert wide["heading"].evaluations > 150 and wide["scalar"].evaluations == 20
 
 
 def test_steer_validates_endpoint_shapes(heading):
@@ -753,6 +856,11 @@ def test_non_finite_start_and_target_are_rejected(heading, run, bad):
             two_point_steer(heading, [bad, 0.0], [1.0, 0.0], cfg, tol=1e-3)
         else:
             two_point_steer(heading, [0.0, 0.0], [bad, 0.0], cfg, tol=1e-3)
+
+
+def test_sample_reach_needs_one_window_axis_per_state(heading):
+    with pytest.raises(ValueError, match="window needs 2 axes"):
+        sample_reach(heading, [0.0, 0.0], heading_cfg(window=((-2.0, 2.0),) * 3))
 
 
 def test_config_casts_its_numbers():
