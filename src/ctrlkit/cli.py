@@ -38,7 +38,7 @@ from .flows import (
     trajectory_to_csv,
 )
 from .reach import ReachConfig, cells_to_csv, coverage_compare, estimate_summary, sample_reach
-from .records import BAD_RECORD, finite_floats, read_json, write_json
+from .records import BAD_RECORD, csv_text, finite_floats, read_json, write_json
 from .transform import certificate_to_json, extend, extension_to_json, reduce_integrator
 
 
@@ -221,19 +221,15 @@ def _cmd_realize(args, manifest) -> int:
     gains = _gain_sweep(args.gain_sweep)
     ideal = ideal_plan_endpoint(record, plan, start, step=args.step)
 
-    lines = ["gain,error"]
     if not plan.segments:
-        lines.append(f"{gains[0]:.17g},0")
-        _write_text(manifest, args.out, "\n".join(lines) + "\n")
+        _write_text(manifest, args.out, csv_text(["gain", "error"], [(gains[0], 0.0)]))
         print("empty plan, nothing to realize (error 0)")
         return 0
 
     # a 1-d norm per row: norm(..., axis=1) rounds differently
-    for gain, end in zip(gains, realize_sweep(record, plan, start, gains, step=args.step)):
-        err = float(np.linalg.norm(end - ideal))
-        lines.append(f"{gain:.17g},{err:.17g}")
-    _write_text(manifest, args.out, "\n".join(lines) + "\n")
-    print(f"{len(gains)} gains, final error {err:.3e}")
+    errors = [float(np.linalg.norm(end - ideal)) for end in realize_sweep(record, plan, start, gains, step=args.step)]
+    _write_text(manifest, args.out, csv_text(["gain", "error"], zip(gains, errors)))
+    print(f"{len(gains)} gains, final error {errors[-1]:.3e}")
     return 0
 
 

@@ -19,7 +19,7 @@ import numpy as np
 from .dsl import ControlSystem
 from .expr import Neg, compile_components
 from .fields import VectorField
-from .records import BAD_RECORD, finite_floats, integer, point, read_json, require_positive, write_json
+from .records import BAD_RECORD, csv_text, finite_floats, integer, point, read_json, require_positive, write_json
 from .transform import ExtensionRecord
 
 BLOWUP_LIMIT = 1e12
@@ -129,10 +129,7 @@ class Trajectory:
 def trajectory_to_csv(traj: Trajectory, state_names) -> str:
     if len(state_names) != traj.states.shape[1]:
         raise ValueError("one column name per state required")
-    lines = ["t," + ",".join(state_names)]
-    for t, row in zip(traj.times, traj.states):
-        lines.append(",".join(f"{v:.17g}" for v in (t, *row)))
-    return "\n".join(lines) + "\n"
+    return csv_text(["t", *state_names], ((t, *row) for t, row in zip(traj.times, traj.states)))
 
 
 def save_trajectory_csv(traj: Trajectory, state_names, path: str):

@@ -17,7 +17,7 @@ import numpy as np
 from .dsl import ControlSystem
 from .expr import compile_components
 from .flows import ROW_BLOCK, PiecewiseControl, Trajectory, rk4_rows
-from .records import integer, point, require_positive
+from .records import csv_text, integer, point, require_positive
 from .transform import ExtensionRecord, extend
 
 CONSISTENCY_THRESHOLD = 0.05
@@ -106,11 +106,7 @@ def cells_to_csv(est: ReachEstimate, names) -> str:
     highs = np.array([w[1] for w in est.window])
     res = np.array(est.resolution, dtype=float)
     widths = (highs - lows) / res
-    lines = [",".join(names)]
-    for idx in np.argwhere(est.bitmap):
-        center = lows + (idx + 0.5) * widths
-        lines.append(",".join(f"{v:.17g}" for v in center))
-    return "\n".join(lines) + "\n"
+    return csv_text(names, lows + (np.argwhere(est.bitmap) + 0.5) * widths)
 
 
 class _Grid:
@@ -240,46 +236,41 @@ def _draw_controls(seed: int, count: int, segments: int, horizon: float, box, fi
     return durations, lows + raw * spans
 
 
-def _draw(cfg: ReachConfig, m: int, count: int, first: int = 0):
-    """`_draw_controls` for rows first ... first + count - 1 of a run of
-    `cfg` on a system with `m` inputs, once its box is known to have one
-    axis per input and the run's row-substeps to fit MAX_WORK (Python
-    floats: horizon / step may be inf).  With count 0 it only checks."""
+def _check_run(cfg: ReachConfig, m: int):
+    """A run of `cfg` on a system with `m` inputs needs one box axis per
+    input, and its row-substeps must fit MAX_WORK (Python floats: horizon
+    / step may be inf).  A run checks them before its first draw."""
     if len(cfg.input_box) != m:
         raise ValueError(f"box has {len(cfg.input_box)} axes; input and rate axes need one per input, {m} here")
     work = cfg.samples * (cfg.segments + cfg.horizon / cfg.step)
     if work > MAX_WORK:
         raise ValueError(f"samples * (segments + horizon / step) is {work:.3g} row-substeps, more than {MAX_WORK}")
-    return _draw_controls(cfg.seed, count, cfg.segments, cfg.horizon, cfg.input_box, first)
 
 
-def _run_batch(f, x0, durations, values, step: float, grid=None):
-    """Integrate all trajectories; returns (endpoints, dropped).  Cells
-    are committed per chunk, and only for trajectories that never blew
-    up, so a dropped trajectory leaves no marks at all."""
-    total = durations.shape[0]
-    endpoints = np.zeros((total, len(x0)))
-    dropped = np.zeros(total, dtype=bool)
-    for start in range(0, total, _CHUNK):
-        rows = slice(start, start + _CHUNK)
-        endpoints[rows], dropped[rows] = _run_chunk(f, x0, durations[rows], values[rows], step, grid)
-    return endpoints, dropped
+def _chunks(cfg: ReachConfig, count: int):
+    """The controls (durations, values) of rows 0 ... count - 1 of a run of
+    `cfg`, _CHUNK rows at a time, each chunk drawn only when it is asked for."""
+    for first in range(0, count, _CHUNK):
+        yield _draw_controls(cfg.seed, min(_CHUNK, count - first), cfg.segments, cfg.horizon, cfg.input_box, first)
 
 
-def _run_chunk(f, x0, durations, values, step, grid):
-    """Integrate one chunk, marking cells into a chunk-local bitmap as it
-    steps, so memory does not grow with the number of steps.  One
-    `flat_index` call indexes the states of as many substeps as fit in
-    _MARK_BLOCK row-states, one at least.  A row that blows up may
-    already have marked cells, so after a drop the marks are thrown away
-    and the surviving rows alone run again: they take the same steps and
-    cannot drop."""
+def _run_chunk(f, x0, durations, values, step: float, grid=None):
+    """Integrate the rows of `durations` and `values`, any number of them,
+    zero included; returns (endpoints, dropped).  Cells are marked into a
+    chunk-local bitmap as it steps, so memory does not grow with the number
+    of steps, and committed only for rows that never blew up, so a dropped
+    row leaves no marks at all.  One `flat_index` call indexes the states
+    of as many substeps as fit in _MARK_BLOCK row-states, one at least.  A
+    row that blows up may already have marked cells, so after a drop the
+    marks are thrown away and the surviving rows alone run again: they take
+    the same steps and cannot drop."""
     rows = durations.shape[0]
     # one spare cell past the grid takes the -1 of points outside it
     marks = None if grid is None else np.zeros(grid.bitmap.size + 1, dtype=bool)
     # the grid's axes of the states visited since the last index, column
-    # by column, so that `flat_index` reads each axis contiguously
-    held = None if grid is None else np.empty((max(1, _MARK_BLOCK // rows) * rows, len(grid.axes)), order="F")
+    # by column, so that `flat_index` reads each axis contiguously; zero
+    # rows make an empty block
+    held = None if grid is None else np.empty((max(1, _MARK_BLOCK // max(rows, 1)) * rows, len(grid.axes)), order="F")
     filled = 0
 
     def index():
@@ -315,12 +306,12 @@ def _cover(sys: ControlSystem, x0, cfg: ReachConfig, runs: ReachConfig, keep=Non
     values)` refuses are neither retained nor dropped.  The grid is built
     first, so one past the cell limit fails before anything is drawn."""
     grid = _Grid(cfg.window, cfg.resolution)
+    _check_run(runs, sys.m)
     f = compile_components(sys.rhs, sys.n, sys.m)
     ran = dropped = 0
-    for first in range(0, runs.samples, _CHUNK):
-        durations, values = _draw(runs, sys.m, min(_CHUNK, runs.samples - first), first)
+    for durations, values in _chunks(runs, runs.samples):
         kept = slice(None) if keep is None else keep(durations, values)
-        _, dead = _run_batch(f, x0, durations[kept], values[kept], runs.step, grid)
+        _, dead = _run_chunk(f, x0, durations[kept], values[kept], runs.step, grid)
         ran += len(dead)
         dropped += int(dead.sum())
     return ReachEstimate(
@@ -381,7 +372,7 @@ def coverage_compare(sys: ControlSystem, x0, cfg: ReachConfig, cfg_ext: ReachCon
         raise ValueError(f"extended window needs {n + m} axes")
     if cfg_ext.horizon != cfg.horizon:
         raise ValueError("compare runs need a common horizon")
-    _draw(cfg_ext, m, 0)  # the second run's config fails before the first run
+    _check_run(cfg_ext, m)  # the second run's config fails before the first run
 
     est = sample_reach(sys, x0, cfg)
     x0e = np.concatenate([point(x0, n, "x0"), np.zeros(m)])
@@ -421,7 +412,7 @@ def bounded_reach_check(
     if rate_box is None:
         rate_box = tuple((-DEFAULT_RATE_BOUND, DEFAULT_RATE_BOUND) for _ in range(sys.m))
     rates = replace(cfg, input_box=rate_box)
-    _draw(rates, sys.m, 0)  # the extension's config fails before the first run
+    _check_run(rates, sys.m)  # the extension's config fails before the first run
     est = sample_reach(sys, x0, bounded)
 
     lows, highs = np.array(bounded.input_box).T
@@ -450,7 +441,7 @@ def two_point_steer(sys: ControlSystem, x0, x1, cfg: ReachConfig, tol: float) ->
     The total integration budget is cfg.samples."""
     n, m = sys.n, sys.m
     x0, x1 = point(x0, n, "x0"), point(x1, n, "x1")
-    _draw(cfg, m, 0)  # the config is checked even when there is nothing to steer
+    _check_run(cfg, m)  # the config is checked even when there is nothing to steer
     start_dist = float(np.linalg.norm(x1 - x0))
     if start_dist <= tol:
         return SteerResult(True, PiecewiseControl(()), start_dist, 0)
@@ -460,18 +451,17 @@ def two_point_steer(sys: ControlSystem, x0, x1, cfg: ReachConfig, tol: float) ->
 
     def shoot(durations, values):
         """The row whose endpoint lies nearest x1, and its distance; a dropped row is infinitely far."""
-        ends, dead = _run_batch(f, x0, durations, values, cfg.step)
+        ends, dead = _run_chunk(f, x0, durations, values, cfg.step)
         dists = np.linalg.norm(ends - x1, axis=1)
         dists[dead] = np.inf
         best = int(np.argmin(dists))
         return best, float(dists[best])
 
     evaluations = max(1, budget // 2)
-    for first in range(0, evaluations, _CHUNK):
-        durations, values = _draw(cfg, m, min(_CHUNK, evaluations - first), first)
+    for i, (durations, values) in enumerate(_chunks(cfg, evaluations)):
         best, dist = shoot(durations, values)
         # strictly nearer, so a tie keeps the lowest row, as argmin does
-        if first == 0 or dist < best_dist:
+        if i == 0 or dist < best_dist:
             best_dist, best_durs, best_vals = dist, durations[best].copy(), values[best].copy()
     lows, highs = np.array(cfg.input_box, dtype=float).reshape(-1, 2).T
 

@@ -25,6 +25,13 @@ def read_json(path: str):
         return json.load(fh)
 
 
+def csv_text(names, rows) -> str:
+    """A header line of `names`, then one line per row of numbers, each
+    written "%.17g": enough digits to read back the same float."""
+    line = ",".join(["%.17g"] * len(names)) + "\n"
+    return ",".join(names) + "\n" + "".join(line % tuple(row) for row in rows)
+
+
 def integer(value) -> int:
     """`value` as an int; ValueError unless it is integral."""
     out = int(value)

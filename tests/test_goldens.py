@@ -32,7 +32,7 @@ from ctrlkit.flows import BlowUpError, PiecewiseControl, flow_endpoint, integrat
 from ctrlkit.reach import (
     ReachConfig,
     _draw_controls,
-    _run_batch,
+    _run_chunk,
     bounded_reach_check,
     coverage_compare,
     sample_reach,
@@ -142,7 +142,7 @@ def drop_heavy_reach(tmp_path) -> str:
     est = sample_reach(boom, x0, cfg)
     assert 500 < est.dropped < 1500
     durations, values = _draw_controls(cfg.seed, cfg.samples, cfg.segments, cfg.horizon, cfg.input_box)
-    ends, dead = _run_batch(compile_components(boom.rhs, 1, 1), x0, durations, values, cfg.step)
+    ends, dead = _run_chunk(compile_components(boom.rhs, 1, 1), x0, durations, values, cfg.step)
     return _sha(est.bitmap, est.dropped, ends, dead)
 
 

@@ -12,7 +12,7 @@ from ctrlkit.expr import (
 )
 from ctrlkit.fields import VectorField
 from ctrlkit.flows import BlowUpError, Drift, FlowPlan, Jump, PiecewiseControl, flow_endpoint, integrate
-from ctrlkit.reach import ReachConfig, _draw_controls, _run_batch, sample_reach
+from ctrlkit.reach import ReachConfig, _draw_controls, _run_chunk, sample_reach
 from ctrlkit.transform import extend
 
 BOOM_TEXT = "system boom\nstates x1\ninputs u\ndx1 = x1^2 + u\n"
@@ -34,8 +34,8 @@ def test_run_batch_rows_do_not_depend_on_batch_size(text, x0, box):
     sys_ = parse(text)
     f = compile_components(sys_.rhs, sys_.n, sys_.m)
     x0 = np.array(x0)
-    small = _run_batch(f, x0, *_draw_controls(4, 60, 3, 3.0, box), 1e-2)
-    large = _run_batch(f, x0, *_draw_controls(4, 120, 3, 3.0, box), 1e-2)
+    small = _run_chunk(f, x0, *_draw_controls(4, 60, 3, 3.0, box), 1e-2)
+    large = _run_chunk(f, x0, *_draw_controls(4, 120, 3, 3.0, box), 1e-2)
     assert np.array_equal(large[0][:60], small[0])
     assert np.array_equal(large[1][:60], small[1])
     if text == BOOM_TEXT:
@@ -49,7 +49,7 @@ def test_run_batch_heading_rows_match_integrate():
     durations, values = _draw_controls(11, 25, 5, 2.0, ((-6.0, 6.0),))
     assert len(np.unique(np.ceil(durations / 2e-2))) > 10
     x0 = np.array([0.3, -0.1])
-    ends, dead = _run_batch(compile_components(heading.rhs, 2, 1), x0, durations, values, 2e-2)
+    ends, dead = _run_chunk(compile_components(heading.rhs, 2, 1), x0, durations, values, 2e-2)
     assert not dead.any()
     for i in range(25):
         want = integrate(heading, x0, _row_control(durations, values, i), 2e-2).endpoint
@@ -147,7 +147,7 @@ def test_a_row_that_turns_nan_is_dropped():
     nan_sys = parse("system nan\nstates x1\ninputs u\ndx1 = exp(x1^400) - exp(x1^400) + u\n")
     durations, values = _draw_controls(2, 30, 3, 3.0, ((0.5, 1.5),))
     f = compile_components(nan_sys.rhs, 1, 1)
-    ends, dead = _run_batch(f, np.zeros(1), durations, values, 1e-2)
+    ends, dead = _run_chunk(f, np.zeros(1), durations, values, 1e-2)
     assert dead.all()
     assert not ends.any()
     with pytest.raises(BlowUpError) as exc_info:

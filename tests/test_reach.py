@@ -100,11 +100,14 @@ def test_sample_reach_is_deterministic(heading):
 
 def test_sample_prefix_grows_monotonically(heading):
     """Each trajectory draws from its own stream, so the first 500 of a
-    1000-sample run are the 500-sample run verbatim."""
-    small = sample_reach(heading, [0.0, 0.0], heading_cfg(samples=500))
-    large = sample_reach(heading, [0.0, 0.0], heading_cfg(samples=1000))
-    assert np.all(~small.bitmap | large.bitmap)
-    assert large.bitmap.sum() >= small.bitmap.sum()
+    1000-sample run are the 500-sample run verbatim, and so are the first
+    1500 of a 3000-sample run, which runs in two chunks."""
+    assert 1500 < reach._CHUNK < 3000
+    for samples in (500, 1500):
+        small = sample_reach(heading, [0.0, 0.0], heading_cfg(samples=samples))
+        large = sample_reach(heading, [0.0, 0.0], heading_cfg(samples=2 * samples))
+        assert np.all(~small.bitmap | large.bitmap)
+        assert large.bitmap.sum() >= small.bitmap.sum()
 
 
 def test_coverage_grows_with_horizon(heading):
@@ -323,7 +326,7 @@ _LAYOUT_CASES = {
 }
 
 
-@pytest.mark.parametrize("rows", [1, 7, 3000, 2048])
+@pytest.mark.parametrize("rows", [1, 7, 3000, 2048, 0])
 @pytest.mark.parametrize("case", sorted(_LAYOUT_CASES))
 def test_block_marking_is_layout_free(case, rows):
     """`_run_chunk` indexes the states of several substeps in one call; its
@@ -406,7 +409,7 @@ def test_larger_sample_keeps_the_earlier_samples(heading):
     for samples in (1500, 3000):
         durations, values = reach._draw_controls(cfg.seed, samples, cfg.segments, cfg.horizon, cfg.input_box)
         grid = reach._Grid(cfg.window, cfg.resolution)
-        ends, _ = reach._run_batch(f, np.zeros(2), durations, values, cfg.step, grid)
+        ends, _ = reach._run_chunk(f, np.zeros(2), durations, values, cfg.step, grid)
         runs.append((ends, grid.shaped_bitmap()))
     (small_ends, small_map), (large_ends, large_map) = runs
     assert np.array_equal(small_ends, large_ends[:1500])
@@ -433,7 +436,7 @@ def test_run_batch_endpoints_match_integrate(cubic):
     assert len(np.unique(np.ceil(durations / 2e-2))) > 10
     x0 = np.array([0.1, -0.2, 0.3])
     f = compile_components(cubic.rhs, 3, 1)
-    ends, dead = reach._run_batch(f, x0, durations, values, 2e-2)
+    ends, dead = reach._run_chunk(f, x0, durations, values, 2e-2)
     assert not dead.any()
     for i in range(20):
         want = integrate(cubic, x0, _row_control(durations, values, i), 2e-2).endpoint
@@ -446,7 +449,7 @@ def test_sample_reach_drops_exactly_the_rows_that_blow_up():
     x0 = np.array([0.5])
     durations, values = reach._draw_controls(cfg.seed, cfg.samples, cfg.segments, cfg.horizon, cfg.input_box)
     f = compile_components(boom.rhs, 1, 1)
-    _, dead = reach._run_batch(f, x0, durations, values, cfg.step)
+    _, dead = reach._run_chunk(f, x0, durations, values, cfg.step)
     grid = reach._Grid(cfg.window, cfg.resolution)
     blew_up = np.zeros(cfg.samples, dtype=bool)
     late = 0
@@ -831,7 +834,7 @@ def test_second_run_config_fails_before_anything_runs(heading, monkeypatch):
     def no_runs(*args):
         raise AssertionError("a run started before every config was checked")
 
-    monkeypatch.setattr(reach, "_run_batch", no_runs)
+    monkeypatch.setattr(reach, "_run_chunk", no_runs)
     cfg = heading_cfg(samples=10)
     with pytest.raises(ValueError, match="row-substeps"):
         coverage_compare(heading, [0.0, 0.0], cfg, _ext_cfg(step=1e-9))

@@ -1,5 +1,6 @@
-"""The numeric input rules of `ctrlkit.records`, and the library entries
-that read their start, target or evaluation point with `records.point`."""
+"""The numeric input rules of `ctrlkit.records`, the library entries that
+read their start, target or evaluation point with `records.point`, and
+the one CSV writer."""
 
 import math
 
@@ -12,7 +13,7 @@ from ctrlkit.expr import Neg, StateVar
 from ctrlkit.fields import VectorField
 from ctrlkit.flows import Drift, FlowPlan, PiecewiseControl, flow_endpoint, ideal_plan_endpoint, integrate
 from ctrlkit.reach import ReachConfig, sample_reach, two_point_steer
-from ctrlkit.records import point
+from ctrlkit.records import csv_text, point
 from ctrlkit.transform import extend
 
 
@@ -72,3 +73,15 @@ def test_every_point_entry_rejects_a_bad_point(heading, entry, bad):
     }
     with pytest.raises(ValueError, match="needs [0-9]+ entries" if bad == "wrong length" else "must be finite"):
         calls[entry]()
+
+
+def test_csv_text_writes_what_a_per_value_join_writes():
+    # the trajectory, cell and gain tables each joined f"{v:.17g}" per value
+    # before they shared one writer; rows of numpy scalars write the same
+    extremes = [0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, math.nan, math.inf, -math.inf, 0.1, 1 / 3, 2.0**53 + 2]
+    rows = [extremes[i:] + extremes[:i] for i in range(len(extremes))]
+    names = [f"c{j}" for j in range(len(extremes))]
+    want = ",".join(names) + "\n" + "".join(",".join(f"{v:.17g}" for v in row) + "\n" for row in rows)
+    assert csv_text(names, rows) == want
+    assert csv_text(names, np.array(rows)) == want
+    assert csv_text(["t", "x"], np.empty((0, 2))) == "t,x\n"
