@@ -4,7 +4,11 @@ Trajectories under random piecewise-constant controls are integrated in
 vectorized batches; every substep point marks the grid cell it lands in.
 Control draws use one RNG sub-stream per trajectory index, so results are
 independent of batch and chunk layout, and bit-identical for a given
-seed.  Bitmap merges are plain ORs, hence order-insensitive.
+seed.  Row i draws the bits of `np.random.default_rng([seed, i])`
+(`streams`): a block of rows is drawn as whole PCG64 arrays, and a row
+with an exponential off the fast path of numpy's ziggurat draws again
+through a per-row Generator.  Bitmap merges are plain ORs, hence
+order-insensitive.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ from .dsl import ControlSystem
 from .expr import compile_components
 from .flows import ROW_BLOCK, PiecewiseControl, Trajectory, rk4_rows
 from .records import csv_text, integer, point, require_positive
+from .streams import draw_rows
 from .transform import ExtensionRecord, extend
 
 CONSISTENCY_THRESHOLD = 0.05
@@ -33,8 +38,9 @@ def _as_box(box) -> tuple[tuple[float, float], ...]:
     out = []
     for pair in box:
         lo, hi = float(pair[0]), float(pair[1])
-        if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
-            raise ValueError(f"box axis must satisfy lo < hi, got ({lo}, {hi})")
+        # hi - lo is inf or NaN where lo or hi is, or where the width overflows
+        if not (lo < hi and math.isfinite(hi - lo)):
+            raise ValueError(f"box axis must satisfy lo < hi with a finite width hi - lo, got ({lo}, {hi})")
         out.append((lo, hi))
     return tuple(out)
 
@@ -153,87 +159,19 @@ class _Grid:
         return self.bitmap.reshape(self.resolution)
 
 
-# numpy's SeedSequence hash (numpy/random/bit_generator.pyx) and the
-# multiplier of its PCG64
-_MASK32 = 0xFFFFFFFF
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK128 = (1 << 128) - 1
-_POOL = 4
-
-
-def _hasher(const: int, mult: int):
-    """SeedSequence's hashmix on uint32 arrays: each call advances the
-    hash constant, starting from `const`."""
-
-    def hash_words(value):
-        nonlocal const
-        value = value ^ np.uint32(const)
-        const = const * mult & _MASK32
-        value = value * np.uint32(const)
-        return value ^ (value >> np.uint32(16))
-
-    return hash_words
-
-
-def _mix(x, y):
-    value = np.uint32(_MIX_L) * x - np.uint32(_MIX_R) * y
-    return value ^ (value >> np.uint32(16))
-
-
-def _seed_words(seed: int, index: np.ndarray) -> list[np.ndarray]:
-    """`SeedSequence([seed, i]).generate_state(4, np.uint64)` for every
-    i of `index`, each below 2^32, as four uint64 arrays: numpy's uint32
-    arithmetic over all rows at once."""
-    # the seed's 32-bit words, low first (one word for 0), then i's one word
-    words = [seed >> shift & _MASK32 for shift in range(0, max(seed.bit_length(), 1), 32)]
-    entropy = [np.full(len(index), w, dtype=np.uint32) for w in words] + [index.astype(np.uint32)]
-    entropy += [np.zeros(len(index), dtype=np.uint32)] * (_POOL - len(entropy))
-    hashmix = _hasher(_INIT_A, _MULT_A)
-    pool = [hashmix(word) for word in entropy[:_POOL]]
-    for src in range(_POOL):
-        for dst in range(_POOL):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
-    for word in entropy[_POOL:]:
-        for dst in range(_POOL):
-            pool[dst] = _mix(pool[dst], hashmix(word))
-    final = _hasher(_INIT_B, _MULT_B)
-    out = [final(pool[j % _POOL]).astype(np.uint64) for j in range(2 * _POOL)]
-    # little-endian pairs of 32-bit words
-    return [out[2 * j] | (out[2 * j + 1] << np.uint64(32)) for j in range(_POOL)]
-
-
 def _draw_controls(seed: int, count: int, segments: int, horizon: float, box, first: int = 0):
     """Per-trajectory sub-streams: sample i depends only on (seed, i).
     Row i draws what `np.random.default_rng([seed, i])` draws, for i from
-    `first` on, from one reused Generator whose PCG64 state is seeded as
-    numpy seeds it; i < first + count <= samples <= MAX_WORK < 2^32, one
-    entropy word."""
+    `first` on (`streams.draw_rows`); i < first + count <= samples <=
+    MAX_WORK < 2^32, one entropy word."""
     box = np.array(box, dtype=float).reshape(-1, 2)
     lows, spans = box[:, 0], box[:, 1] - box[:, 0]
-    gam = np.empty((count, segments))
-    raw = np.empty((count, segments, len(box)))
-    bits = np.random.PCG64(0)
-    gen = np.random.Generator(bits)
-    # the setter copies the numbers out, so one dict serves every row
-    pcg = {"state": 0, "inc": 0}
-    full = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
-    words = zip(*(w.tolist() for w in _seed_words(seed, np.arange(first, first + count))))
-    for i, (s_hi, s_lo, q_hi, q_lo) in enumerate(words):
-        # pcg64_srandom_r in 128-bit ints
-        inc = ((q_hi << 64 | q_lo) << 1 | 1) & _MASK128
-        pcg["state"], pcg["inc"] = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128, inc
-        bits.state = full
-        gen.standard_exponential(out=gam[i])
-        gen.random(out=raw[i])
+    gam, raw = draw_rows(seed, first, count, segments, segments * len(box))
     # rng.dirichlet(ones) draws these same exponentials and scales them by
     # the reciprocal of their sum taken in order; cumsum adds in order too,
     # where np.sum pairs terms once there are 8 or more
     durations = gam * (1.0 / np.cumsum(gam, axis=1)[:, -1:]) * horizon
-    return durations, lows + raw * spans
+    return durations, lows + raw.reshape(count, segments, len(box)) * spans
 
 
 def _check_run(cfg: ReachConfig, m: int):

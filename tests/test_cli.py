@@ -701,6 +701,26 @@ def test_constant_with_no_finite_value_exits_1_on_every_subcommand(tmp_path, cap
     assert not (tmp_path / "out.csv").exists()
 
 
+@pytest.mark.parametrize("command", ["reach", "compare"])
+@pytest.mark.parametrize("key", ["window", "input_box"])
+def test_box_axis_whose_width_overflows_exits_1(tmp_path, capsys, command, key):
+    """An axis of (-1e308, 1e308) has finite ends and an infinite width:
+    as a window axis it put every point in that axis' cell 0 and wrote a
+    centre of inf, and as an input axis it drew inf and NaN controls."""
+    src = write(tmp_path / "heading.sys", HEADING_TEXT)
+    cfg = reach_config(samples=10)
+    ext = reach_config(samples=10, window=[[-2.0, 2.0]] * 3, resolution=[16, 16, 4])
+    wide = cfg if command == "reach" else ext
+    wide[key] = [[-1e308, 1e308]] + wide[key][1:]
+    argv = [command, src, "--x0", "0,0", "--config", write(tmp_path / "cfg.json", json.dumps(cfg))]
+    if command == "compare":
+        argv += ["--config-ext", write(tmp_path / "ext.json", json.dumps(ext))]
+    out = tmp_path / "out.csv"
+    assert main([*argv, "--out", str(out)]) == 1
+    assert_input_error(tmp_path, capsys, "heading.sys.manifest.json", "config", "finite width")
+    assert not out.exists()
+
+
 def test_reach_past_the_work_budget_exits_1_at_once(tmp_path, capsys):
     # 10 samples of 10^9 substeps each ran for more than 10 s
     src = write(tmp_path / "heading.sys", HEADING_TEXT)

@@ -1,14 +1,18 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import HEADING_TEXT
 
-from ctrlkit import flows, reach
+from ctrlkit import flows, reach, streams
 from ctrlkit.cli import main
 from ctrlkit.dsl import parse
 from ctrlkit.expr import compile_components
@@ -80,6 +84,21 @@ def test_config_validation():
 def test_config_rejects_non_finite_step(step):
     with pytest.raises(ValueError):
         heading_cfg(step=step)
+
+
+@pytest.mark.parametrize("box", ["window", "input_box", "bound"])
+def test_box_axis_whose_width_overflows_is_rejected(heading, box):
+    """(-1e308, 1e308) has finite ends, but hi - lo is inf: as a window
+    axis it put every point in that axis' cell 0, and as an input axis it
+    drew inf and NaN controls."""
+    wide = ((-1e308, 1e308),)
+    with pytest.raises(ValueError, match="finite width"):
+        if box == "window":
+            sample_reach(heading, [0.0, 0.0], heading_cfg(window=wide + ((-2.0, 2.0),)))
+        elif box == "input_box":
+            sample_reach(heading, [0.0, 0.0], heading_cfg(input_box=wide))
+        else:
+            bounded_reach_check(heading, [0.0, 0.0], wide, heading_cfg(samples=10))
 
 
 def test_config_broadcasts_scalar_resolution():
@@ -231,6 +250,80 @@ def test_draw_controls_from_a_first_row_equal_per_row_default_rng(seed, first):
     if first < 4096:
         whole = reach._draw_controls(seed, first + count, segments, 2.5, box)
         assert np.array_equal(whole[0][first:], durations) and np.array_equal(whole[1][first:], values)
+
+
+def test_draw_controls_mix_fast_rows_and_fallback_rows_in_one_block():
+    """At 12 segments about a quarter of the rows draw an exponential off
+    the fast path of numpy's ziggurat, which reads more than one word, and
+    go through the per-row Generator: a 2048-row block that mixes both
+    kinds draws what default_rng([seed, i]) draws."""
+    seed, count, segments, box = 2026, 2048, 12, ((0.0, 1.0), (-2.0, 3.0))
+    gam = np.empty((count, segments))
+    raw = np.empty((count, segments, 2))
+    slow = 0
+    for i in range(count):
+        rng = np.random.default_rng([seed, i])
+        gam[i] = rng.standard_exponential(segments)
+        slow += rng.bit_generator.state != np.random.PCG64([seed, i]).advance(segments).state
+        raw[i] = rng.random((segments, 2))
+    assert 300 < slow < 700
+    durations, values = reach._draw_controls(seed, count, segments, 2.5, box)
+    assert np.array_equal(durations, gam * (1.0 / np.cumsum(gam, axis=1)[:, -1:]) * 2.5)
+    assert np.array_equal(values[:, :, 0], raw[:, :, 0])
+    assert np.array_equal(values[:, :, 1], -2.0 + raw[:, :, 1] * 5.0)
+
+
+def test_draw_controls_tables_give_every_layer_its_fast_path():
+    """In every layer idx, a first word with ri = ke[idx] - 1 is the only
+    word standard_exponential reads, and it returns ri * we[idx] exactly;
+    one with ri = ke[idx] makes it read a second word.  Layer 1 alone has
+    no fast path."""
+    we, ke = streams.ziggurat()
+    bits = np.random.PCG64(0)
+    gen = np.random.Generator(bits)
+    inverse = pow(streams._PCG_MULT, -1, 1 << 128)
+
+    def draw(ri, idx):
+        """The exponential drawn from a state whose next word has ri and
+        idx, and whether it read that word alone."""
+        word = ri << 11 | idx << 3
+        start = {"bit_generator": "PCG64", "state": {"state": (word - 1) * inverse % (1 << 128), "inc": 1},
+                 "has_uint32": 0, "uinteger": 0}
+        bits.state = start
+        assert bits.random_raw() == word
+        one_word = bits.state
+        bits.state = start
+        return gen.standard_exponential(), bits.state == one_word
+
+    assert [idx for idx in range(256) if ke[idx] == 0] == [1]
+    for idx in range(256):
+        ri = int(ke[idx])
+        if ri > 0:
+            value, one_word = draw(ri - 1, idx)
+            assert one_word and value == (ri - 1) * we[idx], f"layer {idx}"
+        assert not draw(ri, idx)[1], f"layer {idx}"
+
+
+def test_import_reads_no_ziggurat_table():
+    """`import ctrlkit` makes no PCG64 and no Generator, so it cannot read
+    the ziggurat tables; the first draw does make them."""
+    code = """if True:
+        import numpy as np
+        made = []
+        for name in ("PCG64", "Generator"):
+            real = getattr(np.random, name)
+            setattr(np.random, name, lambda *args, real=real: made.append(real) or real(*args))
+        import ctrlkit
+        from ctrlkit import reach
+        assert not made, made
+        reach._draw_controls(1, 3, 2, 1.0, ((0.0, 1.0),))
+        assert made
+    """
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    run = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+                         capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0, run.stderr[-2000:]
 
 
 def _grid_arrays(grid):
@@ -399,9 +492,11 @@ def _row_control(durations, values, i):
 
 
 def test_larger_sample_keeps_the_earlier_samples(heading):
-    """Run N = 1500 and 2N = 3000 trajectories, the second across the
-    chunk boundary: the first N endpoints agree bit for bit, and every
-    cell of the N-sample bitmap is in the 2N one."""
+    """Draw N = 1500 and 2N = 3000 trajectories and run each as one
+    `_run_chunk` call, which cuts no rows (the chunk edge of a sampler run
+    is `test_sample_prefix_grows_monotonically`'s): the first N endpoints
+    agree bit for bit, and every cell of the N-sample bitmap is in the 2N
+    one."""
     cfg = heading_cfg(samples=1500)
     assert 1500 < reach._CHUNK < 3000
     f = compile_components(heading.rhs, 2, 1)
@@ -753,8 +848,9 @@ def test_config_rejects_grids_past_the_cell_limit(heading, tmp_path, capsys, res
 
 @pytest.mark.parametrize("run", ["sample", "compare", "bounded"])
 def test_grid_past_the_cell_limit_fails_before_any_control_is_drawn(heading, monkeypatch, run):
-    """A refused grid costs no draw: every `_draw_controls` call before the
-    error has count 0, the config checks that `_draw` makes."""
+    """A refused grid costs no draw: `_cover` builds the grid before its
+    first `_draw_controls` call, and the run checks (`_check_run`) draw
+    nothing, so no call with rows comes before the error."""
     draw = reach._draw_controls
     counts = []
     monkeypatch.setattr(reach, "_draw_controls", lambda seed, count, *rest: counts.append(count) or draw(seed, count, *rest))
