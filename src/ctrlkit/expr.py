@@ -498,14 +498,15 @@ def compile_components(exprs, n: int, m: int):
     The returned f(x, u) accepts x of shape (..., n) and u of shape (..., m)
     and returns an array of shape (..., len(exprs)).  With one component
     per state, f.step(x, u, h) is one RK4 step with the four stages inlined
-    column by column, bit-identical to `flows.rk4_step(f, x, u, h)`.  It is
-    f.advance(x, f.table(u, h)): the table holds, one column each, what a
+    state by state, bit-identical to `flows.rk4_step(f, x, u, h)`.  It is
+    f.advance(x, f.table(u, h)) on states held as columns: f.advance takes
+    x (n, ...) and c (columns, ...) and returns new states (n, ...); f.table
+    takes u (m, ...) and h (...).  The table holds, one column each, what a
     step reads of u and h alone (h, h2, h6 and the inputs of slopes that
     read state; for a slope that reads no state, its products with h2 and h
-    and its whole increment), so a control segment computes it once for all
-    its substeps.  A slope that reads only such states reuses k2 as k3, and
-    a stage point is computed only for a state that some computed slope
-    reads.
+    and its whole increment), so a segment computes it once for all its
+    substeps.  A slope that reads only such states reuses k2 as k3, and 2k2
+    once; a stage point is computed only for a state some slope reads.
     """
     reads = [{node.index for node in iter_nodes(e) if type(node) is StateVar} for e in exprs]
     hoisted = {}  # table column -> its text, for slopes that read no state
@@ -521,13 +522,14 @@ def compile_components(exprs, n: int, m: int):
         hoisted[name] = text
         return name
 
-    def stage(s, state, dt=None, rows=range(len(exprs))):
+    def stage(s, dt=None, rows=range(len(exprs))):
         slopes = [i for i in rows if k(s, i) == f"k{s}_{i}"]
         points = sorted(set().union(*(reads[i] for i in slopes))) if s > 1 else []
-        # a state whose slope reads no state has equal stage-2 and stage-3 points
-        return [f"    z{j} = y{j}" if s == 3 and not reads[j]
-                else f"    {state}{j} = x{j} + {per_segment(j, f'{dt}_{k(s - 1, j)}', f'{dt} * {k(s - 1, j)}')}"
-                for j in points] + [f"    k{s}_{i} = base + ({expr_source(exprs[i], state)})" for i in slopes]
+        # each stage's point of a state replaces the last one, but for a
+        # state whose slope reads no state, its stage-2 point is its stage-3 one
+        return [f"    y{j} = x{j} + {per_segment(j, f'{dt}_{k(s - 1, j)}', f'{dt} * {k(s - 1, j)}')}"
+                for j in points if s != 3 or reads[j]] + \
+               [f"    k{s}_{i} = base + ({expr_source(exprs[i], 'x' if s == 1 else 'y')})" for i in slopes]
 
     def names(lines):
         return set(re.findall(r"\w+", "\n".join(lines)))
@@ -541,32 +543,42 @@ def compile_components(exprs, n: int, m: int):
     def join(columns):
         return f"np.concatenate([{', '.join(columns)}], axis=-1)"
 
-    # each column keeps a trailing axis of 1, so h broadcasts as in rk4_step
+    # _rhs reads each column with a trailing axis of 1, which its one join concatenates
     xs = [(f"x{i}", f"x[..., {i}:{i + 1}]") for i in range(n)]
     us = [(f"u{j}", f"u[..., {j}:{j + 1}]") for j in range(m)]
-    base = ("base", "np.zeros(np.shape(x)[:-1] + (1,))")
-    lines = define("_rhs(x, u)", [base, *xs, *us], stage(1, "x"), join(k(1, i) for i in range(len(exprs))))
+    lines = define("_rhs(x, u)", [("base", "np.zeros(np.shape(x)[:-1] + (1,))"), *xs, *us], stage(1),
+                   join(k(1, i) for i in range(len(exprs))))
     if len(exprs) == n:
-        body = stage(1, "x", rows=[i for i in range(n) if reads[i]])
-        body += stage(2, "y", "h2") + stage(3, "z", "h2") + stage(4, "w", "h")
-        incs = [per_segment(i, f"inc_{i}", f"h6 * ({k(1, i)} + 2.0 * {k(2, i)} + 2.0 * {k(3, i)} + {k(4, i)})")
-                for i in range(n)]
+        body = stage(1, rows=[i for i in range(n) if reads[i]])
+        body += stage(2, "h2") + stage(3, "h2") + stage(4, "h")
+        # where k3 is k2, rk4_step's k1 + 2k2 + 2k2 + k4 adds one product twice
+        twice = [i for i in range(n) if reads[i] and k(3, i) == k(2, i)]
+        body += [f"    k2x2_{i} = 2.0 * k2_{i}" for i in twice]
+        terms = [(f"k2x2_{i}",) * 2 if i in twice else (f"2.0 * {k(2, i)}", f"2.0 * {k(3, i)}") for i in range(n)]
+        incs = [per_segment(i, f"inc_{i}", f"h6 * ({k(1, i)} + {a} + {b} + {k(4, i)})") for i, (a, b) in enumerate(terms)]
         used = names(body + incs)
         columns = [name for name in ("h", "h2", "h6", *(u for u, _ in us), *hoisted) if name in used]
-        # x + c where the table holds every increment in state order, else
-        # the sums column by column as rk4_step is matched: where both terms
+        # the sums state by state, as rk4_step is matched: where both terms
         # are NaN, numpy's inner loop picks the sign that survives
-        result = "x + c" if incs == columns else join(f"x{i} + {inc}" for i, inc in enumerate(incs))
-        lines += define("_advance(x, c)", [base, *xs, *((name, f"c[..., {j}:{j + 1}]") for j, name in enumerate(columns))],
-                        body, result)
+        body += ["    r = np.empty(np.shape(x))", *(f"    np.add(x{i}, {v}, out=r[{i}, ...])" for i, v in enumerate(incs))]
+        lines += define("_advance(x, c)", [("base", "0.0"), *((f"x{i}", f"x[{i}]") for i in range(n)),
+                                           *((name, f"c[{j}]") for j, name in enumerate(columns))], body, "r")
+        # the columns go straight into the table, and h2 and h6 are read back from it
+        scaled = {"h2": "h / 2.0", "h6": "h / 6.0"}
+        writes = [f"    t = np.empty(({len(columns)},) + shape)"]
+        for j, c in enumerate(columns):
+            writes += [f"    t[{j}] = {scaled.get(c) or hoisted.get(c) or c}"] + [f"    {c} = t[{j}]"] * (c in scaled)
         lines += define(
             "_table(u, h)",
-            [("base", "np.zeros(np.broadcast_shapes(np.shape(u)[:-1], np.shape(h)[:-1]) + (1,))"),
-             *us, ("h2", "h / 2.0"), ("h6", "h / 6.0")],
-            stage(1, "x", rows=[i for i in range(n) if not reads[i]]) + [f"    {c} = {t}" for c, t in hoisted.items()],
-            f"np.concatenate(np.broadcast_arrays({', '.join(columns)}), axis=-1)",
+            # a scalar zero turns a -0.0 slope into +0.0 as well, and the writes broadcast
+            [("shape", "np.broadcast_shapes(np.shape(u)[1:], np.shape(h))"), ("base", "0.0"),
+             *((f"u{j}", f"u[{j}]") for j in range(m)), *((c, t) for c, t in scaled.items() if c not in columns)],
+            stage(1, rows=[i for i in range(n) if not reads[i]]) + writes,
+            "t",
         )
-        lines += ["def _step(x, u, h):", "    return _advance(x, _table(u, h))",
+        lines += ["def _step(x, u, h):",
+                  "    c = _table(np.moveaxis(u, -1, 0), np.reshape(h, np.shape(h)[:-1]))",
+                  "    return np.moveaxis(_advance(np.moveaxis(x, -1, 0), c), 0, -1)",
                   "_rhs.step, _rhs.advance, _rhs.table = _step, _advance, _table"]
     namespace = {"np": np, "ipow": ipow}
     exec("\n".join(lines), namespace)

@@ -24,7 +24,7 @@ from .transform import ExtensionRecord
 
 BLOWUP_LIMIT = 1e12
 DEFAULT_STEP = 1e-3
-ROW_BLOCK = 2048  # rows stepped at once by the sampler and the gain sweep
+ROW_BLOCK = 2048  # rows of one block of the gain sweep and of a sampler's draw
 
 
 class BlowUpError(RuntimeError):
@@ -173,26 +173,32 @@ def rk4_rows(f, x, durations, values, step, visit):
     segments, `durations` (rows, segments) with inputs `values` (rows,
     segments, m), on its `_schedule`, with `f.step` of a compiled rhs
     taken in its two parts: `f.table` once for every segment of every row,
-    then `f.advance` with each row's entry per substep.  Rows never depend
-    on each other.  After global step k, visit(k, x, bad)
-    sees every row; `bad` is None or the mask of rows that just left the
-    finite regime, which are zeroed and stepped no more.  Returns the
-    final states and live rows."""
-    nsub, hs = _schedule(durations, step)
-    seg_end = np.cumsum(nsub, axis=1)
+    then `f.advance` with each row's entry per substep.  The states are held
+    as columns, (n, rows), each state one contiguous row; the table as
+    (columns, segments, rows), the entries in use as (columns, rows).  Rows
+    never depend on each other.  After global step k, visit(k, x, bad) sees
+    every row as a (rows, n) view of a new array; `bad` is None or the mask
+    of rows that just left the finite regime, which are zeroed and stepped
+    no more.  Returns the final states (rows, n) and live rows."""
     alive = np.ones(len(x), dtype=bool)
     if not durations.shape[1]:
         return x, alive
-    table = f.table(values, hs[..., None])
-    c = table[:, 0].copy()
+    nsub, hs = _schedule(durations, step)
+    table = f.table(values.T, hs.T)
+    # segment 0's entries: no turn reads them again, so they are the ones in use
+    c = table[:, 0]
+    seg_end = np.cumsum(nsub, axis=1)
+    del nsub, hs
     # row r turns to segment j + 1 after step turns[r, j]; in step order,
-    # the turns at stops[i] are those of turn_row[upto[i - 1]:upto[i]]
+    # the turns at stops[i] are the flat indices order[upto[i - 1]:upto[i]]
     turns = seg_end[:, :-1]
-    order = np.argsort(turns, axis=None, kind="stable")
-    turn_row, turn_seg = np.unravel_index(order, turns.shape)
+    order = np.argsort(turns, axis=None, kind="stable").astype(np.min_scalar_type(turns.size))
     stops = np.unique(seg_end)
     upto = np.searchsorted(turns.ravel()[order], stops, side="right").tolist()
-    ends = set(seg_end[:, -1].tolist())
+    last = seg_end[:, -1].copy()
+    ends = set(last.tolist())
+    del seg_end, turns
+    x = x.T.copy()
     act, every, k, lo = alive.copy(), True, 0, 0
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         # a row's table entry changes only when it turns at a stop, and the
@@ -200,34 +206,34 @@ def rk4_rows(f, x, durations, values, step, visit):
         for stop, hi in zip(stops.tolist(), upto):
             for k in range(k, stop):
                 xn = f.advance(x, c)
-                x = xn if every else np.where(act[:, None], xn, x)
-                # NaN fails the comparison too: one test for NaN, inf and overflow
-                ok = np.abs(x) <= BLOWUP_LIMIT
+                x = xn if every else np.where(act, xn, x)
+                # NaN fails the comparison too: one test for NaN, inf and
+                # overflow, and the rows are looked at only when it fails
                 bad = None
-                if not ok.all():
-                    bad = act & ~ok.all(axis=1)
+                if not np.abs(x).max() <= BLOWUP_LIMIT:
+                    bad = act & ~(np.abs(x) <= BLOWUP_LIMIT).all(axis=0)
                     alive &= ~bad
                     act &= alive
                     every = False
-                    x[bad] = 0.0
-                visit(k, x, bad)
+                    x[:, bad] = 0.0
+                visit(k, x.T, bad)
             k = stop
             if k in ends:
-                act = alive & (k < seg_end[:, -1])
+                act = alive & (k < last)
                 every = act.all()
             if not act.any():
                 break
-            turn = turn_row[lo:hi]
-            c[turn] = table[turn, turn_seg[lo:hi] + 1]
+            row, seg = np.unravel_index(order[lo:hi], (len(last), table.shape[1] - 1))
+            c[:, row] = table[:, seg + 1, row]
             lo = hi
-    return x, alive
+    return x.T, alive
 
 
 def _run_rows(f, x0, durations, values, step, states=None) -> np.ndarray:
     """`rk4_rows` endpoints of the rows of `x0` (rows, n).  The lowest row
     that blows up raises BlowUpError at its own time, as soon as no lower
-    row still steps; one row raises at its first bad step.  `states` gets
-    every state."""
+    row still steps; one row raises at its first bad step.  Row k + 1 of
+    `states` gets the state of a one-row run after step k."""
     steps = _schedule(durations, step)[0].sum(axis=1)
     # rows below row r have all stepped once done[r] steps are done
     done = np.concatenate(([0], np.maximum.accumulate(steps)[:-1]))
@@ -242,7 +248,7 @@ def _run_rows(f, x0, durations, values, step, states=None) -> np.ndarray:
         if low < len(x0) and k + 1 >= done[low]:
             raise BlowUpError(float(_step_times(durations[low], step)[first_bad[low] + 1]))
         if states is not None:
-            states.append(x)
+            states[k + 1] = x
 
     return rk4_rows(f, x0, durations, values, step, visit)[0]
 
@@ -258,9 +264,10 @@ def integrate(sys: ControlSystem, x0, ctrl: PiecewiseControl, step: float = DEFA
     f = compile_components(sys.rhs, sys.n, sys.m)
     durations = np.array([d for d, _ in ctrl.segments], dtype=float)
     values = np.array([v for _, v in ctrl.segments], dtype=float).reshape(len(durations), sys.m)
-    states = [x]
+    times = _step_times(durations, step)
+    states = np.repeat(x[None], len(times), axis=0)
     _run_rows(f, x[None], durations[None], values[None], step, states)
-    return Trajectory(_step_times(durations, step), np.vstack(states))
+    return Trajectory(times, states)
 
 
 def flow_endpoint(vf: VectorField, x0, t: float, step: float = DEFAULT_STEP) -> np.ndarray:

@@ -29,8 +29,8 @@ CONSISTENCY_THRESHOLD = 0.05
 DEFAULT_RATE_BOUND = 10.0
 MAX_CELLS = 2 ** 24
 MAX_WORK = 2 ** 30  # row-substeps of one sampler run
-_CHUNK = ROW_BLOCK
-_MARK_BLOCK = 8 * ROW_BLOCK  # row-states per grid index: more spill the temporaries out of cache
+_CHUNK = 2 * ROW_BLOCK
+_MARK_BLOCK = 16384  # row-states per grid index: more spill the temporaries out of cache
 _REFINE_BATCH = 64
 
 
@@ -166,12 +166,19 @@ def _draw_controls(seed: int, count: int, segments: int, horizon: float, box, fi
     MAX_WORK < 2^32, one entropy word."""
     box = np.array(box, dtype=float).reshape(-1, 2)
     lows, spans = box[:, 0], box[:, 1] - box[:, 0]
-    gam, raw = draw_rows(seed, first, count, segments, segments * len(box))
+    gam, raw = np.empty((count, segments)), np.empty((count, segments * len(box)))
+    for lo in range(0, count, ROW_BLOCK):  # a chunk's draw needs the temporaries of ROW_BLOCK rows only
+        block = slice(lo, lo + ROW_BLOCK)
+        gam[block], raw[block] = draw_rows(seed, first + lo, len(gam[block]), segments, raw.shape[1])
     # rng.dirichlet(ones) draws these same exponentials and scales them by
-    # the reciprocal of their sum taken in order; cumsum adds in order too,
-    # where np.sum pairs terms once there are 8 or more
-    durations = gam * (1.0 / np.cumsum(gam, axis=1)[:, -1:]) * horizon
-    return durations, lows + raw.reshape(count, segments, len(box)) * spans
+    # the reciprocal of their sum taken in order, as sum() adds the columns;
+    # np.sum pairs terms once there are 8 or more.  Both draws are scaled
+    # in place, so a chunk holds no second copy of them
+    gam *= (1.0 / sum(gam.T))[:, None]
+    gam *= horizon
+    raw *= np.tile(spans, segments)
+    raw += np.tile(lows, segments)
+    return gam, raw.reshape(count, segments, len(box))
 
 
 def _check_run(cfg: ReachConfig, m: int):
@@ -206,31 +213,33 @@ def _run_chunk(f, x0, durations, values, step: float, grid=None):
     # one spare cell past the grid takes the -1 of points outside it
     marks = None if grid is None else np.zeros(grid.bitmap.size + 1, dtype=bool)
     # the grid's axes of the states visited since the last index, column
-    # by column, so that `flat_index` reads each axis contiguously; zero
-    # rows make an empty block
-    held = None if grid is None else np.empty((max(1, _MARK_BLOCK // max(rows, 1)) * rows, len(grid.axes)), order="F")
-    filled = 0
+    # by column, so that `flat_index` reads each axis contiguously.  It is
+    # made at the first visit, after rk4_rows has built its table, and
+    # holds the start first; zero rows make an empty block
+    held, filled = None, 0
 
-    def index():
-        marks[grid.flat_index(held[:filled])] = True
+    def hold(x):
+        nonlocal held, filled
+        if held is None:
+            held = np.empty((max(1, _MARK_BLOCK // max(rows, 1)) * rows, len(grid.axes)), order="F")
+            held[:rows], filled = x0[:held.shape[1]], rows
+        if filled == len(held):
+            marks[grid.flat_index(held)] = True
+            filled = 0
+        held[filled:filled + rows] = x[:, :held.shape[1]]
+        filled += rows
 
     def visit(k, x, bad):
-        nonlocal marks, filled
+        nonlocal marks
         if bad is not None:
             marks = None  # the marks of a chunk with a dead row are not kept
         elif marks is not None:
-            # every row marks: a finished row stays in a cell it has marked
-            held[filled:filled + rows] = x[:, :held.shape[1]]
-            filled += rows
-            if filled == len(held):
-                index()
-                filled = 0
+            hold(x)  # every row marks: a finished row stays in a cell it has marked
 
-    x = np.tile(x0, (rows, 1))
-    visit(None, x, None)
-    x, alive = rk4_rows(f, x, durations, values, step, visit)
+    x, alive = rk4_rows(f, np.broadcast_to(x0, (rows, len(x0))), durations, values, step, visit)
     if marks is not None:  # a grid, and no row dropped
-        index()
+        hold(x)  # no new cell, but it holds the start where no step was taken
+        marks[grid.flat_index(held[:filled])] = True
         grid.commit(marks[:-1])
     elif grid is not None and alive.any():
         _run_chunk(f, x0, durations[alive], values[alive], step, grid)
@@ -249,9 +258,10 @@ def _cover(sys: ControlSystem, x0, cfg: ReachConfig, runs: ReachConfig, keep=Non
     ran = dropped = 0
     for durations, values in _chunks(runs, runs.samples):
         kept = slice(None) if keep is None else keep(durations, values)
-        _, dead = _run_chunk(f, x0, durations[kept], values[kept], runs.step, grid)
+        dead = _run_chunk(f, x0, durations[kept], values[kept], runs.step, grid)[1]
         ran += len(dead)
         dropped += int(dead.sum())
+        del durations, values, kept  # the next chunk is drawn without this one
     return ReachEstimate(
         window=cfg.window, resolution=cfg.resolution, bitmap=grid.shaped_bitmap(), coverage=grid.coverage,
         samples=cfg.samples, retained=ran - dropped, dropped=dropped,

@@ -224,6 +224,22 @@ def test_generated_step_matches_rk4_step_bit_for_bit(name, rows):
     assert got.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("name", ["every_node", "chain5"])
+@pytest.mark.parametrize("rows", [slice(None), slice(0, 1), slice(1, 2)], ids=["2048 rows", "-0.0 row", "NaN row"])
+def test_column_held_advance_matches_rk4_step_bit_for_bit(name, rows):
+    """`f.advance` as rk4_rows runs it: the states held as an (n, rows)
+    array, each state one contiguous row, and the table entries as
+    (columns, rows).  every_node tells `base + (...)` from a bare slope
+    on the -0.0 row; in chain5, k3 reuses k2 and 2.0 * k2 is taken once."""
+    f, x, u, h = _step_case(name)
+    x, u, h = x[rows], u[rows], h[rows]
+    with np.errstate(all="ignore"):
+        want = flows.rk4_step(f, x, u, h)
+        got = f.advance(np.ascontiguousarray(x.T), f.table(np.ascontiguousarray(u.T), h[:, 0]))
+    assert got.shape == want.T.shape and got.flags.c_contiguous
+    assert got.T.tobytes() == want.tobytes()
+
+
 def test_generated_step_broadcasts_like_rk4_step():
     """A single state of shape (n,) and a scalar step, as `rk4_step`
     takes them."""
@@ -371,6 +387,51 @@ def test_turns_in_step_order_match_one_row_runs(case):
         for k, state, bad in seen[:len(seen_i)]:
             assert state[i].tobytes() == seen_i[k][1][0].tobytes(), f"row {i} step {k}"
             assert bad[i] == seen_i[k][2][0], f"row {i} step {k}"
+
+
+def test_each_step_visits_an_array_of_its_own():
+    """rk4_rows never writes into a state that `visit` has seen: the
+    states it visits are distinct arrays, each the state of its own step,
+    and so are the rows of an `integrate` trajectory.  A reused output
+    buffer would leave the endpoint right and a kept state wrong."""
+    heading = parse(HEADING_TEXT)
+    f = compile_components(heading.rhs, 2, 1)
+    x0, durations, values = np.array([0.1, -0.2]), np.array([[0.05, 0.03]]), np.array([[[1.0], [-2.0]]])
+    states = []
+    flows.rk4_rows(f, x0[None], durations, values, 1e-2, lambda k, x, bad: states.append(x))
+    assert len(states) == 8
+    assert not any(np.shares_memory(a, b) for i, a in enumerate(states) for b in states[:i])
+    want, x = [x0], x0
+    for count, h, u in zip(*flows._schedule(durations[0], 1e-2), values[0]):
+        for _ in range(count):
+            x = flows.rk4_step(f, x, u, h)
+            want.append(x)
+    assert np.vstack(states).tobytes() == np.vstack(want[1:]).tobytes()
+    traj = integrate(heading, x0, _row_control(durations, values, 0), 1e-2)
+    assert traj.states.tobytes() == np.vstack(want).tobytes()
+
+
+def test_blow_up_keeps_a_row_at_the_limit():
+    """The one test of every state against BLOWUP_LIMIT keeps a row at
+    |x| = 1e12 exactly and drops the float past it, -inf, inf and NaN at
+    the first step; a row that grows drops at the first step where
+    `rk4_step` takes it past the limit or to NaN."""
+    f = compile_components(parse("system grow\nstates x1 x2\ninputs u\ndx1 = u * x1 * x1\ndx2 = u\n").rhs, 2, 1)
+    limit = flows.BLOWUP_LIMIT
+    x0 = np.array([[limit, 0.0], [-limit, limit], [np.nextafter(limit, np.inf), 0.0], [0.0, -np.inf],
+                   [np.inf, 0.0], [np.nan, 0.0], [0.5, 0.0]])
+    values = np.array([0.0] * 6 + [1.0])[:, None, None]
+    durations = np.full((7, 1), 2.5)
+    x, alive, seen = _visited(f, x0, durations, values)
+    drops = {k: np.flatnonzero(bad).tolist() for k, _, bad in seen if bad.any()}
+    assert drops.pop(0) == [2, 3, 4, 5]
+    want, grow = 0, x0[6]
+    while (np.abs(grow) <= limit).all():
+        grow = flows.rk4_step(f, grow, values[6, 0], 1e-2)
+        want += 1
+    assert drops == {want - 1: [6]}
+    assert alive.tolist() == [True, True] + [False] * 5
+    assert x[:2].tobytes() == x0[:2].tobytes()
 
 
 def test_rows_without_segments_are_returned_alive():

@@ -4,7 +4,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -120,9 +120,10 @@ def test_sample_reach_is_deterministic(heading):
 def test_sample_prefix_grows_monotonically(heading):
     """Each trajectory draws from its own stream, so the first 500 of a
     1000-sample run are the 500-sample run verbatim, and so are the first
-    1500 of a 3000-sample run, which runs in two chunks."""
-    assert 1500 < reach._CHUNK < 3000
-    for samples in (500, 1500):
+    3/4 _CHUNK of a run of 3/2 _CHUNK samples, which runs in two chunks."""
+    part = 3 * reach._CHUNK // 4
+    assert part < reach._CHUNK < 2 * part
+    for samples in (500, part):
         small = sample_reach(heading, [0.0, 0.0], heading_cfg(samples=samples))
         large = sample_reach(heading, [0.0, 0.0], heading_cfg(samples=2 * samples))
         assert np.all(~small.bitmap | large.bitmap)
@@ -409,7 +410,7 @@ def _marks_one_substep_at_a_time(f, x0, durations, values, step, grid):
 
 _LAYOUT_CASES = {
     # horizon 0.51 at step 1e-2 makes 52 to 54 visits, none a multiple of
-    # the 8 or 5 substeps of a block of 2048 or 3000 rows
+    # the 8, 5 or 4 substeps of a block of 2048, 3000 or 4096 rows
     "heading": (parse(HEADING_TEXT), [0.0, 0.0], heading_cfg(
         horizon=0.51, segments=3, window=((-0.4, 0.4), (-0.2, 0.5)))),
     # a grid over the leading axes only, as `compare` builds on an extension
@@ -419,7 +420,7 @@ _LAYOUT_CASES = {
 }
 
 
-@pytest.mark.parametrize("rows", [1, 7, 3000, 2048, 0])
+@pytest.mark.parametrize("rows", [1, 7, 3000, 2048, 4096, 0])
 @pytest.mark.parametrize("case", sorted(_LAYOUT_CASES))
 def test_block_marking_is_layout_free(case, rows):
     """`_run_chunk` indexes the states of several substeps in one call; its
@@ -485,6 +486,26 @@ def test_sampler_memory_does_not_grow_with_samples(heading, monkeypatch):
         assert ten <= one + 2**20, name
 
 
+def test_sampler_peak_memory_at_two_chunks():
+    """The traced peak of a `sample_reach` run shaped like the bench's
+    compare on the cubic extension: 4 states and 4 grid axes, 8 segments,
+    a table of 6 columns and two chunks of _CHUNK rows.  It measured
+    3.60 MiB with chunks of 4096 rows; the bound leaves under 10% of
+    headroom, so a chunk or kernel change that holds more per row shows
+    here."""
+    cubic_ext = extend(parse("system cubic\nstates x1 x2 x3\ninputs u\ndx1 = u\ndx2 = x3^3\ndx3 = u^3\n")).extended
+    cfg = ReachConfig(horizon=4.0, segments=8, input_box=((-2.0, 2.0),), samples=2 * reach._CHUNK,
+                      window=((-1.0, 1.0),) * 3 + ((-8.0, 8.0),), resolution=(16, 16, 16, 8), seed=7, step=2e-2)
+    sample_reach(cubic_ext, np.zeros(4), replace(cfg, samples=10))  # what the first call compiles and caches
+    tracemalloc.start()
+    try:
+        sample_reach(cubic_ext, np.zeros(4), cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.9 * 2**20
+
+
 def _row_control(durations, values, i):
     return PiecewiseControl(tuple(
         (float(d), tuple(float(v) for v in row)) for d, row in zip(durations[i], values[i])
@@ -492,22 +513,24 @@ def _row_control(durations, values, i):
 
 
 def test_larger_sample_keeps_the_earlier_samples(heading):
-    """Draw N = 1500 and 2N = 3000 trajectories and run each as one
+    """Draw N = 3/4 _CHUNK and 2N trajectories and run each as one
     `_run_chunk` call, which cuts no rows (the chunk edge of a sampler run
     is `test_sample_prefix_grows_monotonically`'s): the first N endpoints
     agree bit for bit, and every cell of the N-sample bitmap is in the 2N
     one."""
-    cfg = heading_cfg(samples=1500)
-    assert 1500 < reach._CHUNK < 3000
+    part = 3 * reach._CHUNK // 4
+    # a grid fine enough that N samples do not mark every cell 2N can reach
+    cfg = heading_cfg(samples=part, resolution=64)
+    assert part < reach._CHUNK < 2 * part
     f = compile_components(heading.rhs, 2, 1)
     runs = []
-    for samples in (1500, 3000):
+    for samples in (part, 2 * part):
         durations, values = reach._draw_controls(cfg.seed, samples, cfg.segments, cfg.horizon, cfg.input_box)
         grid = reach._Grid(cfg.window, cfg.resolution)
         ends, _ = reach._run_chunk(f, np.zeros(2), durations, values, cfg.step, grid)
         runs.append((ends, grid.shaped_bitmap()))
     (small_ends, small_map), (large_ends, large_map) = runs
-    assert np.array_equal(small_ends, large_ends[:1500])
+    assert np.array_equal(small_ends, large_ends[:part])
     assert np.all(~small_map | large_map)
     assert large_map.sum() > small_map.sum()
 
