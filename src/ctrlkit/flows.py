@@ -157,15 +157,36 @@ def _schedule(durations, step):
     return nsub.astype(np.int64), durations / nsub
 
 
-def _step_times(durations, step) -> np.ndarray:
-    """Time after each step of one row's schedule, starting with 0."""
+def _step_times(durations, step, k=None):
+    """Time after step k of one row's schedule, by default of every step
+    from 0 on, and O(segments) memory besides: its segment's start plus
+    whole substeps, and at a segment end the running sum of durations."""
     nsub, hs = _schedule(durations, step)
-    times, t = [np.zeros(1)], 0.0
-    for count, h, d in zip(nsub.tolist(), hs.tolist(), durations.tolist()):
-        times.append(t + np.arange(1, count + 1) * h)
-        t += d
-        times[-1][-1] = t
-    return np.concatenate(times)
+    ends = np.append(0, np.cumsum(nsub))
+    starts = np.append(0.0, np.cumsum(durations))  # added in order, as `t += d` adds
+    k = np.arange(ends[-1] + 1) if k is None else k
+    j = np.searchsorted(ends, k, side="right") - 1  # ends[j] <= k < ends[j + 1]
+    return starts[j] + (k - ends[j]) * np.append(hs, 0.0)[j]
+
+
+def _turns(nsub):
+    """The turns of the substep counts `nsub` (rows, segments): after step
+    stops[i], rows row[upto[i - 1]:upto[i]] take the table columns
+    src[upto[i - 1]:upto[i]] of (columns, segments * rows); row r ends
+    after step last[r].  One stable sort of the segment ends in their
+    narrowest type (radix up to 16 bits), and no array past rows * segments."""
+    rows, segs = nsub.shape
+    ends = np.cumsum(nsub.T, axis=0)
+    ends = ends.astype(np.min_scalar_type(int(ends[-1].max(initial=0))))
+    order = np.argsort(ends, axis=None, kind="stable")
+    stop = ends.ravel()[order]
+    turn = order < (segs - 1) * rows  # a turn goes to its row of the next segment, `rows` columns on
+    src = (order[turn] + rows).astype(np.min_scalar_type(segs * rows))
+    edge = np.ones(len(stop), dtype=bool)  # the last end at each step
+    np.not_equal(stop[1:], stop[:-1], out=edge[:-1])
+    stops = stop[edge]
+    # src % rows: numpy divides by a scalar faster than it takes a remainder
+    return src - src // rows * rows, src, stops, np.searchsorted(stop[turn], stops, side="right"), ends[-1]
 
 
 def rk4_rows(f, x, durations, values, step, visit):
@@ -175,38 +196,35 @@ def rk4_rows(f, x, durations, values, step, visit):
     taken in its two parts: `f.table` once for every segment of every row,
     then `f.advance` with each row's entry per substep.  The states are held
     as columns, (n, rows), each state one contiguous row; the table as
-    (columns, segments, rows), the entries in use as (columns, rows).  Rows
-    never depend on each other.  After global step k, visit(k, x, bad) sees
-    every row as a (rows, n) view of a new array; `bad` is None or the mask
-    of rows that just left the finite regime, which are zeroed and stepped
-    no more.  Returns the final states (rows, n) and live rows."""
+    (columns, segments, rows), the entries in use as (columns, rows); the
+    rows that turn at a stop of `_turns` gather their next entries as one
+    slice.  Rows never depend on each other.  After global step k,
+    visit(k, x, bad) sees every row as a (rows, n) view of a new array;
+    `bad` is None or the mask of rows that just left the finite regime,
+    which are zeroed and stepped no more.  Returns the final states (rows,
+    n) and live rows."""
     alive = np.ones(len(x), dtype=bool)
-    if not durations.shape[1]:
+    if not durations.size:
         return x, alive
     nsub, hs = _schedule(durations, step)
-    table = f.table(values.T, hs.T)
+    flat = f.table(values.T, hs.T).reshape(-1, durations.size)
+    del hs
     # segment 0's entries: no turn reads them again, so they are the ones in use
-    c = table[:, 0]
-    seg_end = np.cumsum(nsub, axis=1)
-    del nsub, hs
-    # row r turns to segment j + 1 after step turns[r, j]; in step order,
-    # the turns at stops[i] are the flat indices order[upto[i - 1]:upto[i]]
-    turns = seg_end[:, :-1]
-    order = np.argsort(turns, axis=None, kind="stable").astype(np.min_scalar_type(turns.size))
-    stops = np.unique(seg_end)
-    upto = np.searchsorted(turns.ravel()[order], stops, side="right").tolist()
-    last = seg_end[:, -1].copy()
+    c = flat[:, :len(x)]
+    row, src, stops, upto, last = _turns(nsub)
+    del nsub
     ends = set(last.tolist())
-    del seg_end, turns
     x = x.T.copy()
     act, every, k, lo = alive.copy(), True, 0, 0
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         # a row's table entry changes only when it turns at a stop, and the
         # active rows only where some row's schedule ends
-        for stop, hi in zip(stops.tolist(), upto):
+        for stop, hi in zip(stops.tolist(), upto.tolist()):
             for k in range(k, stop):
                 xn = f.advance(x, c)
-                x = xn if every else np.where(act, xn, x)
+                if not every:  # rows that no longer step keep their states
+                    np.copyto(xn, x, where=~act)
+                x = xn
                 # NaN fails the comparison too: one test for NaN, inf and
                 # overflow, and the rows are looked at only when it fails
                 bad = None
@@ -223,8 +241,7 @@ def rk4_rows(f, x, durations, values, step, visit):
                 every = act.all()
             if not act.any():
                 break
-            row, seg = np.unravel_index(order[lo:hi], (len(last), table.shape[1] - 1))
-            c[:, row] = table[:, seg + 1, row]
+            c[:, row[lo:hi]] = flat[:, src[lo:hi]]
             lo = hi
     return x.T, alive
 
@@ -246,7 +263,7 @@ def _run_rows(f, x0, durations, values, step, states=None) -> np.ndarray:
             first_bad[bad] = k
             low = min(low, int(np.argmax(bad)))
         if low < len(x0) and k + 1 >= done[low]:
-            raise BlowUpError(float(_step_times(durations[low], step)[first_bad[low] + 1]))
+            raise BlowUpError(float(_step_times(durations[low], step, int(first_bad[low]) + 1)))
         if states is not None:
             states[k + 1] = x
 

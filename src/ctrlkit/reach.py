@@ -121,32 +121,32 @@ class _Grid:
     def __init__(self, window, resolution):
         self.window = _as_box(window)
         self.resolution = tuple(int(r) for r in resolution)
-        # row-major: the last axis varies fastest
-        strides = [math.prod(self.resolution[a + 1:]) for a in range(len(self.resolution))]
-        self.axes = tuple((lo, hi - lo, r, stride) for (lo, hi), r, stride in zip(self.window, self.resolution, strides))
+        self.lows = np.array(self.window)[:, :1]  # one row per axis
+        self.axes = tuple((hi - lo, r) for (lo, hi), r in zip(self.window, self.resolution))
         cells = math.prod(self.resolution)  # Python ints: no int64 wrap
         if cells > MAX_CELLS:
             raise ValueError(f"grid has {cells} cells, more than the {MAX_CELLS} allowed")
         self.bitmap = np.zeros(cells, dtype=bool)
 
-    def flat_index(self, x: np.ndarray) -> np.ndarray:
-        """Flat cell index per row, -1 for points outside the window.  It
-        goes one axis at a time, with the float operations of
-        `(x - lows) / (highs - lows)` over whole rows, in temporaries
-        that every axis reuses."""
-        flat = np.zeros(len(x), dtype=np.int64)
-        ok = np.ones(len(x), dtype=bool)
-        w, cell, test = np.empty(len(x)), np.empty(len(x), dtype=np.int64), np.empty(len(x), dtype=bool)
+    def flat_index(self, t: np.ndarray) -> np.ndarray:
+        """Row-major flat cell index of each column of `t` (axes, points),
+        which holds x - lo per grid axis and is scaled in place to
+        ((x - lo) / (hi - lo)) * r; the spare cell `bitmap.size` outside.
+        For an integer r, w < 1 exactly when fl(w * r) < r, so a point is
+        inside when 0 <= t < r on every axis, which NaN fails, in cell
+        int(t).  Outside, what NaN or inf cast to is multiplied by 0."""
+        flat, cell = np.zeros(t.shape[1], dtype=np.int32), np.empty(t.shape[1], dtype=np.int32)
+        ok, test = np.ones(t.shape[1], dtype=bool), np.empty(t.shape[1], dtype=bool)
         with np.errstate(invalid="ignore"):
-            for a, (lo, span, r, stride) in enumerate(self.axes):
-                np.divide(np.subtract(x[:, a], lo, out=w), span, out=w)
-                # NaN and inf compare false, so they fall outside too
+            for w, (span, r) in zip(t, self.axes):
+                np.multiply(np.divide(w, span, out=w), float(r), out=w)
                 ok &= np.greater_equal(w, 0.0, out=test)
-                ok &= np.less(w, 1.0, out=test)
-                np.copyto(cell, np.multiply(w, float(r), out=w), casting="unsafe")
-                flat += np.multiply(np.minimum(cell, r - 1, out=cell), stride, out=cell)
-        flat[~ok] = -1
-        return flat
+                ok &= np.less(w, float(r), out=test)
+                np.copyto(cell, w, casting="unsafe")
+                flat *= r  # MAX_CELLS < 2^31: an inside index fits int32
+                flat += cell
+        flat -= self.bitmap.size
+        return np.add(np.multiply(flat, ok, out=flat), self.bitmap.size, out=flat)
 
     def commit(self, marks: np.ndarray):
         self.bitmap |= marks
@@ -210,23 +210,22 @@ def _run_chunk(f, x0, durations, values, step: float, grid=None):
     marks are thrown away and the surviving rows alone run again: they take
     the same steps and cannot drop."""
     rows = durations.shape[0]
-    # one spare cell past the grid takes the -1 of points outside it
+    # one spare cell past the grid takes the points outside it
     marks = None if grid is None else np.zeros(grid.bitmap.size + 1, dtype=bool)
-    # the grid's axes of the states visited since the last index, column
-    # by column, so that `flat_index` reads each axis contiguously.  It is
-    # made at the first visit, after rk4_rows has built its table, and
-    # holds the start first; zero rows make an empty block
-    held, filled = None, 0
+    # x - lo on each grid axis of the states visited since the last index,
+    # one row per axis, so that `flat_index` reads each axis contiguously.
+    # It is made at the first visit, after rk4_rows has built its table;
+    # zero rows make an empty block
+    block, filled = None, 0
 
-    def hold(x):
-        nonlocal held, filled
-        if held is None:
-            held = np.empty((max(1, _MARK_BLOCK // max(rows, 1)) * rows, len(grid.axes)), order="F")
-            held[:rows], filled = x0[:held.shape[1]], rows
-        if filled == len(held):
-            marks[grid.flat_index(held)] = True
+    def hold(x):  # states as columns, (n, rows), or one state for every row, (n, 1)
+        nonlocal block, filled
+        if block is None:
+            block = np.empty((len(grid.axes), max(1, _MARK_BLOCK // max(rows, 1)) * rows))
+        if filled == block.shape[1]:
+            marks[grid.flat_index(block)] = True
             filled = 0
-        held[filled:filled + rows] = x[:, :held.shape[1]]
+        np.subtract(x[:len(block)], grid.lows, out=block[:, filled:filled + rows])
         filled += rows
 
     def visit(k, x, bad):
@@ -234,12 +233,12 @@ def _run_chunk(f, x0, durations, values, step: float, grid=None):
         if bad is not None:
             marks = None  # the marks of a chunk with a dead row are not kept
         elif marks is not None:
-            hold(x)  # every row marks: a finished row stays in a cell it has marked
+            hold(x.T)  # every row marks: a finished row stays in a cell it has marked
 
     x, alive = rk4_rows(f, np.broadcast_to(x0, (rows, len(x0))), durations, values, step, visit)
     if marks is not None:  # a grid, and no row dropped
-        hold(x)  # no new cell, but it holds the start where no step was taken
-        marks[grid.flat_index(held[:filled])] = True
+        hold(x0[:, None])  # the start, which no visit sees
+        marks[grid.flat_index(block[:, :filled])] = True
         grid.commit(marks[:-1])
     elif grid is not None and alive.any():
         _run_chunk(f, x0, durations[alive], values[alive], step, grid)
@@ -258,7 +257,8 @@ def _cover(sys: ControlSystem, x0, cfg: ReachConfig, runs: ReachConfig, keep=Non
     ran = dropped = 0
     for durations, values in _chunks(runs, runs.samples):
         kept = slice(None) if keep is None else keep(durations, values)
-        dead = _run_chunk(f, x0, durations[kept], values[kept], runs.step, grid)[1]
+        durations, values = durations[kept], values[kept]  # the whole draw is not held through the run
+        dead = _run_chunk(f, x0, durations, values, runs.step, grid)[1]
         ran += len(dead)
         dropped += int(dead.sum())
         del durations, values, kept  # the next chunk is drawn without this one

@@ -35,10 +35,13 @@ from .expr import (
 from .records import BAD_RECORD, integer, read_json, write_json
 
 
-def _unique(base: str, taken) -> str:
+def _unique(base: str, taken: set) -> str:
+    """`base` with as many "_" appended as make it a name not in `taken`,
+    to which it is added."""
     name = base
     while name in taken:
         name += "_"
+    taken.add(name)
     return name
 
 
@@ -94,28 +97,14 @@ def extend(sys: ControlSystem) -> ExtensionRecord:
     if sys.m == 0:
         raise ValueError(f"system {sys.name!r} has no inputs, nothing to extend")
     taken = set(sys.states) | set(sys.inputs)
-    new_states = []
-    for u in sys.inputs:
-        name = _unique(f"y_{u}", taken)
-        taken.add(name)
-        new_states.append(name)
-    new_inputs = []
-    for u in sys.inputs:
-        name = _unique(f"v_{u}", taken)
-        taken.add(name)
-        new_inputs.append(name)
+    new_states = tuple(_unique(f"y_{u}", taken) for u in sys.inputs)
+    new_inputs = tuple(_unique(f"v_{u}", taken) for u in sys.inputs)
 
-    n = sys.n
-    input_to_state = {i: StateVar(n + i) for i in range(sys.m)}
+    input_to_state = {i: StateVar(sys.n + i) for i in range(sys.m)}
     rhs = [subst(e, input_map=input_to_state) for e in sys.rhs]
     rhs.extend(InputVar(i) for i in range(sys.m))
-    extended = ControlSystem(
-        f"{sys.name}_ext",
-        sys.states + tuple(new_states),
-        tuple(new_inputs),
-        tuple(rhs),
-    )
-    return ExtensionRecord(sys, extended, tuple(new_states), tuple(new_inputs))
+    extended = ControlSystem(f"{sys.name}_ext", sys.states + new_states, new_inputs, tuple(rhs))
+    return ExtensionRecord(sys, extended, new_states, new_inputs)
 
 
 def _match_scaled_input(e: Expr) -> tuple[float, int] | None:
@@ -158,15 +147,9 @@ def _strip_once(sys: ControlSystem, z: int, scale: float, j: int) -> tuple[Contr
     promoted = _unique(f"u_{state_name}", taken)
     new_inputs = sys.inputs[:j] + (promoted,) + sys.inputs[j + 1:]
 
-    state_map: dict[int, Expr] = {}
-    for idx in range(sys.n):
-        if idx == z:
-            state_map[idx] = InputVar(j)
-        elif idx > z:
-            state_map[idx] = StateVar(idx - 1)
-    new_rhs = tuple(
-        subst(e, state_map=state_map) for k, e in enumerate(sys.rhs) if k != z
-    )
+    # the stripped state reads as its input, and the states after it move down one
+    state_map = {idx: InputVar(j) if idx == z else StateVar(idx - 1) for idx in range(z, sys.n)}
+    new_rhs = tuple(subst(e, state_map=state_map) for k, e in enumerate(sys.rhs) if k != z)
     after = ControlSystem(sys.name, new_states, new_inputs, new_rhs)
     step = ReductionStep(
         state=state_name,

@@ -1,6 +1,8 @@
 """Promises of the one RK4 stepping kernel, `flows.rk4_rows`, that
 `integrate`, `flow_endpoint`, `ideal_plan_endpoint` and the sampler share."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -61,6 +63,102 @@ def test_integrate_times_follow_the_schedule():
     # ceil(0.25 / 0.1) = 3 substeps of 0.25 / 3, then one of 0.1
     assert np.array_equal(traj.times, [0.0, 0.25 / 3, 2 * (0.25 / 3), 0.25, 0.25 + 0.1])
     assert traj.states.shape == (5, 2)
+
+
+def _reference_step_times(durations, step):
+    """The per-segment loop that `_step_times` replaced: each segment's
+    start plus whole substeps, and its end the running sum `t += d`."""
+    nsub, hs = flows._schedule(durations, step)
+    times, t = [np.zeros(1)], 0.0
+    for count, h, d in zip(nsub.tolist(), hs.tolist(), durations.tolist()):
+        times.append(t + np.arange(1, count + 1) * h)
+        t += d
+        times[-1][-1] = t
+    return np.concatenate(times)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_the_time_of_one_step_is_its_time_in_the_whole_schedule(seed):
+    """`_step_times` of one step, segment ends and the steps before them
+    included, has the bits of that step's time in the whole schedule, and
+    the whole schedule those of the per-segment loop."""
+    rng = np.random.default_rng(seed)
+    for _ in range(60):
+        segments = int(rng.integers(0, 9))
+        durations = rng.dirichlet(np.ones(segments)) * rng.uniform(0.01, 9.0) if segments else np.zeros(0)
+        step = float(rng.choice([1e-3, 1e-2, 0.07, 0.5]))
+        want = _reference_step_times(durations, step)
+        assert flows._step_times(durations, step).tobytes() == want.tobytes()
+        ends = np.cumsum(flows._schedule(durations, step)[0])
+        for k in {0, len(want) - 1, *ends.tolist(), *(ends - 1).tolist(), *rng.integers(0, len(want), 4).tolist()}:
+            assert flows._step_times(durations, step, k) == want[k], (durations, step, k)
+
+
+def test_a_long_flow_that_blows_up_early_holds_no_schedule():
+    """x' = x^2 from 1 blows up at t = 1.001 at step 1e-3, whatever the
+    flow time: a flow of 1e5 time units raises what a flow of 1.5 raises,
+    and its blow-up time is taken without the 1e8 times of its schedule
+    (a traced peak of 1.5 GiB when they were all made)."""
+    vf = VectorField(parse("system sq\nstates x\ndx = x * x\n").rhs, 1)
+    with pytest.raises(BlowUpError) as short:
+        flow_endpoint(vf, [1.0], 1.5, step=1e-3)
+    tracemalloc.start()
+    try:
+        with pytest.raises(BlowUpError) as long:
+            flow_endpoint(vf, [1.0], 1e5, step=1e-3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(long.value) == str(short.value) == "state blew up at t=1.001"
+    assert long.value.time == short.value.time
+    assert peak < 5 * 2**20
+
+
+def _reference_turns(nsub):
+    """The schedule as one argsort of the turn steps, `np.unique` of every
+    segment end and a binary search made it, as (row, src, stops, upto,
+    last)."""
+    rows = len(nsub)
+    seg_end = np.cumsum(nsub, axis=1)
+    turns = seg_end[:, :-1]
+    order = np.argsort(turns, axis=None, kind="stable")
+    stops = np.unique(seg_end)
+    upto = np.searchsorted(turns.ravel()[order], stops, side="right")
+    row, seg = np.unravel_index(order, turns.shape)
+    return row, (seg + 1) * rows + row, stops, upto, seg_end[:, -1]
+
+
+def _dirichlet_substeps(rows, segments, step, seed):
+    rng = np.random.default_rng(seed)
+    durations = rng.dirichlet(np.ones(segments), size=rows) * rng.uniform(1.0, 4.0, (rows, 1))
+    return flows._schedule(durations, step)[0]
+
+
+@pytest.mark.parametrize("nsub", [
+    _dirichlet_substeps(4096, 8, 2e-2, 1),  # shaped like a chunk of the bench's cubic compare
+    _dirichlet_substeps(333, 3, 1e-2, 2),  # past 255 steps: 16-bit ends
+    _dirichlet_substeps(50, 6, 0.3, 3),  # many rows turning at each stop
+    _dirichlet_substeps(9, 1, 1e-2, 4),  # one segment: no turn at all
+    _dirichlet_substeps(0, 4, 1e-2, 5),  # no rows
+    np.array([[40000, 30000, 5]]),  # one row past 65535 steps: 32-bit ends
+    np.array([[1, 1, 1], [2, 1, 1], [1, 2, 1]]),  # single substeps, and rows turning at once
+], ids=["chunk", "16-bit", "dense", "one segment", "no rows", "32-bit", "single substeps"])
+def test_turns_equal_the_argsort_unique_searchsorted_schedule(nsub):
+    """`_turns` gives the stops, the turns counted up to each and the
+    last steps of the reference; at each stop the same rows turn to the
+    same table columns (in any order: a row turns at most once a step),
+    held in the narrowest unsigned type."""
+    row, src, stops, upto, last = flows._turns(nsub)
+    ref_row, ref_src, ref_stops, ref_upto, ref_last = _reference_turns(nsub)
+    assert stops.tolist() == ref_stops.tolist()
+    assert upto.tolist() == ref_upto.tolist()
+    assert last.tolist() == ref_last.tolist()
+    for lo, hi in zip([0, *upto[:-1].tolist()], upto.tolist()):
+        assert sorted(zip(row[lo:hi].tolist(), src[lo:hi].tolist())) == \
+            sorted(zip(ref_row[lo:hi].tolist(), ref_src[lo:hi].tolist()))
+    assert len(row) == len(ref_row)
+    assert row.dtype == src.dtype == np.min_scalar_type(nsub.size)
+    assert last.dtype == np.min_scalar_type(int(ref_last.max(initial=0)))
 
 
 def test_flow_endpoint_is_a_one_segment_run():

@@ -344,6 +344,28 @@ def _whole_row_flat_index(grid, x):
     return np.where(ok, cells @ strides, -1)
 
 
+def _flat_index(grid, x):
+    """`flat_index` of the states `x` (rows, n), held as the sampler holds
+    them: x - lo on each grid axis, one row per axis; the spare cell reads
+    as -1."""
+    flat = grid.flat_index((x[:, :len(grid.axes)] - grid.lows.T).T.copy())
+    return np.where(flat == grid.bitmap.size, -1, flat)
+
+
+def test_a_float_below_one_scaled_by_r_stays_below_r():
+    """For an integer r >= 1, w < 1 exactly when fl(w * r) < r, and w >= 0
+    exactly when fl(w * r) >= 0, so `flat_index` tests the scaled t in
+    place of w: checked for the 2000 floats below 1, 1 and the floats
+    above it, and the subnormals and zeros about 0, at every r up to 5000
+    and every power of two up to 2^24."""
+    w = np.concatenate([1.0 - np.arange(1, 2001) * 2.0**-53, 1.0 + np.arange(100) * 2.0**-52,
+                        np.arange(-50, 51) * 5e-324, [-0.0]])
+    for r in sorted({*range(1, 5001), *(2**k for k in range(25))}):
+        t = w * float(r)
+        assert np.array_equal(t < r, w < 1.0), r
+        assert np.array_equal(t >= 0.0, w >= 0.0), r
+
+
 @pytest.mark.parametrize("window, resolution", [
     (((-2.0, 2.0), (0.0, 1.0)), (40, 40)),
     (((-2.0, 2.0), (-2.0, 2.0), (-5.0, 5.0)), (40, 40, 10)),
@@ -366,15 +388,16 @@ def test_flat_index_equals_the_whole_row_formula(window, resolution):
     x = np.vstack([inside, specials, corners, wide, -0.0 * np.ones((1, d))])
     x = np.hstack([x, rng.uniform(-1.0, 1.0, size=(len(x), 1))])  # a trailing axis the grid does not cover
     want = _whole_row_flat_index(grid, x)
-    assert np.array_equal(grid.flat_index(x), want)
+    assert np.array_equal(_flat_index(grid, x), want)
     assert (want == -1).any() and (want >= 0).sum() > 300
 
 
 def test_flat_index_of_a_whole_block_equals_the_whole_row_formula():
-    """One call over a block of `_MARK_BLOCK` rows and more, in the
-    column-major layout the sampler indexes, with NaN, inf, -0.0, hi and
-    the float below hi spread across it, and a trailing axis the grid does
-    not cover, as `compare` indexes an extension."""
+    """One call over a block of `_MARK_BLOCK` points and more, one row per
+    axis as the sampler holds them, with NaN, inf, -0.0, hi and the float
+    below hi spread across it, and a trailing axis the grid does not
+    cover, as `compare` indexes an extension; a block's leading columns,
+    as its last part-full index reads them, give their own indices."""
     window = ((-2.0, 2.0), (-1.0, 3.0), (-18.0, 18.0))
     grid = reach._Grid(window, (40, 40, 10))
     lows, highs, _ = _grid_arrays(grid)
@@ -385,8 +408,10 @@ def test_flat_index_of_a_whole_block_equals_the_whole_row_formula():
             x[rng.choice(len(x), 40, replace=False), a] = v
     x = np.hstack([x, rng.uniform(-1.0, 1.0, size=(len(x), 1))])
     want = _whole_row_flat_index(grid, x)
-    assert np.array_equal(grid.flat_index(x), want)
-    assert np.array_equal(grid.flat_index(np.asfortranarray(x[:, :3])), want)
+    assert np.array_equal(_flat_index(grid, x), want)
+    block = np.empty((3, len(x) + 500))
+    np.subtract(x[:, :3].T, grid.lows, out=block[:, :len(x)])
+    assert np.array_equal(grid.flat_index(block[:, :len(x)]), np.where(want < 0, grid.bitmap.size, want))
     assert (want == -1).sum() > 1000 and (want >= 0).sum() > reach._MARK_BLOCK // 2
 
 
@@ -399,7 +424,7 @@ def _marks_one_substep_at_a_time(f, x0, durations, values, step, grid):
     visits = []
 
     def visit(k, x, bad):
-        marks[grid.flat_index(x)] = True
+        marks[_flat_index(grid, x)] = True
         visits.append(k)
 
     x = np.tile(x0, (int(keep.sum()), 1))
@@ -490,9 +515,10 @@ def test_sampler_peak_memory_at_two_chunks():
     """The traced peak of a `sample_reach` run shaped like the bench's
     compare on the cubic extension: 4 states and 4 grid axes, 8 segments,
     a table of 6 columns and two chunks of _CHUNK rows.  It measured
-    3.60 MiB with chunks of 4096 rows; the bound leaves under 10% of
-    headroom, so a chunk or kernel change that holds more per row shows
-    here."""
+    3.60 MiB with chunks of 4096 rows, and 3.52 MiB since rows that no
+    longer step keep their states in the new array, not in a third; the
+    bound leaves under 10% of headroom over the first, so a chunk or
+    kernel change that holds more per row shows here."""
     cubic_ext = extend(parse("system cubic\nstates x1 x2 x3\ninputs u\ndx1 = u\ndx2 = x3^3\ndx3 = u^3\n")).extended
     cfg = ReachConfig(horizon=4.0, segments=8, input_box=((-2.0, 2.0),), samples=2 * reach._CHUNK,
                       window=((-1.0, 1.0),) * 3 + ((-8.0, 8.0),), resolution=(16, 16, 16, 8), seed=7, step=2e-2)
@@ -504,6 +530,50 @@ def test_sampler_peak_memory_at_two_chunks():
     finally:
         tracemalloc.stop()
     assert peak <= 3.9 * 2**20
+
+
+def test_bounded_check_holds_one_copy_of_a_chunk(heading):
+    """The bounded check runs each chunk's kept rows with no copy of the
+    whole draw beside them.  At the config of criterion 7, with two chunks
+    of rows, its traced peak measured 2.60 MiB while both were held and
+    2.27 MiB since; the bound is 10% above that."""
+    cfg = ReachConfig(horizon=3.0, segments=6, input_box=((-10.0, 10.0),), samples=2 * reach._CHUNK,
+                      window=((-2.0, 2.0), (-2.0, 2.0)), resolution=40, seed=2026, step=2e-2)
+
+    def run(cfg):
+        return bounded_reach_check(heading, [0.0, 0.0], ((-math.pi, math.pi),), cfg, rate_box=((-2.0, 2.0),))
+
+    run(replace(cfg, samples=10))  # what the first call compiles and caches
+    tracemalloc.start()
+    try:
+        report = run(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 0 < report.rejected < cfg.samples
+    assert peak <= 1.1 * 2.27 * 2**20
+
+
+def test_marks_of_a_grid_of_20_axes_take_one_byte_per_cell():
+    """A grid of 2^20 cells over 20 axes at resolution 2 marks into one
+    byte per cell and the spare: its bitmap and marks take 2 MiB and the
+    mark block 2.5 MiB, 4.6 MiB measured in all, where a grid padded to
+    r + 2 cells per axis would take 4^20 bytes."""
+    states = " ".join(f"x{i}" for i in range(1, 21))
+    sys_ = parse(f"system twenty\nstates {states}\ninputs u\n" + "".join(f"dx{i} = u\n" for i in range(1, 21)))
+    cfg = ReachConfig(horizon=0.5, segments=2, input_box=((-1.0, 1.0),), samples=64,
+                      window=((-1.0, 1.0),) * 20, resolution=2, seed=3, step=0.1)
+    sample_reach(sys_, np.zeros(20), replace(cfg, samples=2))  # what the first call compiles and caches
+    tracemalloc.start()
+    try:
+        est = sample_reach(sys_, np.zeros(20), cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # every state moves with u alike: the start and the states past it are
+    # in the top cell, the states below it in the bottom one
+    assert est.bitmap.sum() == 2 and est.bitmap[(0,) * 20] and est.bitmap[(1,) * 20]
+    assert peak < 6 * 2**20
 
 
 def _row_control(durations, values, i):
@@ -580,7 +650,7 @@ def test_sample_reach_drops_exactly_the_rows_that_blow_up():
             late += exc.time > durations[i, 0]
             continue
         top = max(top, float(traj.states.max()))
-        idx = grid.flat_index(traj.states)
+        idx = _flat_index(grid, traj.states)
         grid.bitmap[idx[idx >= 0]] = True
     assert 0 < blew_up.sum() < cfg.samples
     assert late > 0
@@ -840,15 +910,15 @@ def test_grid_flat_index_matches_ravel_multi_index():
     cells = np.minimum(cells, res - 1)
     want = np.full(len(x), -1)
     want[inside] = np.ravel_multi_index(cells.T, grid.resolution)
-    got = grid.flat_index(x)
-    assert got.dtype == np.int64
+    got = _flat_index(grid, x)
     assert np.array_equal(got, want)
+    assert np.array_equal(got, _whole_row_flat_index(grid, x))
     assert not inside[:4].any() and 0 < inside.sum() < len(x)
     # a grid over the leading axes reads only those: extra trailing
     # columns, non-finite ones among them, leave the indices as they are
     extra = rng.uniform(-3.0, 4.0, size=(len(x), 2))
     extra[:6] = [[np.nan, 0.0], [np.inf, -np.inf], [0.0, np.nan], [-np.inf, 1.0], [np.nan, np.nan], [1e300, 0.0]]
-    assert np.array_equal(grid.flat_index(np.hstack([x, extra])), want)
+    assert np.array_equal(_flat_index(grid, np.hstack([x, extra])), want)
 
 
 @pytest.mark.parametrize("resolution", [(4097, 4096), (2**32, 2**32), 2**12 + 1])
