@@ -47,8 +47,8 @@ _IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 _NUMBER_RE = re.compile(r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
 _FUNCS = {op.symbol: t for t, op in OPS.items() if op.numpy}
 _RESERVED = {"system", "states", "inputs", *_FUNCS}
-# sums (prec 1) and products (prec 2); '^' takes an integer exponent and
-# is read by `factor`
+# sums (prec 1) and products (prec 2); prefix '-' and '^', which takes
+# an integer exponent, are read by `factor`
 _BINARY = {(op.symbol, op.prec): t for t, op in OPS.items() if op.prec <= 2}
 
 
@@ -231,9 +231,9 @@ class _ExprParser:
         self.names = names
         self.pos = 0
 
-    def peek(self):
-        if self.pos < len(self.tokens):
-            return self.tokens[self.pos]
+    def peek(self, ahead: int = 0):
+        if self.pos + ahead < len(self.tokens):
+            return self.tokens[self.pos + ahead]
         return ("end", "", self.tokens[-1][2] + 1 if self.tokens else 1)
 
     def next(self):
@@ -266,28 +266,29 @@ class _ExprParser:
         return e
 
     def factor(self) -> Expr:
+        """'-' factor, or a base with an optional '^' exponent: as in Python,
+        -x^2 is -(x^2) and -2^2 is -4, while `base` folds a bare -2."""
+        literal = self.peek(1)[0] == "number" and self.peek(2)[1] != "^"
+        if self.peek()[:2] == ("op", "-") and not literal:
+            self.next()
+            return Neg(self.factor())
         e = self.base()
-        kind, text, _ = self.peek()
-        if kind == "op" and text == "^":
+        if self.peek()[:2] == ("op", "^"):
             self.next()
             e = Pow(e, self.integer())
         return e
 
     def integer(self) -> int:
-        sign = 1
-        kind, text, col = self.peek()
-        if kind == "op" and text == "-":
-            self.next()
-            sign = -1
-            kind, text, col = self.peek()
-        if kind != "number" or not re.fullmatch(r"\d+", text):
-            self.fail("power exponent must be an integer")
-        self.next()
-        return sign * int(text)
+        negative = self.peek()[:2] == ("op", "-")
+        tok = self.peek(negative)
+        if tok[0] != "number" or not re.fullmatch(r"\d+", tok[1]):
+            self.fail("power exponent must be an integer", tok)
+        self.pos += 2 if negative else 1
+        return -int(tok[1]) if negative else int(tok[1])
 
     def base(self) -> Expr:
         kind, text, col = self.next()
-        if kind == "op" and text == "-" and self.peek()[0] == "number":
+        if kind == "op" and text == "-":
             # fold a directly attached literal so -2 is the constant -2,
             # while -(2) stays an explicit negation
             kind, text = "number", "-" + self.next()[1]
@@ -295,8 +296,6 @@ class _ExprParser:
             if not math.isfinite(float(text)):
                 raise DslError(f"number {text} overflows", self.lineno, col)
             return Constant(float(text))
-        if kind == "op" and text == "-":
-            return Neg(self.base())
         if kind == "op" and text == "(":
             e = self.expr()
             k2, t2, _ = self.next()
@@ -417,9 +416,9 @@ def _render(e: Expr, names: list[str], input_names: list[str], min_prec: int = 1
     elif t is InputVar:
         s = input_names[e.index]
     elif t is Pow:
-        s = f"{_render_base(e.base, names, input_names)}^{e.exponent}"
+        s = f"{_render_operand(e.base, names, input_names, 5)}^{e.exponent}"
     elif t is Neg:
-        s = f"-{_render_base(e.arg, names, input_names)}"
+        s = f"-{_render_operand(e.arg, names, input_names, 3)}"
     elif op.numpy:
         s = f"{op.symbol}({_render(e.arg, names, input_names, 1)})"
     else:
@@ -428,12 +427,12 @@ def _render(e: Expr, names: list[str], input_names: list[str], min_prec: int = 1
     return f"({s})" if op.prec < min_prec else s
 
 
-def _render_base(e: Expr, names, input_names) -> str:
-    # the grammar's 'base' slot: atoms, calls and '-' chains fit bare,
-    # anything else (and literals after '-') needs parentheses
+def _render_operand(e: Expr, names, input_names, min_prec: int) -> str:
+    # a '^' base (min_prec 5) fits atoms and calls bare, a '-' operand (3)
+    # '-' chains and powers too; a literal in either needs parentheses
     if type(e) is Constant:
         return f"({e.value!r})"
-    return _render(e, names, input_names, 4)
+    return _render(e, names, input_names, min_prec)
 
 
 def serialize(sys: ControlSystem) -> str:

@@ -243,7 +243,7 @@ class Op(NamedTuple):
     """What one node type means."""
 
     symbol: str | None  # DSL operator or function name
-    prec: int  # DSL binding: 1 sums, 2 products, 3 powers, 4 atoms, calls and '-'
+    prec: int  # DSL binding: 1 sums, 2 products, 3 prefix '-', 4 powers, 5 atoms and calls
     fn: Callable | None  # float value from the children's values (and Pow's exponent)
     numpy: str | None  # numpy function in generated code
     deriv: Callable | None  # (node, derivatives of its children) -> derivative
@@ -251,10 +251,10 @@ class Op(NamedTuple):
 
 
 OPS: dict[type, Op] = {
-    Constant: Op(None, 4, None, None, None),
-    StateVar: Op(None, 4, None, None, None),
-    InputVar: Op(None, 4, None, None, None),
-    Neg: Op("-", 4, operator.neg, None, lambda e, da: Neg(da),
+    Constant: Op(None, 5, None, None, None),
+    StateVar: Op(None, 5, None, None, None),
+    InputVar: Op(None, 5, None, None, None),
+    Neg: Op("-", 3, operator.neg, None, lambda e, da: Neg(da),
             lambda e, a: a.arg if type(a) is Neg else Neg(a)),
     Add: Op("+", 1, operator.add, None, lambda e, da, db: Add(da, db), _add_rule),
     Sub: Op("-", 1, operator.sub, None, lambda e, da, db: Sub(da, db), _sub_rule),
@@ -262,13 +262,13 @@ OPS: dict[type, Op] = {
             lambda e, da, db: Add(Mul(da, e.right), Mul(e.left, db)), _mul_rule),
     Div: Op("/", 2, operator.truediv, None,
             lambda e, da, db: Div(Sub(Mul(da, e.right), Mul(e.left, db)), Pow(e.right, 2)), _div_rule),
-    Pow: Op("^", 3, ipow, None,
+    Pow: Op("^", 4, ipow, None,
             lambda e, db: _ZERO if e.exponent == 0
             else Mul(Mul(Constant(float(e.exponent)), Pow(e.base, e.exponent - 1)), db),
             lambda e, base: _ONE if e.exponent == 0 else base if e.exponent == 1 else e.rebuild(base)),
-    Sin: Op("sin", 4, math.sin, "sin", lambda e, da: Mul(Cos(e.arg), da)),
-    Cos: Op("cos", 4, math.cos, "cos", lambda e, da: Mul(Neg(Sin(e.arg)), da)),
-    Exp: Op("exp", 4, _exp, "exp", lambda e, da: Mul(e, da)),
+    Sin: Op("sin", 5, math.sin, "sin", lambda e, da: Mul(Cos(e.arg), da)),
+    Cos: Op("cos", 5, math.cos, "cos", lambda e, da: Mul(Neg(Sin(e.arg)), da)),
+    Exp: Op("exp", 5, _exp, "exp", lambda e, da: Mul(e, da)),
 }
 
 

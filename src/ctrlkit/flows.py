@@ -189,7 +189,7 @@ def _turns(nsub):
     return src - src // rows * rows, src, stops, np.searchsorted(stop[turn], stops, side="right"), ends[-1]
 
 
-def rk4_rows(f, x, durations, values, step, visit):
+def rk4_rows(f, x, durations, values, step, visit=None):
     """The one RK4 loop: steps each row of `x` (rows, n) through its own
     segments, `durations` (rows, segments) with inputs `values` (rows,
     segments, m), on its `_schedule`, with `f.step` of a compiled rhs
@@ -198,14 +198,14 @@ def rk4_rows(f, x, durations, values, step, visit):
     as columns, (n, rows), each state one contiguous row; the table as
     (columns, segments, rows), the entries in use as (columns, rows); the
     rows that turn at a stop of `_turns` gather their next entries as one
-    slice.  Rows never depend on each other.  After global step k,
-    visit(k, x, bad) sees every row as a (rows, n) view of a new array;
-    `bad` is None or the mask of rows that just left the finite regime,
-    which are zeroed and stepped no more.  Returns the final states (rows,
-    n) and live rows."""
-    alive = np.ones(len(x), dtype=bool)
+    slice.  Rows never depend on each other.  After global step k, visit(k,
+    x), unless None, sees every row as a (rows, n) view of a new array.  A
+    row that leaves the finite regime is zeroed and stepped no more, and
+    the loop stops once no row steps.  Returns the final states (rows, n)
+    and each row's blow-up step, the k after which it left, or -1."""
+    bad_at = np.full(len(x), -1)
     if not durations.size:
-        return x, alive
+        return x, bad_at
     nsub, hs = _schedule(durations, step)
     flat = f.table(values.T, hs.T).reshape(-1, durations.size)
     del hs
@@ -215,10 +215,10 @@ def rk4_rows(f, x, durations, values, step, visit):
     del nsub
     ends = set(last.tolist())
     x = x.T.copy()
-    act, every, k, lo = alive.copy(), True, 0, 0
+    act, every, k, lo = bad_at < 0, True, 0, 0
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         # a row's table entry changes only when it turns at a stop, and the
-        # active rows only where some row's schedule ends
+        # active rows only where some row's schedule ends or a row blows up
         for stop, hi in zip(stops.tolist(), upto.tolist()):
             for k in range(k, stop):
                 xn = f.advance(x, c)
@@ -230,44 +230,38 @@ def rk4_rows(f, x, durations, values, step, visit):
                 bad = None
                 if not np.abs(x).max() <= BLOWUP_LIMIT:
                     bad = act & ~(np.abs(x) <= BLOWUP_LIMIT).all(axis=0)
-                    alive &= ~bad
-                    act &= alive
+                    bad_at[bad] = k
+                    act &= ~bad
                     every = False
                     x[:, bad] = 0.0
-                visit(k, x.T, bad)
+                if visit is not None:
+                    visit(k, x.T)
+                if bad is not None and not act.any():
+                    return x.T, bad_at
             k = stop
             if k in ends:
-                act = alive & (k < last)
+                act = (bad_at < 0) & (k < last)
                 every = act.all()
             if not act.any():
                 break
             c[:, row[lo:hi]] = flat[:, src[lo:hi]]
             lo = hi
-    return x.T, alive
+    return x.T, bad_at
 
 
 def _run_rows(f, x0, durations, values, step, states=None) -> np.ndarray:
-    """`rk4_rows` endpoints of the rows of `x0` (rows, n).  The lowest row
-    that blows up raises BlowUpError at its own time, as soon as no lower
-    row still steps; one row raises at its first bad step.  Row k + 1 of
-    `states` gets the state of a one-row run after step k."""
-    steps = _schedule(durations, step)[0].sum(axis=1)
-    # rows below row r have all stepped once done[r] steps are done
-    done = np.concatenate(([0], np.maximum.accumulate(steps)[:-1]))
-    first_bad = np.zeros(len(x0), dtype=np.int64)
-    low = len(x0)
+    """`rk4_rows` endpoints of the rows of `x0` (rows, n); once all have
+    run, the lowest row that blew up raises BlowUpError at its own time.
+    Row k + 1 of `states` gets the state of a one-row run after step k."""
 
-    def visit(k, x, bad):
-        nonlocal low
-        if bad is not None:
-            first_bad[bad] = k
-            low = min(low, int(np.argmax(bad)))
-        if low < len(x0) and k + 1 >= done[low]:
-            raise BlowUpError(float(_step_times(durations[low], step, int(first_bad[low]) + 1)))
-        if states is not None:
-            states[k + 1] = x
+    def visit(k, x):
+        states[k + 1] = x
 
-    return rk4_rows(f, x0, durations, values, step, visit)[0]
+    x, bad_at = rk4_rows(f, x0, durations, values, step, None if states is None else visit)
+    dead = np.flatnonzero(bad_at >= 0)
+    if dead.size:
+        raise BlowUpError(float(_step_times(durations[dead[0]], step, bad_at[dead[0]] + 1)))
+    return x
 
 
 def integrate(sys: ControlSystem, x0, ctrl: PiecewiseControl, step: float = DEFAULT_STEP) -> Trajectory:
@@ -399,7 +393,7 @@ def realize_sweep(ext: ExtensionRecord, plan: FlowPlan, start, gains, step: floa
     `realize_plan(ext, plan, gains[i])` from `start`, and no states are
     kept.  The gains run as rows of `rk4_rows`, ROW_BLOCK at a time; a
     BlowUpError names the first gain, in order, that blows up, at its own
-    time."""
+    time, once the other gains of its block have run to their ends."""
     require_positive(step, "step")
     sys_ = ext.extended
     p = point(start, sys_.n, "extended point")

@@ -199,19 +199,18 @@ def _chunks(cfg: ReachConfig, count: int):
         yield _draw_controls(cfg.seed, min(_CHUNK, count - first), cfg.segments, cfg.horizon, cfg.input_box, first)
 
 
-def _run_chunk(f, x0, durations, values, step: float, grid=None):
+def _run_chunk(f, x0, durations, values, step: float, grid):
     """Integrate the rows of `durations` and `values`, any number of them,
-    zero included; returns (endpoints, dropped).  Cells are marked into a
-    chunk-local bitmap as it steps, so memory does not grow with the number
-    of steps, and committed only for rows that never blew up, so a dropped
-    row leaves no marks at all.  One `flat_index` call indexes the states
-    of as many substeps as fit in _MARK_BLOCK row-states, one at least.  A
-    row that blows up may already have marked cells, so after a drop the
-    marks are thrown away and the surviving rows alone run again: they take
-    the same steps and cannot drop."""
+    zero included, marking `grid`; returns (endpoints, dropped).  Cells are
+    marked into a chunk-local bitmap as it steps, so memory does not grow
+    with the number of steps.  One `flat_index` call indexes the states of
+    as many substeps as fit in _MARK_BLOCK row-states, one at least.  A
+    chunk with a dead row is marked to its end, and then its marks are
+    thrown away and the surviving rows alone run again: they take the same
+    steps and cannot drop, so a dropped row leaves no marks at all."""
     rows = durations.shape[0]
     # one spare cell past the grid takes the points outside it
-    marks = None if grid is None else np.zeros(grid.bitmap.size + 1, dtype=bool)
+    marks = np.zeros(grid.bitmap.size + 1, dtype=bool)
     # x - lo on each grid axis of the states visited since the last index,
     # one row per axis, so that `flat_index` reads each axis contiguously.
     # It is made at the first visit, after rk4_rows has built its table;
@@ -228,21 +227,16 @@ def _run_chunk(f, x0, durations, values, step: float, grid=None):
         np.subtract(x[:len(block)], grid.lows, out=block[:, filled:filled + rows])
         filled += rows
 
-    def visit(k, x, bad):
-        nonlocal marks
-        if bad is not None:
-            marks = None  # the marks of a chunk with a dead row are not kept
-        elif marks is not None:
-            hold(x.T)  # every row marks: a finished row stays in a cell it has marked
-
-    x, alive = rk4_rows(f, np.broadcast_to(x0, (rows, len(x0))), durations, values, step, visit)
-    if marks is not None:  # a grid, and no row dropped
+    # every row marks: a finished row stays in a cell it has marked
+    x, bad_at = rk4_rows(f, np.broadcast_to(x0, (rows, len(x0))), durations, values, step, lambda k, x: hold(x.T))
+    dead = bad_at >= 0
+    if not dead.any():
         hold(x0[:, None])  # the start, which no visit sees
         marks[grid.flat_index(block[:, :filled])] = True
         grid.commit(marks[:-1])
-    elif grid is not None and alive.any():
-        _run_chunk(f, x0, durations[alive], values[alive], step, grid)
-    return x, ~alive
+    elif not dead.all():
+        _run_chunk(f, x0, durations[~dead], values[~dead], step, grid)
+    return x, dead
 
 
 def _cover(sys: ControlSystem, x0, cfg: ReachConfig, runs: ReachConfig, keep=None) -> ReachEstimate:
@@ -399,9 +393,9 @@ def two_point_steer(sys: ControlSystem, x0, x1, cfg: ReachConfig, tol: float) ->
 
     def shoot(durations, values):
         """The row whose endpoint lies nearest x1, and its distance; a dropped row is infinitely far."""
-        ends, dead = _run_chunk(f, x0, durations, values, cfg.step)
+        ends, bad_at = rk4_rows(f, np.broadcast_to(x0, (len(durations), n)), durations, values, cfg.step)
         dists = np.linalg.norm(ends - x1, axis=1)
-        dists[dead] = np.inf
+        dists[bad_at >= 0] = np.inf
         best = int(np.argmin(dists))
         return best, float(dists[best])
 

@@ -109,18 +109,15 @@ def extend(sys: ControlSystem) -> ExtensionRecord:
 
 def _match_scaled_input(e: Expr) -> tuple[float, int] | None:
     """Recognize c * input with a nonzero constant c (c may be 1)."""
-    if isinstance(e, InputVar):
-        return 1.0, e.index
-    if isinstance(e, Neg) and isinstance(e.arg, InputVar):
-        return -1.0, e.arg.index
-    if isinstance(e, Mul):
-        if isinstance(e.left, Constant) and isinstance(e.right, InputVar) and e.left.value != 0.0:
-            return e.left.value, e.right.index
-        if isinstance(e.left, InputVar) and isinstance(e.right, Constant) and e.right.value != 0.0:
-            return e.right.value, e.left.index
-    if isinstance(e, Div):
-        if isinstance(e.left, InputVar) and isinstance(e.right, Constant):
-            return 1.0 / e.right.value, e.left.index
+    match e:
+        case InputVar(i):
+            return 1.0, i
+        case Neg(InputVar(i)):
+            return -1.0, i
+        case Mul(Constant(c), InputVar(i)) | Mul(InputVar(i), Constant(c)) if c != 0.0:
+            return c, i
+        case Div(InputVar(i), Constant(c)):
+            return 1.0 / c, i
     return None
 
 

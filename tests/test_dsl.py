@@ -1,5 +1,8 @@
 """System text format: parsing, serialization, and the affine split."""
 
+import ast
+import math
+
 import numpy as np
 import pytest
 
@@ -172,6 +175,71 @@ def test_round_trip_on_200_random_systems():
         assert serialize(again) == serialize(sys_)
 
 
+_PY_BINARY = {ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.Div: "/", ast.Pow: "^"}
+_SHAPE_BINARY = {Add: "+", Sub: "-", Mul: "*", Div: "/"}
+
+
+def _python_shape(node):
+    """The tree of a Python expression as nested tuples."""
+    if isinstance(node, ast.Constant):
+        return ("num", node.value)
+    if isinstance(node, ast.Name):
+        return ("name", node.id)
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+        return ("-", _python_shape(node.operand))
+    if isinstance(node, ast.BinOp):
+        return (_PY_BINARY[type(node.op)], _python_shape(node.left), _python_shape(node.right))
+    assert isinstance(node, ast.Call) and len(node.args) == 1, ast.dump(node)
+    return ("call", node.func.id, _python_shape(node.args[0]))
+
+
+def _shape(e, names):
+    """The tree of an expression as `_python_shape` gives it: a negative
+    literal and a negative exponent are '-' of their magnitude."""
+    def num(v):
+        return ("-", ("num", -v)) if math.copysign(1.0, v) < 0 else ("num", v)
+
+    match e:
+        case Constant(v):
+            return num(v)
+        case StateVar(i) | InputVar(i):
+            return ("name", names[type(e)][i])
+        case Neg(a):
+            return ("-", _shape(a, names))
+        case Pow(b, k):
+            return ("^", _shape(b, names), num(k))
+        case Sin(a) | Cos(a) | Exp(a):
+            return ("call", type(e).__name__.lower(), _shape(a, names))
+    return (_SHAPE_BINARY[type(e)], _shape(e.left, names), _shape(e.right, names))
+
+
+def test_dsl_expressions_have_python_s_tree_shape():
+    """Python's grammar is the oracle: DSL text with '^' read as '**'
+    parses, under `ast`, to the tree that the DSL parser builds, for drawn
+    trees rendered as text and for hand-written unary minus and powers."""
+    states, inputs = ["x", "y"], ["u"]
+    names = {StateVar: states, InputVar: inputs}
+    rng = np.random.default_rng(0xA57)
+    texts = ["-x^2", "-2^2", "(-x)^2", "-x^2 * y", "x * -y^3", "--x^2", "-(x)^-2", "2 - -x^2", "-sin(x)^2",
+             "-(2)^3", "-2.5 * x", "u / -4", "-x^-1 + -3^2"]
+    for _ in range(400):
+        e = _random_expr(rng, 2, 1, depth=int(rng.integers(1, 6)))
+        texts.append(render_expression(e, states, inputs))
+        assert parse_expression(texts[-1], states, inputs) == e
+    for text in texts:
+        want = _python_shape(ast.parse(text.replace("^", "**"), mode="eval").body)
+        assert _shape(parse_expression(text, states, inputs), names) == want, text
+
+
+def test_unary_minus_binds_looser_than_a_power():
+    assert eval_expr(parse_expression("-x^2", ["x"], []), [1.0]) == -1.0
+    assert eval_expr(parse_expression("-2^2", [], []), []) == -4.0
+    assert eval_expr(parse_expression("(-x)^2", ["x"], []), [1.0]) == 1.0
+    assert parse_expression("-x^2", ["x"], []) == Neg(Pow(StateVar(0), 2))
+    assert render_expression(Pow(Neg(StateVar(0)), 2), ["x"], []) == "(-x)^2"
+    assert render_expression(Neg(Pow(StateVar(0), 2)), ["x"], []) == "-x^2"
+
+
 def test_parse_expression_and_render_expression():
     e = parse_expression("a * sin(w) - 3", ["a"], ["w"])
     assert e == Sub(Mul(StateVar(0), Sin(InputVar(0))), Constant(3.0))
@@ -287,7 +355,7 @@ def test_every_node_type_renders_to_pinned_text():
         "((np.cos((x1 - -1.25)) * np.exp((-ipow((x0 + u1), 3)))) - 0.25))"
     )
     text = render_expression(e, ["p", "q"], ["a", "b"])
-    assert text == "2.5 * p^-2 + -(3.0) / (sin(a) * q) - (cos(q - -1.25) * exp(-((p + b)^3)) - (0.5)^2)"
+    assert text == "2.5 * p^-2 + -(3.0) / (sin(a) * q) - (cos(q - -1.25) * exp(-(p + b)^3) - (0.5)^2)"
     assert parse_expression(text, ["p", "q"], ["a", "b"]) == e
 
 

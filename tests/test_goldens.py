@@ -28,11 +28,10 @@ from conftest import CUBIC_TEXT, HEADING_TEXT, chain_text
 from ctrlkit import cli, parse, serialize
 from ctrlkit.expr import Constant, Mul, Pow, Sin, StateVar, Sub, compile_components
 from ctrlkit.fields import VectorField
-from ctrlkit.flows import BlowUpError, PiecewiseControl, flow_endpoint, integrate
+from ctrlkit.flows import BlowUpError, PiecewiseControl, flow_endpoint, integrate, rk4_rows
 from ctrlkit.reach import (
     ReachConfig,
     _draw_controls,
-    _run_chunk,
     bounded_reach_check,
     coverage_compare,
     sample_reach,
@@ -142,8 +141,9 @@ def drop_heavy_reach(tmp_path) -> str:
     est = sample_reach(boom, x0, cfg)
     assert 500 < est.dropped < 1500
     durations, values = _draw_controls(cfg.seed, cfg.samples, cfg.segments, cfg.horizon, cfg.input_box)
-    ends, dead = _run_chunk(compile_components(boom.rhs, 1, 1), x0, durations, values, cfg.step)
-    return _sha(est.bitmap, est.dropped, ends, dead)
+    f = compile_components(boom.rhs, 1, 1)
+    ends, bad_at = rk4_rows(f, np.tile(x0, (cfg.samples, 1)), durations, values, cfg.step)
+    return _sha(est.bitmap, est.dropped, ends, bad_at >= 0)
 
 
 def bounded_check(tmp_path) -> str:

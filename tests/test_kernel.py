@@ -14,10 +14,16 @@ from ctrlkit.expr import (
 )
 from ctrlkit.fields import VectorField
 from ctrlkit.flows import BlowUpError, Drift, FlowPlan, Jump, PiecewiseControl, flow_endpoint, integrate
-from ctrlkit.reach import ReachConfig, _draw_controls, _run_chunk, sample_reach
+from ctrlkit.reach import ReachConfig, _draw_controls, sample_reach
 from ctrlkit.transform import extend
 
 BOOM_TEXT = "system boom\nstates x1\ninputs u\ndx1 = x1^2 + u\n"
+
+
+def _run(f, x0, durations, values, step):
+    """rk4_rows from one start `x0` for every row: (endpoints, dropped)."""
+    x, bad_at = flows.rk4_rows(f, np.tile(x0, (len(durations), 1)), durations, values, step)
+    return x, bad_at >= 0
 
 
 def _row_control(durations, values, i):
@@ -36,8 +42,8 @@ def test_run_batch_rows_do_not_depend_on_batch_size(text, x0, box):
     sys_ = parse(text)
     f = compile_components(sys_.rhs, sys_.n, sys_.m)
     x0 = np.array(x0)
-    small = _run_chunk(f, x0, *_draw_controls(4, 60, 3, 3.0, box), 1e-2)
-    large = _run_chunk(f, x0, *_draw_controls(4, 120, 3, 3.0, box), 1e-2)
+    small = _run(f, x0, *_draw_controls(4, 60, 3, 3.0, box), 1e-2)
+    large = _run(f, x0, *_draw_controls(4, 120, 3, 3.0, box), 1e-2)
     assert np.array_equal(large[0][:60], small[0])
     assert np.array_equal(large[1][:60], small[1])
     if text == BOOM_TEXT:
@@ -51,7 +57,7 @@ def test_run_batch_heading_rows_match_integrate():
     durations, values = _draw_controls(11, 25, 5, 2.0, ((-6.0, 6.0),))
     assert len(np.unique(np.ceil(durations / 2e-2))) > 10
     x0 = np.array([0.3, -0.1])
-    ends, dead = _run_chunk(compile_components(heading.rhs, 2, 1), x0, durations, values, 2e-2)
+    ends, dead = _run(compile_components(heading.rhs, 2, 1), x0, durations, values, 2e-2)
     assert not dead.any()
     for i in range(25):
         want = integrate(heading, x0, _row_control(durations, values, i), 2e-2).endpoint
@@ -245,7 +251,7 @@ def test_a_row_that_turns_nan_is_dropped():
     nan_sys = parse("system nan\nstates x1\ninputs u\ndx1 = exp(x1^400) - exp(x1^400) + u\n")
     durations, values = _draw_controls(2, 30, 3, 3.0, ((0.5, 1.5),))
     f = compile_components(nan_sys.rhs, 1, 1)
-    ends, dead = _run_chunk(f, np.zeros(1), durations, values, 1e-2)
+    ends, dead = _run(f, np.zeros(1), durations, values, 1e-2)
     assert dead.all()
     assert not ends.any()
     with pytest.raises(BlowUpError) as exc_info:
@@ -369,7 +375,7 @@ def test_rk4_rows_ends_where_a_loop_of_rk4_step_ends(name):
     values = rng.uniform(-0.8, 0.8, size=(*durations.shape, m))
     x0 = rng.uniform(-0.5, 0.5, size=(len(durations), n))
     with np.errstate(all="ignore"):
-        x, alive = flows.rk4_rows(f, x0, durations, values, 1e-2, lambda k, x, bad: None)
+        x, bad_at = flows.rk4_rows(f, x0, durations, values, 1e-2)
         for i in range(len(durations)):
             want = x0[i]
             nsub, hs = flows._schedule(durations[i], 1e-2)
@@ -377,7 +383,7 @@ def test_rk4_rows_ends_where_a_loop_of_rk4_step_ends(name):
                 for _ in range(count):
                     want = flows.rk4_step(f, want, u, h)
             assert x[i].tobytes() == want.tobytes(), f"row {i}"
-    assert alive.all()
+    assert (bad_at == -1).all()
 
 
 def test_rk4_rows_evaluates_a_slope_that_reads_no_state_once(monkeypatch):
@@ -390,7 +396,7 @@ def test_rk4_rows_evaluates_a_slope_that_reads_no_state_once(monkeypatch):
     durations = np.array(_RAGGED[3][0])
     values = np.array(_RAGGED[3][1])[:, :, None]
     steps = []
-    flows.rk4_rows(f, np.full((len(durations), 3), 0.5), durations, values, 1e-2, lambda k, x, bad: steps.append(k))
+    flows.rk4_rows(f, np.full((len(durations), 3), 0.5), durations, values, 1e-2, lambda k, x: steps.append(k))
     assert len(steps) > 100
     assert calls.count(5) == 1
     assert calls.count(4) == 3 * len(steps) and calls.count(6) == 4 * len(steps)
@@ -418,39 +424,34 @@ _RAGGED = {
 
 
 def _visited(f, x0, durations, values):
-    """rk4_rows' endpoints and live rows, and the states and `bad` mask of
+    """rk4_rows' endpoints and blow-up steps, and the step and states of
     every visit."""
     seen = []
-
-    def visit(k, x, bad):
-        seen.append((k, x.copy(), np.zeros(len(x), dtype=bool) if bad is None else bad.copy()))
-
-    x, alive = flows.rk4_rows(f, x0, durations, values, 1e-2, visit)
-    return x, alive, seen
+    x, bad_at = flows.rk4_rows(f, x0, durations, values, 1e-2, lambda k, x: seen.append((k, x.copy())))
+    return x, bad_at, seen
 
 
 @pytest.mark.parametrize("segments", sorted(_RAGGED))
 def test_ragged_rows_step_as_they_do_alone(segments):
-    """Each row's endpoint, states and `bad` masks are those of a one-row
-    run of that row; once it ends or drops, the row stays as it is."""
+    """Each row's endpoint, states and blow-up step are those of a one-row
+    run of that row, which stops at its last step or at its blow-up step;
+    after that the row stays as it is."""
     f = compile_components(parse(BOOM_TEXT).rhs, 1, 1)
     durations = np.array(_RAGGED[segments][0])
     values = np.array(_RAGGED[segments][1])[:, :, None]
     x0 = np.full((len(durations), 1), 0.5)
-    x, alive, seen = _visited(f, x0, durations, values)
-    assert [k for k, _, _ in seen] == list(range(len(seen)))
+    x, bad_at, seen = _visited(f, x0, durations, values)
+    assert [k for k, _ in seen] == list(range(len(seen)))
     if segments == 3:
-        assert not alive[1] and not alive[3] and alive[[0, 2, 4]].all()
+        assert (bad_at[[1, 3]] >= 0).all() and (bad_at[[0, 2, 4]] == -1).all()
     for i in range(len(durations)):
-        x_i, alive_i, seen_i = _visited(f, x0[i:i + 1], durations[i:i + 1], values[i:i + 1])
+        x_i, bad_at_i, seen_i = _visited(f, x0[i:i + 1], durations[i:i + 1], values[i:i + 1])
         assert x[i].tobytes() == x_i[0].tobytes(), f"row {i}"
-        assert alive[i] == alive_i[0]
-        for k, state, bad in seen:
-            if k < len(seen_i):
-                assert state[i].tobytes() == seen_i[k][1][0].tobytes(), f"row {i} step {k}"
-                assert bad[i] == seen_i[k][2][0], f"row {i} step {k}"
-            else:
-                assert state[i].tobytes() == x_i[0].tobytes() and not bad[i]
+        assert bad_at[i] == bad_at_i[0]
+        assert bad_at_i[0] in (-1, len(seen_i) - 1), f"row {i}"
+        for k, state in seen:
+            want = seen_i[k][1][0] if k < len(seen_i) else x_i[0]
+            assert state[i].tobytes() == want.tobytes(), f"row {i} step {k}"
 
 
 # durations and inputs of boom rows from x1 = 0.5, at step 1e-2
@@ -472,19 +473,18 @@ _TURN_ORDER = {
 @pytest.mark.parametrize("case", sorted(_TURN_ORDER))
 def test_turns_in_step_order_match_one_row_runs(case):
     """Rows turn to their next segment from one order of every turn of the
-    batch; each row's states and `bad` masks are those of a one-row run."""
+    batch; each row's states and blow-up step are those of a one-row run."""
     f = compile_components(parse(BOOM_TEXT).rhs, 1, 1)
     durations = np.array(_TURN_ORDER[case][0])
     values = np.array(_TURN_ORDER[case][1])[:, :, None]
     x0 = np.full((len(durations), 1), 0.5)
-    x, alive, seen = _visited(f, x0, durations, values)
-    assert alive.tolist() == [case != "dead before its turn"] + [True] * (len(durations) - 1)
+    x, bad_at, seen = _visited(f, x0, durations, values)
+    assert (bad_at >= 0).tolist() == [case == "dead before its turn"] + [False] * (len(durations) - 1)
     for i in range(len(durations)):
-        x_i, alive_i, seen_i = _visited(f, x0[i:i + 1], durations[i:i + 1], values[i:i + 1])
-        assert x[i].tobytes() == x_i[0].tobytes() and alive[i] == alive_i[0], f"row {i}"
-        for k, state, bad in seen[:len(seen_i)]:
+        x_i, bad_at_i, seen_i = _visited(f, x0[i:i + 1], durations[i:i + 1], values[i:i + 1])
+        assert x[i].tobytes() == x_i[0].tobytes() and bad_at[i] == bad_at_i[0], f"row {i}"
+        for k, state in seen[:len(seen_i)]:
             assert state[i].tobytes() == seen_i[k][1][0].tobytes(), f"row {i} step {k}"
-            assert bad[i] == seen_i[k][2][0], f"row {i} step {k}"
 
 
 def test_each_step_visits_an_array_of_its_own():
@@ -496,7 +496,7 @@ def test_each_step_visits_an_array_of_its_own():
     f = compile_components(heading.rhs, 2, 1)
     x0, durations, values = np.array([0.1, -0.2]), np.array([[0.05, 0.03]]), np.array([[[1.0], [-2.0]]])
     states = []
-    flows.rk4_rows(f, x0[None], durations, values, 1e-2, lambda k, x, bad: states.append(x))
+    flows.rk4_rows(f, x0[None], durations, values, 1e-2, lambda k, x: states.append(x))
     assert len(states) == 8
     assert not any(np.shares_memory(a, b) for i, a in enumerate(states) for b in states[:i])
     want, x = [x0], x0
@@ -520,20 +520,31 @@ def test_blow_up_keeps_a_row_at_the_limit():
                    [np.inf, 0.0], [np.nan, 0.0], [0.5, 0.0]])
     values = np.array([0.0] * 6 + [1.0])[:, None, None]
     durations = np.full((7, 1), 2.5)
-    x, alive, seen = _visited(f, x0, durations, values)
-    drops = {k: np.flatnonzero(bad).tolist() for k, _, bad in seen if bad.any()}
-    assert drops.pop(0) == [2, 3, 4, 5]
+    x, bad_at, seen = _visited(f, x0, durations, values)
     want, grow = 0, x0[6]
     while (np.abs(grow) <= limit).all():
         grow = flows.rk4_step(f, grow, values[6, 0], 1e-2)
         want += 1
-    assert drops == {want - 1: [6]}
-    assert alive.tolist() == [True, True] + [False] * 5
+    assert bad_at.tolist() == [-1, -1, 0, 0, 0, 0, want - 1]
     assert x[:2].tobytes() == x0[:2].tobytes()
 
 
 def test_rows_without_segments_are_returned_alive():
     f = compile_components(parse(BOOM_TEXT).rhs, 1, 1)
     x0 = np.array([[0.5], [np.inf]])
-    x, alive, seen = _visited(f, x0, np.zeros((2, 0)), np.zeros((2, 0, 1)))
-    assert x is x0 and alive.all() and not seen
+    x, bad_at, seen = _visited(f, x0, np.zeros((2, 0)), np.zeros((2, 0, 1)))
+    assert x is x0 and bad_at.tolist() == [-1, -1] and not seen
+
+
+def test_rows_that_all_blow_up_end_the_run_at_the_later_blow_up_step():
+    """Two rows of a 1e5-unit segment that both blow up early: the run
+    returns after the later blow-up step, having visited each step up to it
+    once, and each row's blow-up step is that of its one-row run."""
+    f = compile_components(parse(BOOM_TEXT).rhs, 1, 1)
+    x0, durations, values = np.full((2, 1), 0.5), np.full((2, 1), 1e5), np.array([[[4.0]], [[1.0]]])
+    x, bad_at, seen = _visited(f, x0, durations, values)
+    assert 0 < bad_at[0] < bad_at[1] < 1000
+    assert [k for k, _ in seen] == list(range(bad_at[1] + 1))
+    assert not x.any()
+    for i in range(2):
+        assert _visited(f, x0[i:i + 1], durations[i:i + 1], values[i:i + 1])[1][0] == bad_at[i]

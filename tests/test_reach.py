@@ -419,16 +419,16 @@ def _marks_one_substep_at_a_time(f, x0, durations, values, step, grid):
     """The bitmap of every state that the rows which never drop visit, each
     substep's states indexed in a `flat_index` call of their own, and the
     number of visits of that run."""
-    keep = flows.rk4_rows(f, np.tile(x0, (len(durations), 1)), durations, values, step, lambda k, x, bad: None)[1]
+    keep = flows.rk4_rows(f, np.tile(x0, (len(durations), 1)), durations, values, step)[1] < 0
     marks = np.zeros(grid.bitmap.size + 1, dtype=bool)
     visits = []
 
-    def visit(k, x, bad):
+    def visit(k, x):
         marks[_flat_index(grid, x)] = True
         visits.append(k)
 
     x = np.tile(x0, (int(keep.sum()), 1))
-    visit(None, x, None)
+    visit(None, x)
     flows.rk4_rows(f, x, durations[keep], values[keep], step, visit)
     return marks[:-1], len(visits)
 
@@ -624,8 +624,8 @@ def test_run_batch_endpoints_match_integrate(cubic):
     assert len(np.unique(np.ceil(durations / 2e-2))) > 10
     x0 = np.array([0.1, -0.2, 0.3])
     f = compile_components(cubic.rhs, 3, 1)
-    ends, dead = reach._run_chunk(f, x0, durations, values, 2e-2)
-    assert not dead.any()
+    ends, bad_at = flows.rk4_rows(f, np.tile(x0, (20, 1)), durations, values, 2e-2)
+    assert (bad_at == -1).all()
     for i in range(20):
         want = integrate(cubic, x0, _row_control(durations, values, i), 2e-2).endpoint
         assert np.array_equal(ends[i], want), f"row {i}"
@@ -637,7 +637,7 @@ def test_sample_reach_drops_exactly_the_rows_that_blow_up():
     x0 = np.array([0.5])
     durations, values = reach._draw_controls(cfg.seed, cfg.samples, cfg.segments, cfg.horizon, cfg.input_box)
     f = compile_components(boom.rhs, 1, 1)
-    _, dead = reach._run_chunk(f, x0, durations, values, cfg.step)
+    bad_at = flows.rk4_rows(f, np.tile(x0, (cfg.samples, 1)), durations, values, cfg.step)[1]
     grid = reach._Grid(cfg.window, cfg.resolution)
     blew_up = np.zeros(cfg.samples, dtype=bool)
     late = 0
@@ -648,13 +648,15 @@ def test_sample_reach_drops_exactly_the_rows_that_blow_up():
         except BlowUpError as exc:
             blew_up[i] = True
             late += exc.time > durations[i, 0]
+            # the blow-up step of row i in the batch is that of its one-row run
+            assert exc.time == flows._step_times(durations[i], cfg.step, bad_at[i] + 1)
             continue
         top = max(top, float(traj.states.max()))
         idx = _flat_index(grid, traj.states)
         grid.bitmap[idx[idx >= 0]] = True
     assert 0 < blew_up.sum() < cfg.samples
     assert late > 0
-    assert np.array_equal(dead, blew_up)
+    assert np.array_equal(bad_at >= 0, blew_up)
 
     est = sample_reach(boom, x0, cfg)
     assert est.dropped == blew_up.sum()

@@ -110,6 +110,8 @@ def test_reduce_then_extend_left_inverse_on_irreducible(heading, cubic):
         ("u * 3", True),
         ("u / 2", True),
         ("0 - -u", True),
+        ("-2 * u", True),
+        ("u / -4", True),
         ("u + 1", False),
         ("u^2", False),
         ("0 * u", False),
