@@ -16,7 +16,7 @@ import numpy as np
 
 from .dsl import AffineSystem
 from .expr import (
-    Constant, EvalError, Mul, StateVar, Sub, eval_expr, is_probably_zero, node_count, probe_block,
+    Constant, EvalError, Mul, StateVar, Sub, eval_points, is_probably_zero, node_count, probe_block,
 )
 from .fields import VectorField, eval_vf, lie_bracket
 from . import records
@@ -54,11 +54,8 @@ def linear_of(aff: AffineSystem) -> LinearRealization | NotLinearReport:
     jac = aff.drift.jacobian.rows
     a = np.zeros((n, n))
     for i, row in enumerate(jac):
-        # the Jacobian at the origin; the residual check validates the choice
-        try:
-            a[i] = [eval_expr(e, np.zeros(n)) for e in row]
-        except EvalError:
-            a[i] = math.nan
+        # the Jacobian at the origin, NaN where it has no value; the residual check validates the choice
+        a[i] = [eval_points(e, np.zeros((1, n)))[0][0] for e in row]
         if not np.isfinite(a[i]).all():
             # a linear drift's derivative is defined everywhere
             return NotLinearReport(aff.name, "drift is not linear in the states", f"d{aff.states[i]}")
@@ -198,7 +195,9 @@ def larc(aff: AffineSystem, point, max_depth: int, node_budget: int = NODE_BUDGE
     names: list[str] = ["f"] + [f"g{i+1}" for i in range(aff.m)]
     fields: list[VectorField] = [aff.drift] + list(aff.channels)
     depths: list[int] = [1] * len(fields)
-    values: list[np.ndarray] = [_probe_values(f, probes) for f in fields]
+    # the kept fields' probe values, (fields, probes, n), and the probes where all are finite
+    values = np.array([_probe_values(f, probes) for f in fields])
+    shared = np.isfinite(values).all(axis=(0, 2))
 
     spent = sum(node_count(c) for f in fields for c in f.components)
     truncated = False
@@ -212,13 +211,19 @@ def larc(aff: AffineSystem, point, max_depth: int, node_budget: int = NODE_BUDGE
             if spent > node_budget:
                 truncated = True
                 break
+            if not shared.any():
+                raise EvalError(f"no span probe evaluates all of {len(fields)} kept fields")
+            # a bracket that simplifies to zero is in every span, and is not probed
+            if all(type(c) is Constant and c.value == 0.0 for c in candidate.components):
+                continue
             vals = _probe_values(candidate, probes)
-            if _in_span_everywhere(values, vals):
+            if _in_span_everywhere(values, shared, vals):
                 continue
             names.append(f"[{names[i]},{names[j]}]")
             fields.append(candidate)
             depths.append(level)
-            values.append(vals)
+            values = np.concatenate([values, vals[None]])
+            shared &= np.isfinite(vals).all(axis=1)
         if truncated:
             break
 
@@ -235,34 +240,23 @@ def larc(aff: AffineSystem, point, max_depth: int, node_budget: int = NODE_BUDGE
 
 
 def _probe_values(field: VectorField, probes: np.ndarray) -> np.ndarray:
-    """One row per probe; NaN where the field does not evaluate."""
-    rows = []
-    for p in probes:
-        try:
-            rows.append(eval_vf(field, p))
-        except EvalError:
-            rows.append(np.full(field.n, np.nan))
-    return np.array(rows)
+    """One row per probe, from one walk per component; NaN where a component does not evaluate."""
+    return np.array([eval_points(c, probes)[0] for c in field.components]).T
 
 
-def _in_span_everywhere(existing: list[np.ndarray], candidate: np.ndarray) -> bool:
+def _in_span_everywhere(kept: np.ndarray, shared: np.ndarray, candidate: np.ndarray) -> bool:
     """True when one constant coefficient vector reproduces the candidate
-    at every probe simultaneously, leaving out the probes where some field
-    is not finite.  Also true, so the candidate is left out, when it has
-    no finite value at any probe where the kept fields all have one;
-    EvalError when the kept fields share no such probe.  Fields form a
-    vector space over the reals, so a per-probe fit with varying
-    coefficients would discard members that still matter at degenerate
-    points."""
-    stacked = np.stack(existing)  # (fields, probes, n)
-    shared = np.isfinite(stacked).all(axis=(0, 2))
-    if not shared.any():
-        raise EvalError(f"no span probe evaluates all of {len(existing)} kept fields")
+    at every probe simultaneously, over the `shared` probes, where the
+    `kept` fields are all finite, and where the candidate is.  Also true,
+    so the candidate is left out, when it has no finite value at any of
+    those.  Fields form a vector space over the reals, so a per-probe fit
+    with varying coefficients would discard members that still matter at
+    degenerate points."""
     keep = shared & np.isfinite(candidate).all(axis=1)
     if not keep.any():
         return True
     v = candidate[keep].ravel()
-    basis = stacked[:, keep].reshape(len(existing), -1).T
+    basis = kept[:, keep].reshape(len(kept), -1).T
     coeff, *_ = np.linalg.lstsq(basis, v, rcond=None)
     # hypot scales as it sums, so finite values near 1e300 give finite norms
     resid = math.hypot(*(basis @ coeff - v))

@@ -35,8 +35,7 @@ from .expr import (
     StateVar,
     diff,
     is_probably_zero,
-    max_input_index,
-    max_state_index,
+    max_indices,
     op_of,
     simplify,
     subst,
@@ -105,9 +104,10 @@ class ControlSystem:
         for i, e in enumerate(self.rhs):
             if not isinstance(e, Expr):
                 raise TypeError(f"equation {i} is not an expression")
-            if max_state_index(e) >= self.n:
+            states, inputs = max_indices(e)
+            if states >= self.n:
                 raise ValueError(f"equation for {self.states[i]} references an undeclared state")
-            if max_input_index(e) >= self.m:
+            if inputs >= self.m:
                 raise ValueError(f"equation for {self.states[i]} references an undeclared input")
 
     @property

@@ -282,24 +282,25 @@ def iter_nodes(e: Expr):
 
 
 def node_count(e: Expr) -> int:
-    return sum(1 for _ in iter_nodes(e))
-
-
-def contains_input(e: Expr) -> bool:
-    return any(type(node) is InputVar for node in iter_nodes(e))
+    # a plain stack: larc counts every candidate against its node budget
+    count, stack = 0, [e]
+    while stack:
+        count += 1
+        stack.extend(stack.pop().children())
+    return count
 
 
 def references_input(e: Expr, index: int) -> bool:
     return any(type(node) is InputVar and node.index == index for node in iter_nodes(e))
 
 
-def max_state_index(e: Expr) -> int:
-    """Largest state index referenced, or -1 when none."""
-    return max((node.index for node in iter_nodes(e) if type(node) is StateVar), default=-1)
-
-
-def max_input_index(e: Expr) -> int:
-    return max((node.index for node in iter_nodes(e) if type(node) is InputVar), default=-1)
+def max_indices(e: Expr) -> tuple[int, int]:
+    """Largest state and largest input index referenced, -1 where none, in one walk."""
+    top = {StateVar: -1, InputVar: -1}
+    for node in iter_nodes(e):
+        if type(node) in top:
+            top[type(node)] = max(top[type(node)], node.index)
+    return top[StateVar], top[InputVar]
 
 
 def op_of(e: Expr) -> Op:
@@ -310,40 +311,62 @@ def op_of(e: Expr) -> Op:
         raise TypeError(f"not an expression node: {e!r}") from None
 
 
-def _at(x, u) -> str:
-    """The point of an EvalError message, as plain floats."""
-    return f"x={[float(v) for v in x]}, u={[float(v) for v in u]}"
-
-
 def eval_expr(e: Expr, x, u=()) -> float:
     """Evaluate at a concrete point.  x and u are indexable sequences."""
-    t = type(e)
-    if t is Constant:
-        return e.value
-    if t is StateVar or t is InputVar:
-        point, kind = (x, "state") if t is StateVar else (u, "input")
+    (value,), (error,) = eval_points(e, [x], [u])
+    if error is not None:
+        raise error
+    return value
+
+
+def eval_points(e: Expr, xs, us=None) -> tuple[list[float], list[EvalError | None]]:
+    """`eval_expr` at many points in one walk: xs holds one state per row,
+    us one input per row (none by default).  Each node is evaluated once
+    for all points with its own float function, so every value has the
+    bits `eval_expr` gives.  Returns the values, NaN where a point fails,
+    and per point the EvalError that `eval_expr` raises there, or None."""
+    xs = np.asarray(xs, dtype=float)
+    us = xs[:, :0] if us is None else np.asarray(us, dtype=float)
+    columns = {StateVar: xs.T.tolist(), InputVar: us.T.tolist()}
+    errors = [None] * len(xs)
+
+    def fail(i, what):  # a point keeps its first error, as eval_expr stops there
+        if errors[i] is None:
+            errors[i] = EvalError(f"{what} at x={xs[i].tolist()}, u={us[i].tolist()}")
+        return math.nan
+
+    def nonzero(values, what):  # `values` with NaN for each zero, whose point fails with `what`
+        if 0.0 in values:
+            return [fail(i, what) if v == 0.0 else v for i, v in enumerate(values)]
+        return values
+
+    def walk(e):
+        t = type(e)
+        if t is Constant:
+            return [e.value] * len(xs)
+        if t is StateVar or t is InputVar:
+            if e.index < len(columns[t]):
+                return columns[t][e.index]
+            what = f"{'state' if t is StateVar else 'input'} index {e.index} out of range"
+            return [fail(i, what) for i in range(len(xs))]
+        if t is Div:  # the denominator first: eval_expr checks it before the numerator
+            denom = nonzero(walk(e.right), "division by zero")
+            return list(map(operator.truediv, walk(e.left), denom))
+        if t is Pow:  # ipow raises ZeroDivisionError for a zero base, below a negative exponent, alone
+            base = walk(e.base)
+            base = nonzero(base, "zero raised to negative power") if e.exponent < 0 else base
+            return [ipow(b, e.exponent) for b in base]
+        op = op_of(e)
+        if isinstance(e, _Binary):
+            return list(map(op.fn, walk(e.left), walk(e.right)))
+        args = walk(e.arg)
         try:
-            return float(point[e.index])
-        except IndexError:
-            raise EvalError(f"{kind} index {e.index} out of range at {_at(x, u)}")
-    if t is Div:
-        denom = eval_expr(e.right, x, u)
-        if denom == 0.0:
-            raise EvalError(f"division by zero at {_at(x, u)}")
-        return eval_expr(e.left, x, u) / denom
-    if t is Pow:
-        try:
-            return ipow(eval_expr(e.base, x, u), e.exponent)
-        except ZeroDivisionError:
-            raise EvalError(f"zero raised to negative power at {_at(x, u)}")
-    op = op_of(e)
-    if isinstance(e, _Binary):
-        return op.fn(eval_expr(e.left, x, u), eval_expr(e.right, x, u))
-    arg = eval_expr(e.arg, x, u)
-    try:
-        return op.fn(arg)
-    except ValueError:  # math.sin and math.cos of an infinite argument
-        raise EvalError(f"{op.symbol}({arg}) is undefined at {_at(x, u)}") from None
+            return list(map(op.fn, args))
+        except ValueError:  # math.sin and math.cos of an infinite argument
+            return [fail(i, f"{op.symbol}({a}) is undefined") if math.isinf(a) else op.fn(a) for i, a in enumerate(args)]
+
+    # a failed point reads NaN, also where NaN^0 gave 1.0 again
+    return [v if err is None else math.nan for v, err in zip(walk(e), errors)], errors
 
 
 def diff(e: Expr, var: Expr) -> Expr:
@@ -431,22 +454,12 @@ def is_probably_zero(e: Expr, n: int, m: int) -> bool:
     s = simplify(e)
     if type(s) is Constant:
         return abs(s.value) < ZERO_TOL
-    checked = 0
-    failure = None
-    for pt in probe_block(n + m, 2 * _PROBE_POINTS, _PROBE_SEED):
-        try:
-            val = eval_expr(s, pt[:n], pt[n:])
-        except EvalError as exc:
-            failure = exc
-            continue
-        if not math.isfinite(val) or abs(val) >= ZERO_TOL:
-            return False
-        checked += 1
-        if checked == _PROBE_POINTS:
-            break
+    probes = probe_block(n + m, 2 * _PROBE_POINTS, _PROBE_SEED)
+    values, errors = eval_points(s, probes[:, :n], probes[:, n:])
+    checked = [v for v, err in zip(values, errors) if err is None][:_PROBE_POINTS]
     if not checked:
-        raise EvalError(f"expression is undefined at all {2 * _PROBE_POINTS} probe points ({failure})")
-    return True
+        raise EvalError(f"expression is undefined at all {2 * _PROBE_POINTS} probe points ({errors[-1]})")
+    return all(math.isfinite(v) and abs(v) < ZERO_TOL for v in checked)
 
 
 def fold(e: Expr) -> Expr:

@@ -13,10 +13,9 @@ from .expr import (
     Mul,
     StateVar,
     Sub,
-    contains_input,
     diff,
     eval_expr,
-    max_state_index,
+    max_indices,
     rewrite,
     simplify,
 )
@@ -39,9 +38,10 @@ class VectorField:
         for i, comp in enumerate(self.components):
             if not isinstance(comp, Expr):
                 raise TypeError(f"component {i} is not an expression: {comp!r}")
-            if max_state_index(comp) >= self.n:
+            states, inputs = max_indices(comp)
+            if states >= self.n:
                 raise ValueError(f"component {i} references a state beyond index {self.n - 1}")
-            if contains_input(comp):
+            if inputs >= 0:
                 raise ValueError(f"field references an input in component {i}")
 
     @cached_property
@@ -95,5 +95,6 @@ def lie_bracket(x_field: VectorField, y_field: VectorField) -> VectorField:
         raise ValueError(f"dimension mismatch: {x_field.n} vs {y_field.n}")
     first = _jacobian_times(y_field.jacobian, x_field)
     second = _jacobian_times(x_field.jacobian, y_field)
-    comps = tuple(rewrite(Sub(a, b)) for a, b in zip(first, second))
-    return VectorField(comps, x_field.n)
+    bracket = object.__new__(VectorField)  # unchecked: a bracket of fields on R^n reads no input, no state past n
+    bracket.__dict__.update(components=tuple(rewrite(Sub(a, b)) for a, b in zip(first, second)), n=x_field.n)
+    return bracket

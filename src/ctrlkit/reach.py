@@ -30,7 +30,7 @@ DEFAULT_RATE_BOUND = 10.0
 MAX_CELLS = 2 ** 24
 MAX_WORK = 2 ** 30  # row-substeps of one sampler run
 _CHUNK = 2 * ROW_BLOCK
-_MARK_BLOCK = 16384  # row-states per grid index: more spill the temporaries out of cache
+_MARK_BLOCK = 16384  # row-states, and 4 times as many entries, per grid index: more spill the temporaries out of cache
 _REFINE_BATCH = 64
 
 
@@ -204,10 +204,10 @@ def _run_chunk(f, x0, durations, values, step: float, grid):
     zero included, marking `grid`; returns (endpoints, dropped).  Cells are
     marked into a chunk-local bitmap as it steps, so memory does not grow
     with the number of steps.  One `flat_index` call indexes the states of
-    as many substeps as fit in _MARK_BLOCK row-states, one at least.  A
-    chunk with a dead row is marked to its end, and then its marks are
-    thrown away and the surviving rows alone run again: they take the same
-    steps and cannot drop, so a dropped row leaves no marks at all."""
+    as many substeps as fit in _MARK_BLOCK row-states and 4 * _MARK_BLOCK
+    entries, one at least.  A chunk with a dead row is marked to its end,
+    then its marks are thrown away and the surviving rows alone run again:
+    they take the same steps and cannot drop, so a dropped row marks none."""
     rows = durations.shape[0]
     # one spare cell past the grid takes the points outside it
     marks = np.zeros(grid.bitmap.size + 1, dtype=bool)
@@ -220,7 +220,8 @@ def _run_chunk(f, x0, durations, values, step: float, grid):
     def hold(x):  # states as columns, (n, rows), or one state for every row, (n, 1)
         nonlocal block, filled
         if block is None:
-            block = np.empty((len(grid.axes), max(1, _MARK_BLOCK // max(rows, 1)) * rows))
+            states = 4 * _MARK_BLOCK // max(len(grid.axes), 4)
+            block = np.empty((len(grid.axes), max(1, states // max(rows, 1)) * rows))
         if filled == block.shape[1]:
             marks[grid.flat_index(block)] = True
             filled = 0

@@ -20,7 +20,7 @@ from ctrlkit.certificates import (
 )
 from ctrlkit.dsl import parse, to_affine
 from ctrlkit.expr import EvalError, probe_block
-from ctrlkit.fields import eval_vf
+from ctrlkit.fields import eval_vf, lie_bracket
 from ctrlkit.transform import extend
 
 
@@ -271,3 +271,56 @@ def test_larc_span_test_survives_huge_finite_probe_values():
         rep = larc(aff, [1.5], 4)
     assert rep.formations == ("f", "g1", "[f,g1]")
     assert rep.rank == 1 and rep.full_rank
+
+
+def _count_probes(monkeypatch) -> list:
+    """The fields `larc` evaluates at the span probes, in order."""
+    probed = []
+    probe_values = certificates._probe_values
+    monkeypatch.setattr(certificates, "_probe_values", lambda f, probes: probed.append(f) or probe_values(f, probes))
+    return probed
+
+
+def test_larc_raises_at_a_zero_bracket_when_no_span_probe_evaluates(monkeypatch):
+    # the drift has no value at any span probe, and [f,g1] simplifies to
+    # zero: the check raises at that candidate, without probing it
+    aff = affine_of("system flat\nstates x1 x2\ninputs u\ndx1 = u\ndx2 = sin(exp(x2^2 + 1000))\n")
+    probed = _count_probes(monkeypatch)
+    with pytest.raises(EvalError, match="no span probe evaluates all of 2 kept fields"):
+        larc(aff, [0.5, 0.5], 3)
+    assert probed == [aff.drift, aff.channels[0]]
+
+
+# f = 0 and g1 = (1, 0, 0), g2 = (0, 1, x1) take 9 nodes; [f,g1] and [f,g2]
+# are zero, of 3 nodes each, and [g1,g2] = (0, 0, 1) comes after them
+HEIS_TEXT = "system heis\nstates x1 x2 x3\ninputs u1 u2\ndx1 = u1\ndx2 = u2\ndx3 = x1*u2\n"
+
+
+@pytest.mark.parametrize(
+    "budget, truncated, kept",
+    [(11, True, 3), (12, True, 3), (14, True, 3), (15, True, 3), (17, True, 3), (18, False, 4)],
+)
+def test_zero_brackets_count_against_the_node_budget(monkeypatch, budget, truncated, kept):
+    aff = affine_of(HEIS_TEXT)
+    probed = _count_probes(monkeypatch)
+    rep = larc(aff, [0.0, 0.0, 0.0], 2, node_budget=budget)
+    assert rep.truncated is truncated
+    assert rep.formations == ("f", "g1", "g2", "[g1,g2]")[:kept]
+    assert rep.rank == kept - 1  # f is zero
+    # the zero brackets are left out unprobed; [g1,g2] is probed once reached
+    assert [f.components for f in probed[3:]] == [lie_bracket(aff.channels[0], aff.channels[1]).components][:kept - 3]
+
+
+def test_larc_leaves_out_the_probes_where_a_kept_bracket_is_not_finite():
+    # exp(500 x2) overflows at one span probe; the kept [g1,[f,g1]] grows
+    # as exp(500 (2 x1 + x2)) and overflows at two more, where f and g1
+    # are finite.  Those probes leave every later span test, which would
+    # otherwise hand lstsq an infinite basis
+    aff = affine_of("system ex\nstates x1 x2\ninputs u\ndx1 = exp(500*x2)\ndx2 = exp(500*x1) * u\n")
+    probes = probe_block(2, certificates._SPAN_PROBES, certificates._SPAN_SEED)
+    gfg = lie_bracket(aff.channels[0], lie_bracket(aff.drift, aff.channels[0]))
+    finite = [np.isfinite(certificates._probe_values(f, probes)).all(axis=1).sum() for f in (aff.drift, gfg)]
+    assert finite == [7, 5]
+    rep = larc(aff, [0.1, 0.2], 4)
+    assert rep.formations[:5] == ("f", "g1", "[f,g1]", "[f,[f,g1]]", "[g1,[f,g1]]")
+    assert len(rep.formations) == 11 and not rep.truncated

@@ -6,6 +6,7 @@ implementation under test.
 """
 
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -28,17 +29,18 @@ from ctrlkit.expr import (
     StateVar,
     Sub,
     compile_components,
-    contains_input,
     diff,
     eval_expr,
+    eval_points,
     expr_source,
     fold,
+    _exp,
     ipow,
     is_probably_zero,
     iter_nodes,
-    max_input_index,
-    max_state_index,
+    max_indices,
     node_count,
+    probe_block,
     references_input,
     simplify,
     subst,
@@ -97,12 +99,11 @@ def test_operator_overloads_build_trees():
 def test_node_helpers():
     e = Add(Mul(X0, U0), Sin(X1))
     assert node_count(e) == 6
-    assert contains_input(e)
     assert references_input(e, 0)
     assert not references_input(e, 1)
-    assert max_state_index(e) == 1
-    assert max_input_index(e) == 0
-    assert max_input_index(Sin(X0)) == -1
+    assert max_indices(e) == (1, 0)
+    assert max_indices(Sin(X0)) == (0, -1)
+    assert max_indices(Constant(1.0)) == (-1, -1)
     kinds = {type(t).__name__ for t in iter_nodes(e)}
     assert kinds == {"Add", "Mul", "StateVar", "InputVar", "Sin"}
 
@@ -188,8 +189,7 @@ def test_subst():
     assert eval_expr(swapped, [3.0, 5.0]) == pytest.approx(5.0 * 2.0 + 3.0)
     # substituting states for inputs is how extension rewires equations
     wired = subst(e, input_map={0: StateVar(2)})
-    assert not contains_input(wired)
-    assert max_state_index(wired) == 2
+    assert max_indices(wired) == (2, -1)
 
 
 def test_is_probably_zero():
@@ -441,3 +441,99 @@ def test_eval_error_prints_numpy_points_as_plain_floats(e, message):
     with pytest.raises(EvalError) as err:
         eval_expr(e, np.array([2.0, -0.25]), np.array([1.0]))
     assert str(err.value) == message
+
+
+def _one_point(e, x, u):
+    """The recursion over one point that `eval_points` must match bit for
+    bit: each node's float function, the denominator checked before the
+    numerator is evaluated, and the first failure raised."""
+    at = f"x={[float(v) for v in x]}, u={[float(v) for v in u]}"
+    t = type(e)
+    if t is Constant:
+        return e.value
+    if t is StateVar or t is InputVar:
+        point, kind = (x, "state") if t is StateVar else (u, "input")
+        if e.index >= len(point):
+            raise EvalError(f"{kind} index {e.index} out of range at {at}")
+        return float(point[e.index])
+    if t is Div:
+        denom = _one_point(e.right, x, u)
+        if denom == 0.0:
+            raise EvalError(f"division by zero at {at}")
+        return _one_point(e.left, x, u) / denom
+    if t is Pow:
+        try:
+            return ipow(_one_point(e.base, x, u), e.exponent)
+        except ZeroDivisionError:
+            raise EvalError(f"zero raised to negative power at {at}") from None
+    fn = {Add: operator.add, Sub: operator.sub, Mul: operator.mul, Neg: operator.neg,
+          Sin: math.sin, Cos: math.cos, Exp: _exp}[t]
+    args = [_one_point(k, x, u) for k in e.children()]
+    try:
+        return fn(*args)
+    except ValueError:
+        raise EvalError(f"{t.__name__.lower()}({args[0]}) is undefined at {at}") from None
+
+
+def _assert_walk_matches_one_point(e, xs, us):
+    values, errors = eval_points(e, xs, us)
+    assert len(values) == len(errors) == len(xs)
+    for value, error, x, u in zip(values, errors, xs, us):
+        try:
+            want = _one_point(e, x, u)
+        except EvalError as exc:
+            assert str(error) == str(exc)
+            assert math.isnan(value)
+            with pytest.raises(EvalError) as err:
+                eval_expr(e, x, u)
+            assert str(err.value) == str(exc)
+        else:
+            assert error is None
+            assert value.hex() == want.hex() == eval_expr(e, x, u).hex()
+
+
+# values that make differences vanish, powers underflow and exponentials overflow
+_VALUES = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0, -2.5, 1e-200, 1e300, 800.0])
+_TREES = st.recursive(
+    st.one_of(_VALUES.map(Constant), st.sampled_from([X0, X1, U0, StateVar(2), Sin(Exp(X0)), Cos(Neg(Exp(U0)))])),
+    lambda kids: st.one_of(
+        st.sampled_from([Neg, Sin, Cos, Exp]).flatmap(lambda t: kids.map(t)),
+        st.sampled_from([Add, Sub, Mul]).flatmap(lambda t: st.tuples(kids, kids).map(lambda ab: t(*ab))),
+        st.tuples(kids, kids).filter(lambda ab: ab[1] != Constant(0.0)).map(lambda ab: Div(*ab)),
+        st.tuples(kids, st.sampled_from([-3, -2, -1, 0, 1, 2, 3, 400])).map(lambda bk: Pow(*bk)),
+    ),
+    max_leaves=10,
+)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(_TREES, st.lists(st.tuples(_VALUES, _VALUES, _VALUES), min_size=1, max_size=8),
+       st.sampled_from([2, 3]))
+def test_walk_at_many_points_matches_one_point_evaluation(e, points, n):
+    """Each point of one walk reads what evaluation at that point alone
+    gives, to the bit, and a point that fails there fails in the walk
+    with the same error, whatever the other points do."""
+    xs = np.array([p[:n] for p in points])
+    us = np.array([p[2:] for p in points])
+    _assert_walk_matches_one_point(e, xs, us)
+
+
+@pytest.mark.parametrize(
+    "e",
+    [
+        Div(X0, Sub(X0, X1)),  # a zero denominator at some points only
+        Pow(Sub(X0, X1), -2),  # 0^-k
+        Sin(Exp(Pow(X0, 400))),  # sin(inf) where |x0| > 1.0016
+        Add(Div(Constant(1.0), Sin(Exp(Pow(X1, 400)))), Div(X0, Sub(X0, X1))),  # the first failure wins
+        Pow(Div(Constant(1.0), Sub(X0, X1)), 0),  # NaN^0 is 1.0, yet the point has failed
+    ],
+    ids=["division", "power", "domain", "first", "zero-power"],
+)
+def test_walk_fails_at_the_failing_points_alone(e):
+    probes = probe_block(2, 16, 7)
+    probes[::3, 1] = probes[::3, 0]  # x0 = x1 at every third point
+    probes[::4, 1] = 0.5
+    values, errors = eval_points(e, probes)
+    failed = [err is not None for err in errors]
+    assert any(failed) and not all(failed)
+    _assert_walk_matches_one_point(e, probes, np.zeros((len(probes), 0)))

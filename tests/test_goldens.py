@@ -16,7 +16,9 @@ hashes at both levels of an AVX-512 host, which `tests/test_dispatch.py`
 checks by rerunning this file with the AVX-512 paths disabled.
 """
 
+import contextlib
 import hashlib
+import io
 import json
 import math
 
@@ -53,6 +55,7 @@ GOLDENS = {
     "flow_endpoint": "a52f8500ac8c103ab4424eb99d22ab1343fce36546e91a6ae6ede64aa29063a8",
     "blowup_time": "958cdf62a5e5de9188ae6eacece19a0d3735032e916cb5a7187128dee56d1aa7",
     "larc_depth6": "e766b22cef8a89d41f1481df69999ce22dfcc860c4c58813dc78738faf517d12",
+    "larc_rational": "a1f559244349f157e0daf423f5906538fb0f8493c73acbdab4747ee3d4fa4b9c",
     "kalman_report": "52981190e36bff4c8a573b3b80aaaa7bf632abf06d488b2e234d3986b7126e97",
     "reduce_chain5": "afb4fbc217a8a4f9177c2057de186eda117ec934acdaeeb8d16b2bb52da33c4f",
     "extend_heading": "04745546c82d728fa2f4de7b4b494a4befa71a3bb18f58279055c8d34f44040b",
@@ -231,6 +234,44 @@ def larc_depth6(tmp_path) -> str:
     return _sha(*parts)
 
 
+# one-input systems, not affine in the input, each with a rational term
+# whose denominator the span probes never meet exactly
+RATIONAL = (
+    "dx1 = {0}*x2/(1 + x1^2) + {1}*sin(u)\ndx2 = {2}*u^3 - x1",
+    "dx1 = {0}*x2 + u^2/({1} + x1^2)\ndx2 = {2}*x1*cos(u)",
+    "dx1 = x2\ndx2 = {0}*x3/(x1 - {1})\ndx3 = {2}*sin(u) + u^3",
+)
+# no span probe evaluates the drift of its extension, so larc raises
+UNDEFINED_TEXT = "system undefined\nstates x1\ninputs u\ndx1 = sin(exp(x1^2 + 1000)) * u^2\n"
+
+
+def larc_rational(tmp_path) -> str:
+    """`check --method larc --depth 5` on the extension of seeded random
+    systems from `RATIONAL`, each at a seeded point, on one whose check
+    raises, and at depth 7, where the node budget truncates it, on one
+    of `RATIONAL`."""
+    rng = np.random.default_rng(0x5A7)
+    parts = []
+    for k, body in enumerate(RATIONAL):
+        coeffs = [f"{v:.4f}" for v in rng.uniform(0.5, 2.0, 3)]
+        n = body.count("dx")
+        states = " ".join(f"x{i}" for i in range(1, n + 1))
+        text = f"system rational{k}\nstates {states}\ninputs u\n" + body.format(*coeffs) + "\n"
+        ext = serialize(extend(parse(text)).extended)
+        point = ",".join(f"{v:.6f}" for v in rng.uniform(-1.0, 1.0, n + 1))
+        parts += _cli_outputs(tmp_path, ext, "check", "--method", "larc", "--depth", 5, f"--point={point}")
+    # in a directory of its own, so no earlier report is read as its output;
+    # the error message is its report
+    (tmp_path / "undefined").mkdir()
+    with contextlib.redirect_stderr(io.StringIO()) as err:
+        parts += _cli_outputs(tmp_path / "undefined", serialize(extend(parse(UNDEFINED_TEXT)).extended),
+                              "check", "--method", "larc", "--depth", 5)
+    text = "system truncated\nstates x1 x2\ninputs u\n" + RATIONAL[0].format(1.3, 0.8, 1.7) + "\n"
+    parts += _cli_outputs(tmp_path, serialize(extend(parse(text)).extended), "check", "--method", "larc", "--depth", 7)
+    assert json.loads(parts[-1])["truncated"]
+    return _sha(*parts, err.getvalue())
+
+
 def kalman_report(tmp_path) -> str:
     return _sha(*_cli_outputs(tmp_path, TRI_TEXT, "check", "--method", "kalman"))
 
@@ -259,6 +300,7 @@ CASES = {
     "flow_endpoint": flow_endpoint_case,
     "blowup_time": blowup_time,
     "larc_depth6": larc_depth6,
+    "larc_rational": larc_rational,
     "kalman_report": kalman_report,
     "reduce_chain5": reduce_chain5,
     "extend_heading": extend_heading,
