@@ -227,16 +227,9 @@ def larc(aff: AffineSystem, point, max_depth: int, node_budget: int = NODE_BUDGE
         if truncated:
             break
 
-    stacked = np.array([eval_vf(f, point) for f in fields])
-    rank = matrix_rank(stacked)
-    return LarcReport(
-        point=tuple(float(v) for v in point),
-        depth=max_depth,
-        rank=rank,
-        full_rank=(rank == n),
-        formations=tuple(names),
-        truncated=truncated,
-    )
+    rank = matrix_rank(np.array([eval_vf(f, point) for f in fields]))
+    return LarcReport(point=tuple(float(v) for v in point), depth=max_depth, rank=rank, full_rank=(rank == n),
+                      formations=tuple(names), truncated=truncated)
 
 
 def _probe_values(field: VectorField, probes: np.ndarray) -> np.ndarray:

@@ -469,16 +469,10 @@ def to_affine(sys: ControlSystem) -> AffineSystem | NotAffineReport:
                 if not is_probably_zero(d2, n, m):
                     return NotAffineReport(sys.name, sys.states[k], sys.inputs[i], sys.inputs[j])
     zero_inputs = {j: Constant(0.0) for j in range(m)}
-    drift = VectorField(
-        tuple(simplify(subst(e, input_map=zero_inputs)) for e in sys.rhs), n
-    )
-    channels = []
-    for i in range(m):
-        comps = tuple(
-            simplify(subst(diff(e, InputVar(i)), input_map=zero_inputs)) for e in sys.rhs
-        )
-        channels.append(VectorField(comps, n))
-    return AffineSystem(sys.name, sys.states, sys.inputs, drift, tuple(channels))
+    drift = VectorField(tuple(simplify(subst(e, input_map=zero_inputs)) for e in sys.rhs), n)
+    channels = tuple(VectorField(tuple(simplify(subst(diff(e, InputVar(i)), input_map=zero_inputs)) for e in sys.rhs), n)
+                     for i in range(m))
+    return AffineSystem(sys.name, sys.states, sys.inputs, drift, channels)
 
 
 def from_linear(name: str, a_matrix, b_matrix, state_names=None, input_names=None) -> ControlSystem:

@@ -320,25 +320,21 @@ def eval_expr(e: Expr, x, u=()) -> float:
 
 
 def eval_points(e: Expr, xs, us=None) -> tuple[list[float], list[EvalError | None]]:
-    """`eval_expr` at many points in one walk: xs holds one state per row,
-    us one input per row (none by default).  Each node is evaluated once
-    for all points with its own float function, so every value has the
-    bits `eval_expr` gives.  Returns the values, NaN where a point fails,
-    and per point the EvalError that `eval_expr` raises there, or None."""
+    """`eval_expr` at many points in one walk: xs holds one state per row, us one
+    input per row (none by default).  Each node is evaluated once for all points with
+    its own float function, so every value has `eval_expr`'s bits.  Returns the values,
+    NaN where a point fails, and per point the EvalError `eval_expr` raises there, or None."""
     xs = np.asarray(xs, dtype=float)
     us = xs[:, :0] if us is None else np.asarray(us, dtype=float)
     columns = {StateVar: xs.T.tolist(), InputVar: us.T.tolist()}
     errors = [None] * len(xs)
 
     def fail(i, what):  # a point keeps its first error, as eval_expr stops there
-        if errors[i] is None:
-            errors[i] = EvalError(f"{what} at x={xs[i].tolist()}, u={us[i].tolist()}")
+        errors[i] = errors[i] or EvalError(f"{what} at x={xs[i].tolist()}, u={us[i].tolist()}")
         return math.nan
 
     def nonzero(values, what):  # `values` with NaN for each zero, whose point fails with `what`
-        if 0.0 in values:
-            return [fail(i, what) if v == 0.0 else v for i, v in enumerate(values)]
-        return values
+        return [fail(i, what) if v == 0.0 else v for i, v in enumerate(values)] if 0.0 in values else values
 
     def walk(e):
         t = type(e)
@@ -353,8 +349,7 @@ def eval_points(e: Expr, xs, us=None) -> tuple[list[float], list[EvalError | Non
             denom = nonzero(walk(e.right), "division by zero")
             return list(map(operator.truediv, walk(e.left), denom))
         if t is Pow:  # ipow raises ZeroDivisionError for a zero base, below a negative exponent, alone
-            base = walk(e.base)
-            base = nonzero(base, "zero raised to negative power") if e.exponent < 0 else base
+            base = nonzero(walk(e.base), "zero raised to negative power") if e.exponent < 0 else walk(e.base)
             return [ipow(b, e.exponent) for b in base]
         op = op_of(e)
         if isinstance(e, _Binary):
@@ -455,11 +450,14 @@ def is_probably_zero(e: Expr, n: int, m: int) -> bool:
     if type(s) is Constant:
         return abs(s.value) < ZERO_TOL
     probes = probe_block(n + m, 2 * _PROBE_POINTS, _PROBE_SEED)
-    values, errors = eval_points(s, probes[:, :n], probes[:, n:])
-    checked = [v for v, err in zip(values, errors) if err is None][:_PROBE_POINTS]
+    for block in (probes[:8], probes):  # a non-zero expression mostly reads so at its first probes
+        values, errors = eval_points(s, block[:, :n], block[:, n:])
+        checked = [v for v, err in zip(values, errors) if err is None][:_PROBE_POINTS]
+        if not all(math.isfinite(v) and abs(v) < ZERO_TOL for v in checked):
+            return False
     if not checked:
         raise EvalError(f"expression is undefined at all {2 * _PROBE_POINTS} probe points ({errors[-1]})")
-    return all(math.isfinite(v) and abs(v) < ZERO_TOL for v in checked)
+    return True
 
 
 def fold(e: Expr) -> Expr:

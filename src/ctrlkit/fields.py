@@ -44,6 +44,13 @@ class VectorField:
             if inputs >= 0:
                 raise ValueError(f"field references an input in component {i}")
 
+    @classmethod
+    def _unchecked(cls, components: tuple[Expr, ...], n: int) -> VectorField:
+        """A field built without `__post_init__`'s walks, for components known to be valid."""
+        field = object.__new__(cls)
+        field.__dict__.update(components=components, n=n)
+        return field
+
     @cached_property
     def jacobian(self) -> SymbolicMatrix:
         """d component_i / d x_j, computed once per field: larc brackets a field in many pairs."""
@@ -95,6 +102,5 @@ def lie_bracket(x_field: VectorField, y_field: VectorField) -> VectorField:
         raise ValueError(f"dimension mismatch: {x_field.n} vs {y_field.n}")
     first = _jacobian_times(y_field.jacobian, x_field)
     second = _jacobian_times(x_field.jacobian, y_field)
-    bracket = object.__new__(VectorField)  # unchecked: a bracket of fields on R^n reads no input, no state past n
-    bracket.__dict__.update(components=tuple(rewrite(Sub(a, b)) for a, b in zip(first, second)), n=x_field.n)
-    return bracket
+    return VectorField._unchecked(  # a bracket of fields on R^n reads no input, no state past n
+        tuple(rewrite(Sub(a, b)) for a, b in zip(first, second)), x_field.n)

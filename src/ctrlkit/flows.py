@@ -152,9 +152,7 @@ def _schedule(durations, step):
     end is hit exactly; ValueError when a row needs 2^62 or more."""
     with np.errstate(over="ignore"):
         nsub = np.maximum(1.0, np.ceil(durations / step - 1e-12))
-    # each row's segments added in turn, on a copy held segment by segment:
-    # numpy's sum along a short last axis is slower
-    if not np.all(np.ascontiguousarray(np.moveaxis(nsub, -1, 0)).sum(axis=0) < 2.0**62):
+    if not np.all(nsub.sum(axis=-1) < 2.0**62):
         raise ValueError(f"step {step:g} makes more substeps than can be counted")
     return nsub.astype(np.int64), durations / nsub
 
@@ -178,12 +176,7 @@ def _turns(nsub):
     after step last[r].  One stable sort of the segment ends in their
     narrowest type (radix up to 16 bits), and no array past rows * segments."""
     rows, segs = nsub.shape
-    if segs <= rows:  # a running sum, one segment's row at a time, outruns np.cumsum's strided loop
-        ends = nsub.T.copy()
-        for j in range(1, segs):
-            ends[j] += ends[j - 1]
-    else:
-        ends = np.cumsum(nsub.T, axis=0)
+    ends = np.cumsum(nsub.T, axis=0)
     ends = ends.astype(np.min_scalar_type(int(ends[-1].max(initial=0))))
     order = np.argsort(ends, axis=None, kind="stable")
     stop = ends.ravel()[order]

@@ -14,6 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ctrlkit.expr import (
+    _PROBE_SEED,
+    ZERO_TOL,
     Add,
     Constant,
     Cos,
@@ -537,3 +539,54 @@ def test_walk_fails_at_the_failing_points_alone(e):
     failed = [err is not None for err in errors]
     assert any(failed) and not all(failed)
     _assert_walk_matches_one_point(e, probes, np.zeros((len(probes), 0)))
+
+
+def _zero_probe_by_probe(e, n, m):
+    """`is_probably_zero` as one probe at a time: stop at the first probe
+    that reads non-zero, skip the failing ones, stop after 64 that read zero."""
+    s = simplify(e)
+    if type(s) is Constant:
+        return abs(s.value) < ZERO_TOL
+    checked, failure = 0, None
+    for p in probe_block(n + m, 128, _PROBE_SEED):
+        try:
+            v = _one_point(s, p[:n], p[n:])
+        except EvalError as exc:
+            failure = exc
+            continue
+        if not math.isfinite(v) or abs(v) >= ZERO_TOL:
+            return False
+        checked += 1
+        if checked == 64:
+            break
+    if not checked:
+        raise EvalError(f"expression is undefined at all 128 probe points ({failure})")
+    return True
+
+
+def _zero_verdict(test, e, n, m):
+    try:
+        return test(e, n, m)
+    except ExprError as exc:  # EvalError, or a constant fold with no finite value
+        return f"{type(exc).__name__}: {exc}"
+
+
+# tiny multiples read zero at some probes and not at others
+_ZERO_TEST_TREES = st.one_of(_TREES, st.tuples(st.sampled_from([1e-12, 1e-20]), _TREES).map(lambda ct: Mul(Constant(ct[0]), ct[1])))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(_ZERO_TEST_TREES, st.sampled_from([(2, 1), (3, 0), (3, 1)]))
+def test_is_probably_zero_reads_as_one_probe_at_a_time(e, nm):
+    """The same verdict, or the same error text, as probing one point at a time."""
+    assert _zero_verdict(is_probably_zero, e, *nm) == _zero_verdict(_zero_probe_by_probe, e, *nm)
+
+
+def test_is_probably_zero_reads_past_its_first_probes():
+    """An expression that reads zero at the first 8 probes and not at a later one is not zero."""
+    x0 = np.abs(probe_block(1, 128, _PROBE_SEED)[:, 0])
+    assert x0.max() > x0[:8].max()
+    scale = math.sqrt(x0[:8].max() * x0.max())  # (x0 / scale)^20000 underflows at the first 8, not at the largest
+    e = Pow(Div(X0, Constant(scale)), 20000)
+    assert all(abs(v) < ZERO_TOL for v in eval_points(e, probe_block(1, 8, _PROBE_SEED))[0])
+    assert is_probably_zero(e, 1, 0) is _zero_probe_by_probe(e, 1, 0) is False

@@ -148,8 +148,7 @@ def _dirichlet_substeps(rows, segments, step, seed):
     _dirichlet_substeps(0, 4, 1e-2, 5),  # no rows
     np.array([[40000, 30000, 5]]),  # one row past 65535 steps: 32-bit ends
     np.array([[1, 1, 1], [2, 1, 1], [1, 2, 1]]),  # single substeps, and rows turning at once
-    _dirichlet_substeps(2, 300, 1e-2, 6),  # a long control on fewer rows than segments
-], ids=["chunk", "16-bit", "dense", "one segment", "no rows", "32-bit", "single substeps", "long control"])
+], ids=["chunk", "16-bit", "dense", "one segment", "no rows", "32-bit", "single substeps"])
 def test_turns_equal_the_argsort_unique_searchsorted_schedule(nsub):
     """`_turns` gives the stops, the turns counted up to each and the
     last steps of the reference; at each stop the same rows turn to the
