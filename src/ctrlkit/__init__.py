@@ -50,7 +50,7 @@ from .expr import (
     simplify,
     subst,
 )
-from .fields import SymbolicMatrix, VectorField, eval_vf, lie_bracket
+from .fields import VectorField, eval_vf, lie_bracket
 from .flows import (
     BlowUpError,
     Drift,

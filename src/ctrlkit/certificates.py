@@ -16,7 +16,7 @@ import numpy as np
 
 from .dsl import AffineSystem
 from .expr import (
-    Constant, EvalError, Mul, StateVar, Sub, eval_points, is_probably_zero, node_count, probe_block,
+    Constant, EvalError, Mul, StateVar, Sub, eval_points, is_probably_zero, is_zero, node_count, probe_block,
 )
 from .fields import VectorField, eval_vf, lie_bracket
 from . import records
@@ -51,7 +51,7 @@ def linear_of(aff: AffineSystem) -> LinearRealization | NotLinearReport:
     """Extract (A, B) when the drift is exactly Ax and every channel is
     constant; otherwise report what broke."""
     n, m = aff.n, aff.m
-    jac = aff.drift.jacobian.rows
+    jac = aff.drift.jacobian
     a = np.zeros((n, n))
     for i, row in enumerate(jac):
         # the Jacobian at the origin, NaN where it has no value; the residual check validates the choice
@@ -74,7 +74,7 @@ def linear_of(aff: AffineSystem) -> LinearRealization | NotLinearReport:
             return NotLinearReport(aff.name, "drift is not linear in the states", f"d{aff.states[i]}")
     b = np.zeros((n, m))
     for k, g in enumerate(aff.channels):
-        for i, row in enumerate(g.jacobian.rows):
+        for i, row in enumerate(g.jacobian):
             if not all(is_probably_zero(e, n, 0) for e in row):
                 return NotLinearReport(
                     aff.name, "input channel depends on the state",
@@ -214,7 +214,7 @@ def larc(aff: AffineSystem, point, max_depth: int, node_budget: int = NODE_BUDGE
             if not shared.any():
                 raise EvalError(f"no span probe evaluates all of {len(fields)} kept fields")
             # a bracket that simplifies to zero is in every span, and is not probed
-            if all(type(c) is Constant and c.value == 0.0 for c in candidate.components):
+            if all(map(is_zero, candidate.components)):
                 continue
             vals = _probe_values(candidate, probes)
             if _in_span_everywhere(values, shared, vals):

@@ -187,6 +187,11 @@ def _is(e: Expr, value: float) -> bool:
     return type(e) is Constant and e.value == value
 
 
+def is_zero(e: Expr) -> bool:
+    """An exact zero constant, 0.0 or -0.0: the term the Add and Sub rules drop."""
+    return _is(e, 0.0)
+
+
 def ipow(b, k: int):
     """b ** k for an integer k by squaring and multiplying, 1.0 over that
     for k < 0: O(log |k|) products, which round the same on every numpy

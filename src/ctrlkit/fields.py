@@ -1,20 +1,22 @@
-"""Vector fields and symbolic matrices over expression trees."""
+"""Vector fields over expression trees, their Jacobians and Lie brackets."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property
 
 import numpy as np
 
 from .expr import (
     Add,
+    Constant,
     Expr,
     Mul,
     StateVar,
     Sub,
     diff,
     eval_expr,
+    is_zero,
     max_indices,
     rewrite,
     simplify,
@@ -44,41 +46,15 @@ class VectorField:
             if inputs >= 0:
                 raise ValueError(f"field references an input in component {i}")
 
-    @classmethod
-    def _unchecked(cls, components: tuple[Expr, ...], n: int) -> VectorField:
-        """A field built without `__post_init__`'s walks, for components known to be valid."""
-        field = object.__new__(cls)
-        field.__dict__.update(components=components, n=n)
-        return field
-
     @cached_property
-    def jacobian(self) -> SymbolicMatrix:
-        """d component_i / d x_j, computed once per field: larc brackets a field in many pairs."""
-        rows = (tuple(simplify(diff(c, StateVar(j))) for j in range(self.n)) for c in self.components)
-        return SymbolicMatrix(tuple(rows))
+    def jacobian(self) -> tuple[tuple[Expr, ...], ...]:
+        """Row i holds d component_i / d x_j, simplified, for j < n; computed
+        once per field: larc brackets a field in many pairs."""
+        return tuple(tuple(simplify(diff(c, StateVar(j))) for j in range(self.n)) for c in self.components)
 
     @cached_property
     def simplified(self) -> tuple[Expr, ...]:
         return tuple(simplify(c) for c in self.components)
-
-
-@dataclass(frozen=True)
-class SymbolicMatrix:
-    rows: tuple[tuple[Expr, ...], ...]
-
-    def __post_init__(self):
-        rows = tuple(tuple(r) for r in self.rows)
-        object.__setattr__(self, "rows", rows)
-        if rows:
-            width = len(rows[0])
-            if any(len(r) != width for r in rows):
-                raise ValueError("ragged symbolic matrix")
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        if not self.rows:
-            return (0, 0)
-        return (len(self.rows), len(self.rows[0]))
 
 
 def eval_vf(vf: VectorField, x) -> np.ndarray:
@@ -87,20 +63,22 @@ def eval_vf(vf: VectorField, x) -> np.ndarray:
     return np.array([eval_expr(c, x) for c in vf.components], dtype=float)
 
 
-def _jacobian_times(jac: SymbolicMatrix, vf: VectorField) -> list[Expr]:
-    # row-by-row product over simplified entries, so each product and sum
-    # is one root rewrite; the Add rule drops the zero terms
-    return [
-        reduce(lambda a, b: rewrite(Add(a, b)), (rewrite(Mul(e, c)) for e, c in zip(row, vf.simplified)))
-        for row in jac.rows
-    ]
-
-
 def lie_bracket(x_field: VectorField, y_field: VectorField) -> VectorField:
-    """Bracket [X, Y] = (dY/dx) X - (dX/dx) Y, components simplified."""
+    """Bracket [X, Y] = (dY/dx) X - (dX/dx) Y, components simplified.
+
+    Each product and each sum is one root rewrite of simplified operands.
+    A product with an exactly zero Jacobian entry is left out: the dense
+    sum differs from this one at most in the sign of a zero sum, and the
+    difference of the two rows folds that away."""
     if x_field.n != y_field.n:
         raise ValueError(f"dimension mismatch: {x_field.n} vs {y_field.n}")
-    first = _jacobian_times(y_field.jacobian, x_field)
-    second = _jacobian_times(x_field.jacobian, y_field)
-    return VectorField._unchecked(  # a bracket of fields on R^n reads no input, no state past n
-        tuple(rewrite(Sub(a, b)) for a, b in zip(first, second)), x_field.n)
+
+    def times(row, values):
+        total = Constant(0.0)
+        for e, v in zip(row, values):
+            if not is_zero(e):
+                total = rewrite(Add(total, rewrite(Mul(e, v))))
+        return total
+
+    return VectorField(tuple(rewrite(Sub(times(dy, x_field.simplified), times(dx, y_field.simplified)))
+                             for dy, dx in zip(y_field.jacobian, x_field.jacobian)), x_field.n)

@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from .dsl import ControlSystem
-from .expr import compile_components
+from .expr import compile_components, ipow
 from .flows import ROW_BLOCK, PiecewiseControl, Trajectory, rk4_rows
 from .records import csv_text, integer, point, require_positive
 from .streams import draw_rows
@@ -380,7 +380,8 @@ class SteerResult:
 
 def two_point_steer(sys: ControlSystem, x0, x1, cfg: ReachConfig, tol: float) -> SteerResult:
     """Randomized shooting toward a target point: best-of-N random
-    controls, then shrinking coordinate perturbations of the best one.
+    controls, then rounds of shrinking perturbations of the best one, of
+    its values in every row and of its durations in every other row.
     The total integration budget is cfg.samples."""
     n, m = sys.n, sys.m
     x0, x1 = point(x0, n, "x0"), point(x1, n, "x1")
@@ -414,12 +415,20 @@ def two_point_steer(sys: ControlSystem, x0, x1, cfg: ReachConfig, tol: float) ->
         rng = np.random.default_rng([cfg.seed, 1 << 20, round_id])
         noise = rng.normal(0.0, 1.0, size=(_REFINE_BATCH, cfg.segments, m))
         cand = np.clip(best_vals[None] + noise * scale * (highs - lows), lows, highs)
-        idx, dist = shoot(np.tile(best_durs, (_REFINE_BATCH, 1)), cand)
+        # the odd rows also scale the durations by (1 + scale * z / 64)^64, about
+        # exp(scale * z) from products, which round alike on every numpy SIMD path
+        # and libm where np.exp does not; summed in order, as the first shot's
+        durs = np.tile(best_durs, (_REFINE_BATCH, 1))
+        moved = durs[1::2]
+        moved *= ipow(1.0 + scale / 64 * rng.normal(0.0, 1.0, size=moved.shape), 64)
+        moved *= (1.0 / sum(moved.T))[:, None]
+        moved *= cfg.horizon
+        idx, dist = shoot(durs, cand)
         evaluations += _REFINE_BATCH
         round_id += 1
         if dist < best_dist:
             best_dist = dist
-            best_vals = cand[idx].copy()
+            best_durs, best_vals = durs[idx].copy(), cand[idx].copy()
         else:
             scale *= 0.6
     control = PiecewiseControl(

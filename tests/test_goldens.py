@@ -21,6 +21,7 @@ import hashlib
 import io
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -48,7 +49,7 @@ GOLDENS = {
     "compare_cubic": "cd5e9f413372551e22f84a2f00329f0a02f75ce4f26e21de57323afb509615fe",
     "drop_heavy_reach": "cbaa4ba6da66e8117634a8dbb65abfc74b9b88c07c9e28d35c3762783ebd7e0e",
     "bounded_check": "e07bcd54ea873ac8f9ba46a0c404f96b155bcc8181c74866c24b3ccbd0414871",
-    "steer_cubic": "89fa383e665b49d403f3a4226db2cf832d3dd36b8077b069c21e55f0d2b747b8",
+    "steer_cubic": "6a7d22c7a68facb73282e7fd7b08ce2050c8b17142717afd3d2e77d151ab005e",
     "simulate_heading": "4c86ea1335a4180b7e8559312ff882c7aeb0cf6c88d7a34cadbdf0d99340f6f7",
     "simulate_double": "3768f1e670227c0a893853054b32168e65e764ddc84d3ed947aeb67418c62ac8",
     "realize_plan": "da0db03ddbf662c402953db16769aef6182100196a86d6d3df23a8a425303eef",
@@ -217,12 +218,15 @@ def blowup_time(tmp_path) -> str:
 
 
 def _cli_outputs(tmp_path, text, command, *flags) -> tuple:
-    """Exit code and every output file of one CLI run on `text`."""
+    """Exit code and the output files, by name, that the manifest of one
+    CLI run on `text` lists: a run that writes no report hashes none, even
+    where an earlier run left one."""
     (tmp_path / "sys.txt").write_text(text)
-    out = tmp_path / "out"
-    code = cli.main([str(a) for a in (command, tmp_path / "sys.txt", *flags, "--out", out)])
-    files = sorted(p for p in tmp_path.iterdir() if p.name.startswith("out") and "manifest" not in p.name)
-    return (code, *[p.read_text() for p in files])
+    manifest = tmp_path / "run.manifest.json"
+    code = cli.main([str(a) for a in (command, tmp_path / "sys.txt", *flags, "--out", tmp_path / "out",
+                                      "--manifest", manifest)])
+    outputs = sorted(json.loads(manifest.read_text())["outputs"])
+    return (code, *[Path(p).read_text() for p in outputs])
 
 
 def larc_depth6(tmp_path) -> str:
@@ -260,11 +264,9 @@ def larc_rational(tmp_path) -> str:
         ext = serialize(extend(parse(text)).extended)
         point = ",".join(f"{v:.6f}" for v in rng.uniform(-1.0, 1.0, n + 1))
         parts += _cli_outputs(tmp_path, ext, "check", "--method", "larc", "--depth", 5, f"--point={point}")
-    # in a directory of its own, so no earlier report is read as its output;
     # the error message is its report
-    (tmp_path / "undefined").mkdir()
     with contextlib.redirect_stderr(io.StringIO()) as err:
-        parts += _cli_outputs(tmp_path / "undefined", serialize(extend(parse(UNDEFINED_TEXT)).extended),
+        parts += _cli_outputs(tmp_path, serialize(extend(parse(UNDEFINED_TEXT)).extended),
                               "check", "--method", "larc", "--depth", 5)
     text = "system truncated\nstates x1 x2\ninputs u\n" + RATIONAL[0].format(1.3, 0.8, 1.7) + "\n"
     parts += _cli_outputs(tmp_path, serialize(extend(parse(text)).extended), "check", "--method", "larc", "--depth", 7)

@@ -866,6 +866,22 @@ def test_steer_cubic_between_given_points(cubic):
     assert abs(np.linalg.norm(end - np.array([1.0, 1.0, 1.0])) - res.distance) < 1e-9
 
 
+def test_steer_moves_the_durations_of_its_first_shot(heading):
+    # the best first-shot row spends 1.123 of the 2.0 horizon on one
+    # segment, so at unit speed every endpoint it reaches, whatever its
+    # values, lies at radius 0.247 or more, and the target at 0.214;
+    # refining the values alone ended 0.0326 away
+    cfg = ReachConfig(
+        horizon=2.0, segments=4, input_box=((-math.pi, math.pi),), samples=2048,
+        window=((-3.0, 3.0), (-3.0, 3.0)), resolution=8, seed=1990598234, step=1e-2,
+    )
+    target = [-0.024719242699049265, -0.21300504685701213]
+    res = two_point_steer(heading, [0.0, 0.0], target, cfg, 2e-2)
+    assert res.success and res.evaluations <= cfg.samples
+    end = integrate(heading, [0.0, 0.0], res.control, cfg.step).endpoint
+    assert abs(np.linalg.norm(end - target) - res.distance) < 1e-9
+
+
 _STEER_CASES = {
     "heading": (parse(HEADING_TEXT), [0.0, 0.0], [0.6, 0.5], heading_cfg(samples=300), 1e-6),
     "scalar": (parse("system scalar\nstates x\ninputs u\ndx = u\n"), [0.0], [1.0], ReachConfig(
