@@ -228,7 +228,7 @@ def _cmd_realize(args, manifest) -> int:
 
     # a 1-d norm per row: norm(..., axis=1) rounds differently
     errors = [float(np.linalg.norm(end - ideal)) for end in realize_sweep(record, plan, start, gains, step=args.step)]
-    _write_text(manifest, args.out, csv_text(["gain", "error"], zip(gains, errors)))
+    _write_text(manifest, args.out, csv_text(["gain", "error"], [*zip(gains, errors)]))
     print(f"{len(gains)} gains, final error {errors[-1]:.3e}")
     return 0
 

@@ -516,7 +516,8 @@ def compile_components(exprs, n: int, m: int):
     per state, f.step(x, u, h) is one RK4 step with the four stages inlined
     state by state, bit-identical to `flows.rk4_step(f, x, u, h)`.  It is
     f.advance(x, f.table(u, h)) on states held as columns: f.advance takes
-    x (n, ...) and c (columns, ...) and returns new states (n, ...); f.table
+    x (n, ...) and c (columns, ...) and returns new states (n, ...), written
+    into `out` where one is given, which must not share memory with x; f.table
     takes u (m, ...) and h (...).  The table holds, one column each, what a
     step reads of u and h alone (h, h2, h6 and the inputs of slopes that
     read state; for a slope that reads no state, its products with h2 and h
@@ -576,8 +577,9 @@ def compile_components(exprs, n: int, m: int):
         columns = [name for name in ("h", "h2", "h6", *(u for u, _ in us), *hoisted) if name in used]
         # the sums state by state, as rk4_step is matched: where both terms
         # are NaN, numpy's inner loop picks the sign that survives
-        body += ["    r = np.empty(np.shape(x))", *(f"    np.add(x{i}, {v}, out=r[{i}, ...])" for i, v in enumerate(incs))]
-        lines += define("_advance(x, c)", [("base", "0.0"), *((f"x{i}", f"x[{i}]") for i in range(n)),
+        body += ["    r = np.empty(np.shape(x)) if out is None else out",
+                 *(f"    np.add(x{i}, {v}, out=r[{i}, ...])" for i, v in enumerate(incs))]
+        lines += define("_advance(x, c, out=None)", [("base", "0.0"), *((f"x{i}", f"x[{i}]") for i in range(n)),
                                            *((name, f"c[{j}]") for j, name in enumerate(columns))], body, "r")
         # the columns go straight into the table, and h2 and h6 are read back from it
         scaled = {"h2": "h / 2.0", "h6": "h / 6.0"}

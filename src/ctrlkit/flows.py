@@ -25,6 +25,7 @@ from .transform import ExtensionRecord
 BLOWUP_LIMIT = 1e12
 DEFAULT_STEP = 1e-3
 ROW_BLOCK = 2048  # rows of one block of the gain sweep and of a sampler's draw
+_MARK_BLOCK = 16384  # row-states, and 4 times as many entries, of a block of substeps: more spill out of cache
 
 
 class BlowUpError(RuntimeError):
@@ -129,7 +130,7 @@ class Trajectory:
 def trajectory_to_csv(traj: Trajectory, state_names) -> str:
     if len(state_names) != traj.states.shape[1]:
         raise ValueError("one column name per state required")
-    return csv_text(["t", *state_names], ((t, *row) for t, row in zip(traj.times, traj.states)))
+    return csv_text(["t", *state_names], np.column_stack([traj.times, traj.states]))
 
 
 def save_trajectory_csv(traj: Trajectory, state_names, path: str):
@@ -195,14 +196,17 @@ def rk4_rows(f, x, durations, values, step, visit=None):
     segments, m), on its `_schedule`, with `f.step` of a compiled rhs
     taken in its two parts: `f.table` once for every segment of every row,
     then `f.advance` with each row's entry per substep.  The states are held
-    as columns, (n, rows), each state one contiguous row; the table as
-    (columns, segments, rows), the entries in use as (columns, rows); the
-    rows that turn at a stop of `_turns` gather their next entries as one
-    slice.  Rows never depend on each other.  After global step k, visit(k,
-    x), unless None, sees every row as a (rows, n) view of a new array.  A
-    row that leaves the finite regime is zeroed and stepped no more, and
-    the loop stops once no row steps.  Returns the final states (rows, n)
-    and each row's blow-up step, the k after which it left, or -1."""
+    as columns in a block of substeps, (n, steps, rows), each state of a
+    substep one contiguous row; the table as (columns, segments, rows), the
+    entries in use as (columns, rows); the rows that turn at a stop of
+    `_turns` gather their next entries as one slice.  Rows never depend on
+    each other.  After each block from global step k on, visit(k, xs),
+    unless None, sees the states after steps k, k + 1, ... as xs (n, steps,
+    rows), valid until it returns.  A row that leaves the finite regime at
+    step k, its blow-up step, is zeroed from there on and stepped no more.
+    Visits end at the last step of the longest row, a blow-up step
+    included, and steps at most a block and as many steps again later.
+    Returns the final states (rows, n) and each row's blow-up step or -1."""
     bad_at = np.full(len(x), -1)
     if not durations.size:
         return x, bad_at
@@ -213,40 +217,47 @@ def rk4_rows(f, x, durations, values, step, visit=None):
     c = flat[:, :len(x)]
     row, src, stops, upto, last = _turns(nsub)
     del nsub
-    ends = set(last.tolist())
-    x = x.T.copy()
-    act, every, k, lo = bad_at < 0, True, 0, 0
+    ends, end = set(last.tolist()), int(stops[-1])
+    (rows, n), x = x.shape, x.T.copy()
+    steps = min(max(1, 4 * _MARK_BLOCK // (max(n, 4) * rows)), end)
+    # blocks double from 64 substeps to `steps`, so an early end (a blow-up) costs
+    # at most as many steps again; no substep writes its input, so 1-step blocks copy x
+    held, size = np.empty((n, steps, rows)), min(steps, 64)
+    act, every, k, k0, lo = bad_at < 0, True, 0, 0, 0
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         # a row's table entry changes only when it turns at a stop, and the
         # active rows only where some row's schedule ends or a row blows up
         for stop, hi in zip(stops.tolist(), upto.tolist()):
-            for k in range(k, stop):
-                xn = f.advance(x, c)
-                if not every:  # rows that no longer step keep their states
-                    np.copyto(xn, x, where=~act)
-                x = xn
-                # NaN fails the comparison too: one test for NaN, inf and
-                # overflow, and the rows are looked at only when it fails
-                bad = None
-                if not np.abs(x).max() <= BLOWUP_LIMIT:
-                    bad = act & ~(np.abs(x) <= BLOWUP_LIMIT).all(axis=0)
-                    bad_at[bad] = k
+            while k < stop:
+                for k in range(k, min(stop, k0 + size, end)):
+                    xn = f.advance(x, c, out=held[:, k - k0])
+                    if not every:  # rows that no longer step keep their states
+                        np.copyto(xn, x, where=~act)
+                    x = xn
+                k += 1
+                if k < min(k0 + size, end):
+                    continue
+                block = held[:, :k - k0]
+                # NaN fails the comparisons too: one test of the block for NaN,
+                # inf and overflow, and its rows are looked at only when it fails
+                if not (-BLOWUP_LIMIT <= block.min() and block.max() <= BLOWUP_LIMIT):
+                    ok = (np.abs(block) <= BLOWUP_LIMIT).all(axis=0)
+                    first, bad = ok.argmin(axis=0), ~ok.all(axis=0)
+                    bad_at[bad] = k0 + first[bad]
+                    block[:, bad & (np.arange(k - k0)[:, None] >= first)] = 0.0
                     act &= ~bad
                     every = False
-                    x[:, bad] = 0.0
+                    end = int(np.where(bad_at < 0, last, bad_at + 1).max())
                 if visit is not None:
-                    visit(k, x.T)
-                if bad is not None and not act.any():
-                    return x.T, bad_at
-            k = stop
+                    visit(k0, block[:, :end - k0])
+                if k >= end:
+                    return held[:, end - k0 - 1].T.copy(), bad_at
+                x, k0, size = x.copy() if steps == 1 else x, k, min(2 * size, steps)
             if k in ends:
                 act = (bad_at < 0) & (k < last)
                 every = act.all()
-            if not act.any():
-                break
             c[:, row[lo:hi]] = flat[:, src[lo:hi]]
             lo = hi
-    return x.T, bad_at
 
 
 def _run_rows(f, x0, durations, values, step, states=None) -> np.ndarray:
@@ -254,8 +265,8 @@ def _run_rows(f, x0, durations, values, step, states=None) -> np.ndarray:
     run, the lowest row that blew up raises BlowUpError at its own time.
     Row k + 1 of `states` gets the state of a one-row run after step k."""
 
-    def visit(k, x):
-        states[k + 1] = x
+    def visit(k, xs):
+        states[k + 1:k + 1 + xs.shape[1]] = xs[..., 0].T
 
     x, bad_at = rk4_rows(f, x0, durations, values, step, None if states is None else visit)
     dead = np.flatnonzero(bad_at >= 0)

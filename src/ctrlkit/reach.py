@@ -30,7 +30,6 @@ DEFAULT_RATE_BOUND = 10.0
 MAX_CELLS = 2 ** 24
 MAX_WORK = 2 ** 30  # row-substeps of one sampler run
 _CHUNK = 2 * ROW_BLOCK
-_MARK_BLOCK = 16384  # row-states, and 4 times as many entries, per grid index: more spill the temporaries out of cache
 _REFINE_BATCH = 64
 
 
@@ -201,39 +200,25 @@ def _chunks(cfg: ReachConfig, count: int):
 
 def _run_chunk(f, x0, durations, values, step: float, grid):
     """Integrate the rows of `durations` and `values`, any number of them,
-    zero included, marking `grid`; returns (endpoints, dropped).  Cells are
-    marked into a chunk-local bitmap as it steps, so memory does not grow
-    with the number of steps.  One `flat_index` call indexes the states of
-    as many substeps as fit in _MARK_BLOCK row-states and 4 * _MARK_BLOCK
-    entries, one at least.  A chunk with a dead row is marked to its end,
-    then its marks are thrown away and the surviving rows alone run again:
-    they take the same steps and cannot drop, so a dropped row marks none."""
-    rows = durations.shape[0]
+    zero included, marking `grid`; returns (endpoints, dropped).  Each block
+    of substeps that `rk4_rows` visits is marked into a chunk-local bitmap
+    by one `flat_index` call, so memory does not grow with the steps.  A
+    chunk with a dead row is marked to its end, then its marks are thrown
+    away and the surviving rows alone run again: they take the same steps
+    and cannot drop, so a dropped row marks none."""
+    rows, axes = durations.shape[0], len(grid.axes)
     # one spare cell past the grid takes the points outside it
     marks = np.zeros(grid.bitmap.size + 1, dtype=bool)
-    # x - lo on each grid axis of the states visited since the last index,
-    # one row per axis, so that `flat_index` reads each axis contiguously.
-    # It is made at the first visit, after rk4_rows has built its table;
-    # zero rows make an empty block
-    block, filled = None, 0
 
-    def hold(x):  # states as columns, (n, rows), or one state for every row, (n, 1)
-        nonlocal block, filled
-        if block is None:
-            states = 4 * _MARK_BLOCK // max(len(grid.axes), 4)
-            block = np.empty((len(grid.axes), max(1, states // max(rows, 1)) * rows))
-        if filled == block.shape[1]:
-            marks[grid.flat_index(block)] = True
-            filled = 0
-        np.subtract(x[:len(block)], grid.lows, out=block[:, filled:filled + rows])
-        filled += rows
+    def mark(k, xs):  # x - lo on each grid axis, one row per axis, so that `flat_index` reads each axis contiguously
+        marks[grid.flat_index(xs[:axes].reshape(axes, -1) - grid.lows)] = True
 
     # every row marks: a finished row stays in a cell it has marked
-    x, bad_at = rk4_rows(f, np.broadcast_to(x0, (rows, len(x0))), durations, values, step, lambda k, x: hold(x.T))
+    x, bad_at = rk4_rows(f, np.broadcast_to(x0, (rows, len(x0))), durations, values, step, mark)
     dead = bad_at >= 0
     if not dead.any():
-        hold(x0[:, None])  # the start, which no visit sees
-        marks[grid.flat_index(block[:, :filled])] = True
+        if rows:
+            mark(None, x0[:, None])  # the start, which no visit sees
         grid.commit(marks[:-1])
     elif not dead.all():
         _run_chunk(f, x0, durations[~dead], values[~dead], step, grid)

@@ -26,10 +26,12 @@ def read_json(path: str):
 
 
 def csv_text(names, rows) -> str:
-    """A header line of `names`, then one line per row of numbers, each
-    written "%.17g": enough digits to read back the same float."""
-    line = ",".join(["%.17g"] * len(names)) + "\n"
-    return ",".join(names) + "\n" + "".join(line % tuple(row) for row in rows)
+    """A header line of `names`, then one line per row of the numbers
+    `rows` (rows, len(names)), each written "%.17g" from a Python float:
+    enough digits to read back the same float, 1024 rows to one format."""
+    rows, line = np.reshape(rows, (-1, len(names))), ",".join(["%.17g"] * len(names)) + "\n"
+    blocks = (rows[lo:lo + 1024] for lo in range(0, len(rows), 1024))
+    return ",".join(names) + "\n" + "".join((line * len(b)) % tuple(b.ravel().tolist()) for b in blocks)
 
 
 def integer(value) -> int:

@@ -46,3 +46,14 @@ def chain_text(n: int) -> str:
 @pytest.fixture
 def chain5():
     return parse(chain_text(5))
+
+
+def per_substep(visit):
+    """A block visit for `flows.rk4_rows` that calls visit(k, x) once per
+    substep k of the block, with that substep's states x (rows, n)."""
+
+    def block(k, xs):
+        for j in range(xs.shape[1]):
+            visit(k + j, xs[:, j].T)
+
+    return block

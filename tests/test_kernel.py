@@ -2,11 +2,12 @@
 `integrate`, `flow_endpoint`, `ideal_plan_endpoint` and the sampler share."""
 
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from conftest import CUBIC_TEXT, HEADING_TEXT, chain_text
+from conftest import CUBIC_TEXT, HEADING_TEXT, chain_text, per_substep
 
 from ctrlkit import expr, flows, parse
 from ctrlkit.expr import (
@@ -388,18 +389,22 @@ def test_rk4_rows_ends_where_a_loop_of_rk4_step_ends(name):
 
 def test_rk4_rows_evaluates_a_slope_that_reads_no_state_once(monkeypatch):
     """Once per `rk4_rows` call, for every segment of every row, however
-    many substeps follow; the other slopes once per stage they are read."""
+    many substeps follow; the other slopes once per stage they are read,
+    in each `f.advance` call (one per substep, and after a blow-up up to
+    one block more)."""
     calls = []
     monkeypatch.setattr(expr, "ipow", lambda b, k: calls.append(k) or np.power(b, k))
     sys_ = parse("system count\nstates x1 x2 x3\ninputs u\ndx1 = x2^4\ndx2 = u^5\ndx3 = x1^6\n")
     f = compile_components(sys_.rhs, 3, 1)
+    advance, advances = f.advance, []
+    f.advance = lambda *args, **kwargs: advances.append(1) or advance(*args, **kwargs)
     durations = np.array(_RAGGED[3][0])
     values = np.array(_RAGGED[3][1])[:, :, None]
     steps = []
-    flows.rk4_rows(f, np.full((len(durations), 3), 0.5), durations, values, 1e-2, lambda k, x: steps.append(k))
-    assert len(steps) > 100
+    flows.rk4_rows(f, np.full((len(durations), 3), 0.5), durations, values, 1e-2, per_substep(lambda k, x: steps.append(k)))
+    assert len(steps) > 100 and len(advances) >= len(steps)
     assert calls.count(5) == 1
-    assert calls.count(4) == 3 * len(steps) and calls.count(6) == 4 * len(steps)
+    assert calls.count(4) == 3 * len(advances) and calls.count(6) == 4 * len(advances)
 
 
 def test_small_powers_of_a_variable_are_the_products_of_ipow():
@@ -427,7 +432,7 @@ def _visited(f, x0, durations, values):
     """rk4_rows' endpoints and blow-up steps, and the step and states of
     every visit."""
     seen = []
-    x, bad_at = flows.rk4_rows(f, x0, durations, values, 1e-2, lambda k, x: seen.append((k, x.copy())))
+    x, bad_at = flows.rk4_rows(f, x0, durations, values, 1e-2, per_substep(lambda k, x: seen.append((k, x.copy()))))
     return x, bad_at, seen
 
 
@@ -467,19 +472,32 @@ _TURN_ORDER = {
     # row 0 blows up (at about t = 0.66) before its turn after step 100,
     # where row 1 turns
     "dead before its turn": ([[1.0, 0.5], [1.0, 0.3], [0.4, 0.2]], [[4.0, -1.0], [0.0, 0.1], [-0.5, 0.2]]),
+    # row 0 blows up at about t = 0.66 again: after row 1 turns after step
+    # 60 and before it ends after step 80, after row 2 ends and before row 3 does
+    "dead while others turn and end": (
+        [[0.25, 0.25, 0.25, 0.25], [0.2, 0.2, 0.2, 0.2], [0.1, 0.05, 0.1, 0.05], [0.5, 0.2, 0.1, 0.1]],
+        [[4.0, 4.0, 4.0, 4.0], [0.3, -0.2, 0.1, 0.0], [-1.0, 0.5, 0.0, 1.0], [0.2, -0.4, 0.0, 0.3]]),
+    # row 0 blows up as before, after every other row has ended, so the
+    # run ends after its blow-up step, 33 steps short of its schedule
+    "dead after the others end": ([[0.4, 0.3, 0.3], [0.3, 0.1, 0.1], [0.1, 0.1, 0.25]],
+                                  [[4.0, 4.0, 4.0], [0.5, -0.5, 0.0], [0.0, 1.0, -1.0]]),
 }
 
 
 @pytest.mark.parametrize("case", sorted(_TURN_ORDER))
 def test_turns_in_step_order_match_one_row_runs(case):
     """Rows turn to their next segment from one order of every turn of the
-    batch; each row's states and blow-up step are those of a one-row run."""
+    batch, inside blocks of substeps and at their edges; each row's states
+    and blow-up step are those of a one-row run, also where a row blows up
+    inside a block in which other rows turn or end."""
     f = compile_components(parse(BOOM_TEXT).rhs, 1, 1)
     durations = np.array(_TURN_ORDER[case][0])
     values = np.array(_TURN_ORDER[case][1])[:, :, None]
     x0 = np.full((len(durations), 1), 0.5)
     x, bad_at, seen = _visited(f, x0, durations, values)
-    assert (bad_at >= 0).tolist() == [case == "dead before its turn"] + [False] * (len(durations) - 1)
+    assert (bad_at >= 0).tolist() == [case.startswith("dead")] + [False] * (len(durations) - 1)
+    ends = np.where(bad_at >= 0, bad_at + 1, flows._schedule(durations, 1e-2)[0].sum(axis=1))
+    assert [k for k, _ in seen] == list(range(ends.max()))
     for i in range(len(durations)):
         x_i, bad_at_i, seen_i = _visited(f, x0[i:i + 1], durations[i:i + 1], values[i:i + 1])
         assert x[i].tobytes() == x_i[0].tobytes() and bad_at[i] == bad_at_i[0], f"row {i}"
@@ -488,17 +506,22 @@ def test_turns_in_step_order_match_one_row_runs(case):
 
 
 def test_each_step_visits_an_array_of_its_own():
-    """rk4_rows never writes into a state that `visit` has seen: the
-    states it visits are distinct arrays, each the state of its own step,
-    and so are the rows of an `integrate` trajectory.  A reused output
-    buffer would leave the endpoint right and a kept state wrong."""
+    """Within one visit, the states of different substeps never share
+    memory, and each is the state of its own step until the visit
+    returns; so are the rows of an `integrate` trajectory.  A reused
+    output buffer would leave the endpoint right and a kept state wrong."""
     heading = parse(HEADING_TEXT)
     f = compile_components(heading.rhs, 2, 1)
     x0, durations, values = np.array([0.1, -0.2]), np.array([[0.05, 0.03]]), np.array([[[1.0], [-2.0]]])
     states = []
-    flows.rk4_rows(f, x0[None], durations, values, 1e-2, lambda k, x: states.append(x))
+
+    def visit(k, xs):
+        assert k == len(states)
+        assert not any(np.shares_memory(xs[:, i], xs[:, j]) for i in range(xs.shape[1]) for j in range(i))
+        states.extend(xs[:, j].T.copy() for j in range(xs.shape[1]))
+
+    flows.rk4_rows(f, x0[None], durations, values, 1e-2, visit)
     assert len(states) == 8
-    assert not any(np.shares_memory(a, b) for i, a in enumerate(states) for b in states[:i])
     want, x = [x0], x0
     for count, h, u in zip(*flows._schedule(durations[0], 1e-2), values[0]):
         for _ in range(count):
@@ -548,3 +571,89 @@ def test_rows_that_all_blow_up_end_the_run_at_the_later_blow_up_step():
     assert not x.any()
     for i in range(2):
         assert _visited(f, x0[i:i + 1], durations[i:i + 1], values[i:i + 1])[1][0] == bad_at[i]
+
+
+def _spiking_f(spike):
+    """A hand-built `f` for `rk4_rows`: its table holds the inputs alone,
+    and its advance counts substeps in state 0 and puts the input times
+    2 * BLOWUP_LIMIT in state 1 at substep `spike` alone, 0 at every other."""
+
+    def advance(x, c, out):
+        np.add(x[0], 1.0, out=out[0])
+        np.multiply(c[0], 2 * flows.BLOWUP_LIMIT * (out[0] == spike + 1), out=out[1])
+        return out
+
+    return SimpleNamespace(table=lambda u, h: u.copy(), advance=advance)
+
+
+def test_a_spike_past_the_limit_for_one_substep_is_a_blow_up():
+    """A row above BLOWUP_LIMIT at substep 7 alone, in the middle of a
+    block of 20 substeps, and back below it from substep 8 on: its blow-up
+    step is 7, it is zeroed from there on, and no visit sees the spike.  A
+    row beside it that never spikes runs to its end; alone, the spiking row
+    ends the run after step 7."""
+    f, durations = _spiking_f(7), np.full((2, 1), 0.2)
+    seen = []
+    x, bad_at = flows.rk4_rows(f, np.zeros((2, 2)), durations, np.array([1.0, 0.0])[:, None, None], 1e-2,
+                               per_substep(lambda k, x: seen.append((k, x.copy()))))
+    assert bad_at.tolist() == [7, -1]
+    assert [k for k, _ in seen] == list(range(20))
+    assert all((np.abs(state) <= flows.BLOWUP_LIMIT).all() for _, state in seen)
+    for k, state in seen:
+        assert state.tolist() == [[k + 1.0, 0.0] if k < 7 else [0.0, 0.0], [k + 1.0, 0.0]], k
+    assert x.tolist() == [[0.0, 0.0], [20.0, 0.0]]
+    alone = []
+    x, bad_at = flows.rk4_rows(f, np.zeros((1, 2)), durations[:1], np.ones((1, 1, 1)), 1e-2,
+                               per_substep(lambda k, x: alone.append((k, x.copy()))))
+    assert bad_at.tolist() == [7] and not x.any()
+    assert [k for k, _ in alone] == list(range(8)) and not alone[7][1].any()
+
+
+def test_a_one_row_run_longer_than_a_block_visits_each_step_once():
+    """One heading row of more substeps than two blocks of _MARK_BLOCK, so
+    past a full block: each visit starts at the step after the last one
+    seen, and the visited states and the endpoint have the bytes of a loop
+    of `rk4_step`."""
+    f = compile_components(parse(HEADING_TEXT).rhs, 2, 1)
+    x0, durations, values = np.array([0.1, -0.2]), np.array([[20.0, 13.3]]), np.array([[[0.7], [-1.9]]])
+    visits = []
+    x, bad_at = flows.rk4_rows(f, x0[None], durations, values, 1e-3, lambda k, xs: visits.append((k, xs[..., 0].T.copy())))
+    sizes = [len(states) for _, states in visits]
+    assert max(sizes) == flows._MARK_BLOCK and bad_at.tolist() == [-1]
+    assert [k for k, _ in visits] == np.cumsum([0, *sizes[:-1]]).tolist()
+    want, state = [], x0
+    for count, h, u in zip(*flows._schedule(durations[0], 1e-3), values[0]):
+        for _ in range(count):
+            state = flows.rk4_step(f, state, u, h)
+            want.append(state)
+    assert len(want) > 2 * flows._MARK_BLOCK
+    assert np.vstack([states for _, states in visits]).tobytes() == np.vstack(want).tobytes()
+    assert x[0].tobytes() == want[-1].tobytes()
+
+
+@pytest.mark.parametrize("mark_block", [1, 12], ids=["1-step blocks", "3- to 12-step blocks"])
+@pytest.mark.parametrize("test, args", [
+    *((test_ragged_rows_step_as_they_do_alone, (segments,)) for segments in sorted(_RAGGED)),
+    *((test_turns_in_step_order_match_one_row_runs, (case,)) for case in sorted(_TURN_ORDER)),
+    (test_rows_that_all_blow_up_end_the_run_at_the_later_blow_up_step, ()),
+], ids=lambda v: "-".join(map(str, v)) if isinstance(v, tuple) else v.__name__[5:])
+def test_rows_step_alike_in_blocks_of_few_substeps(test, args, mark_block, monkeypatch):
+    """The one-row-run tests of ragged rows, turns and blow-ups, with
+    blocks of as many substeps as fit `mark_block` row-states of up to 4
+    states: one substep a block, where a block's next substep reads the
+    state it overwrites, or a few, so rows turn, end and blow up at block
+    edges and in later blocks."""
+    monkeypatch.setattr(flows, "_MARK_BLOCK", mark_block)
+    test(*args)
+
+
+def test_an_early_blow_up_costs_about_as_many_steps_again():
+    """x' = x^2 + u from 0.5 blows up after about 66 of a segment's 1e7
+    substeps: the blocks double from 64 substeps, so the run computes at
+    most about twice the steps up to the blow-up, not a block of 16384."""
+    f = compile_components(parse(BOOM_TEXT).rhs, 1, 1)
+    advance, advances = f.advance, []
+    f.advance = lambda *args, **kwargs: advances.append(1) or advance(*args, **kwargs)
+    x, bad_at = flows.rk4_rows(f, np.full((1, 1), 0.5), np.full((1, 1), 1e5), np.full((1, 1, 1), 4.0), 1e-2)
+    assert 0 < bad_at[0] < 100 and not x.any()
+    assert bad_at[0] < len(advances) <= 2 * (bad_at[0] + 1) + 64

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import HEADING_TEXT
+from conftest import HEADING_TEXT, per_substep
 
 from ctrlkit import flows, reach, streams
 from ctrlkit.cli import main
@@ -402,7 +402,7 @@ def test_flat_index_of_a_whole_block_equals_the_whole_row_formula():
     grid = reach._Grid(window, (40, 40, 10))
     lows, highs, _ = _grid_arrays(grid)
     rng = np.random.default_rng(20)
-    x = rng.uniform(lows - 0.5, highs + 0.5, size=(reach._MARK_BLOCK + 1000, 3))
+    x = rng.uniform(lows - 0.5, highs + 0.5, size=(flows._MARK_BLOCK + 1000, 3))
     for a, (lo, hi) in enumerate(window):
         for v in (np.nan, np.inf, -np.inf, -0.0, lo, hi, np.nextafter(hi, lo)):
             x[rng.choice(len(x), 40, replace=False), a] = v
@@ -412,7 +412,7 @@ def test_flat_index_of_a_whole_block_equals_the_whole_row_formula():
     block = np.empty((3, len(x) + 500))
     np.subtract(x[:, :3].T, grid.lows, out=block[:, :len(x)])
     assert np.array_equal(grid.flat_index(block[:, :len(x)]), np.where(want < 0, grid.bitmap.size, want))
-    assert (want == -1).sum() > 1000 and (want >= 0).sum() > reach._MARK_BLOCK // 2
+    assert (want == -1).sum() > 1000 and (want >= 0).sum() > flows._MARK_BLOCK // 2
 
 
 def _marks_one_substep_at_a_time(f, x0, durations, values, step, grid):
@@ -429,7 +429,7 @@ def _marks_one_substep_at_a_time(f, x0, durations, values, step, grid):
 
     x = np.tile(x0, (int(keep.sum()), 1))
     visit(None, x)
-    flows.rk4_rows(f, x, durations[keep], values[keep], step, visit)
+    flows.rk4_rows(f, x, durations[keep], values[keep], step, per_substep(visit))
     return marks[:-1], len(visits)
 
 
@@ -465,7 +465,7 @@ def test_block_marking_is_layout_free(case, rows):
     if case == "boom" and rows > 1:
         assert dead.any() and not dead.all()
     if case != "boom" and rows >= 2048:
-        assert visits % (reach._MARK_BLOCK // rows) != 0
+        assert visits % (flows._MARK_BLOCK // rows) != 0
 
 
 def test_sample_reach_memory_does_not_grow_with_horizon(heading):
@@ -515,10 +515,11 @@ def test_sampler_peak_memory_at_two_chunks():
     """The traced peak of a `sample_reach` run shaped like the bench's
     compare on the cubic extension: 4 states and 4 grid axes, 8 segments,
     a table of 6 columns and two chunks of _CHUNK rows.  It measured
-    3.60 MiB with chunks of 4096 rows, and 3.52 MiB since rows that no
-    longer step keep their states in the new array, not in a third; the
-    bound leaves under 10% of headroom over the first, so a chunk or
-    kernel change that holds more per row shows here."""
+    3.60 MiB with chunks of 4096 rows, 3.52 MiB since rows that no longer
+    step keep their states in the new array, not in a third, and 3.46 MiB
+    since the kernel steps into a held block of substeps; the bound leaves
+    under 10% of headroom over the first, so a chunk or kernel change that
+    holds more per row shows here."""
     cubic_ext = extend(parse("system cubic\nstates x1 x2 x3\ninputs u\ndx1 = u\ndx2 = x3^3\ndx3 = u^3\n")).extended
     cfg = ReachConfig(horizon=4.0, segments=8, input_box=((-2.0, 2.0),), samples=2 * reach._CHUNK,
                       window=((-1.0, 1.0),) * 3 + ((-8.0, 8.0),), resolution=(16, 16, 16, 8), seed=7, step=2e-2)
@@ -557,8 +558,8 @@ def test_bounded_check_holds_one_copy_of_a_chunk(heading):
 def test_marks_of_a_grid_of_20_axes_take_one_byte_per_cell():
     """A grid of 2^20 cells over 20 axes at resolution 2 marks into one
     byte per cell and the spare: its bitmap and marks take 2 MiB and the
-    mark block, sized by entries, 0.5 MiB, 2.6 MiB measured in all, where
-    a grid padded to r + 2 cells per axis would take 4^20 bytes."""
+    kernel's block of substeps, sized by entries, 0.5 MiB, 2.2 MiB measured
+    in all, where a grid padded to r + 2 cells per axis would take 4^20 bytes."""
     states = " ".join(f"x{i}" for i in range(1, 21))
     sys_ = parse(f"system twenty\nstates {states}\ninputs u\n" + "".join(f"dx{i} = u\n" for i in range(1, 21)))
     cfg = ReachConfig(horizon=0.5, segments=2, input_box=((-1.0, 1.0),), samples=64,
