@@ -18,6 +18,7 @@ import math
 import operator
 import re
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -253,6 +254,10 @@ class Op(NamedTuple):
     numpy: str | None  # numpy function in generated code
     deriv: Callable | None  # (node, derivatives of its children) -> derivative
     rule: Callable | None = None  # unit/zero rewrite: (node, simplified children) -> node
+    # what the float loop of generated code calls for `numpy`: libm's sin and cos,
+    # which numpy's float64 loops call too, and numpy's own exp, whose SIMD kernels
+    # round otherwise than libm's exp
+    floats: Callable | None = None
 
 
 OPS: dict[type, Op] = {
@@ -271,10 +276,12 @@ OPS: dict[type, Op] = {
             lambda e, db: _ZERO if e.exponent == 0
             else Mul(Mul(Constant(float(e.exponent)), Pow(e.base, e.exponent - 1)), db),
             lambda e, base: _ONE if e.exponent == 0 else base if e.exponent == 1 else e.rebuild(base)),
-    Sin: Op("sin", 5, math.sin, "sin", lambda e, da: Mul(Cos(e.arg), da)),
-    Cos: Op("cos", 5, math.cos, "cos", lambda e, da: Mul(Neg(Sin(e.arg)), da)),
-    Exp: Op("exp", 5, _exp, "exp", lambda e, da: Mul(e, da)),
+    Sin: Op("sin", 5, math.sin, "sin", lambda e, da: Mul(Cos(e.arg), da), floats=math.sin),
+    Cos: Op("cos", 5, math.cos, "cos", lambda e, da: Mul(Neg(Sin(e.arg)), da), floats=math.cos),
+    Exp: Op("exp", 5, _exp, "exp", lambda e, da: Mul(e, da), floats=np.exp),
 }
+# the `np` of the float loop: each numpy name of generated code to the op's `floats`
+_FLOAT_CALLS = SimpleNamespace(**{op.numpy: op.floats for op in OPS.values() if op.numpy})
 
 
 def iter_nodes(e: Expr):
@@ -524,6 +531,14 @@ def compile_components(exprs, n: int, m: int):
     and its whole increment), so a segment computes it once for all its
     substeps.  A slope that reads only such states reuses k2 as k3, and 2k2
     once; a stage point is computed only for a state some slope reads.
+    f.floats(x, c, steps, limit, s) performs the advance's operations, in
+    its order, on the Python floats of one row: its n states x and its
+    table entries c.  It appends each substep's states to the list `s` and
+    returns False after the first state outside [-limit, limit] or NaN,
+    True after `steps` substeps.  Its `+ - * /` round as numpy's do, sin
+    and cos are libm's, as numpy's float64 loops are, and exp is numpy's;
+    where numpy gives inf or NaN Python may raise instead, as 1.0 / 0.0 and
+    math.sin(inf) do.
     """
     reads = [{node.index for node in iter_nodes(e) if type(node) is StateVar} for e in exprs]
     hoisted = {}  # table column -> its text, for slopes that read no state
@@ -565,6 +580,7 @@ def compile_components(exprs, n: int, m: int):
     us = [(f"u{j}", f"u[..., {j}:{j + 1}]") for j in range(m)]
     lines = define("_rhs(x, u)", [("base", "np.zeros(np.shape(x)[:-1] + (1,))"), *xs, *us], stage(1),
                    join(k(1, i) for i in range(len(exprs))))
+    namespace = {"np": np, "ipow": ipow}
     if len(exprs) == n:
         body = stage(1, rows=[i for i in range(n) if reads[i]])
         body += stage(2, "h2") + stage(3, "h2") + stage(4, "h")
@@ -575,6 +591,17 @@ def compile_components(exprs, n: int, m: int):
         incs = [per_segment(i, f"inc_{i}", f"h6 * ({k(1, i)} + {a} + {b} + {k(4, i)})") for i, (a, b) in enumerate(terms)]
         used = names(body + incs)
         columns = [name for name in ("h", "h2", "h6", *(u for u, _ in us), *hoisted) if name in used]
+        # the same operations on the Python floats of one row, for `steps` substeps, each
+        # appending its states to `s`; False once a state leaves [-limit, limit] or is NaN
+        states = ", ".join(f"x{i}" for i in range(n))
+        floats = ["def _floats(x, c, steps, limit, s):", "    base = 0.0", f"    [{states}] = x",
+                  f"    [{', '.join(columns)}] = c", "    for _ in range(steps):", *(f"    {line}" for line in body),
+                  f"        ({states},) = ({', '.join(f'x{i} + {v}' for i, v in enumerate(incs))},)",
+                  f"        s += ({states},)",
+                  f"        if not ({' and '.join(f'-limit <= x{i} <= limit' for i in range(n))}):",
+                  "            return False", "    return True"]
+        exec("\n".join(floats), float_namespace := {"np": _FLOAT_CALLS, "ipow": ipow})
+        namespace["_floats"] = float_namespace["_floats"]
         # the sums state by state, as rk4_step is matched: where both terms
         # are NaN, numpy's inner loop picks the sign that survives
         body += ["    r = np.empty(np.shape(x)) if out is None else out",
@@ -597,7 +624,6 @@ def compile_components(exprs, n: int, m: int):
         lines += ["def _step(x, u, h):",
                   "    c = _table(np.moveaxis(u, -1, 0), np.reshape(h, np.shape(h)[:-1]))",
                   "    return np.moveaxis(_advance(np.moveaxis(x, -1, 0), c), 0, -1)",
-                  "_rhs.step, _rhs.advance, _rhs.table = _step, _advance, _table"]
-    namespace = {"np": np, "ipow": ipow}
+                  "_rhs.step, _rhs.advance, _rhs.table, _rhs.floats = _step, _advance, _table, _floats"]
     exec("\n".join(lines), namespace)
     return namespace["_rhs"]

@@ -25,6 +25,7 @@ from .transform import ExtensionRecord
 BLOWUP_LIMIT = 1e12
 DEFAULT_STEP = 1e-3
 ROW_BLOCK = 2048  # rows of one block of the gain sweep and of a sampler's draw
+_FLOAT_ROWS = 16  # runs of at most this many rows step on Python floats, row by row
 _MARK_BLOCK = 16384  # row-states, and 4 times as many entries, of a block of substeps: more spill out of cache
 
 
@@ -195,18 +196,26 @@ def rk4_rows(f, x, durations, values, step, visit=None):
     segments, `durations` (rows, segments) with inputs `values` (rows,
     segments, m), on its `_schedule`, with `f.step` of a compiled rhs
     taken in its two parts: `f.table` once for every segment of every row,
-    then `f.advance` with each row's entry per substep.  The states are held
-    as columns in a block of substeps, (n, steps, rows), each state of a
-    substep one contiguous row; the table as (columns, segments, rows), the
-    entries in use as (columns, rows); the rows that turn at a stop of
-    `_turns` gather their next entries as one slice.  Rows never depend on
-    each other.  After each block from global step k on, visit(k, xs),
-    unless None, sees the states after steps k, k + 1, ... as xs (n, steps,
-    rows), valid until it returns.  A row that leaves the finite regime at
-    step k, its blow-up step, is zeroed from there on and stepped no more.
-    Visits end at the last step of the longest row, a blow-up step
-    included, and steps at most a block and as many steps again later.
-    Returns the final states (rows, n) and each row's blow-up step or -1."""
+    then `f.advance` with each row's entry per substep.  A run of at most
+    `_FLOAT_ROWS` rows, where numpy's calls on a few elements would cost
+    more than the arithmetic, steps each row in turn through `f.floats`,
+    the advance's operations on Python floats, with the same bits (see
+    `_float_span`).  On spans of hundreds of substeps between turns the
+    two paths cost alike at about 20 rows; where rows turn every substep
+    or two, numpy's path is the cheaper one from about 4 to 12 rows.  The
+    states are held as columns in a block of substeps, (n, steps, rows),
+    each state of a substep one contiguous row; the table as (columns,
+    segments, rows), the entries in use as (columns, rows);
+    the rows that turn at a stop of `_turns` gather their next entries as
+    one slice.  Rows never depend on each other.  After each block from
+    global step k on, visit(k, xs), unless None, sees the states after
+    steps k, k + 1, ... as xs (n, steps, rows), valid until it returns.  A
+    row that leaves the finite regime at step k, its blow-up step, is
+    zeroed from there on and stepped no more.  Visits end at the last step
+    of the longest row, a blow-up step included, and steps at most a block
+    and as many steps again later; on the float path a row is tested at
+    each substep and takes no step past its blow-up step.  Returns the
+    final states (rows, n) and each row's blow-up step or -1."""
     bad_at = np.full(len(x), -1)
     if not durations.size:
         return x, bad_at
@@ -229,12 +238,16 @@ def rk4_rows(f, x, durations, values, step, visit=None):
         # active rows only where some row's schedule ends or a row blows up
         for stop, hi in zip(stops.tolist(), upto.tolist()):
             while k < stop:
-                for k in range(k, min(stop, k0 + size, end)):
-                    xn = f.advance(x, c, out=held[:, k - k0])
-                    if not every:  # rows that no longer step keep their states
-                        np.copyto(xn, x, where=~act)
-                    x = xn
-                k += 1
+                span = held[:, k - k0:min(stop, k0 + size, end) - k0]
+                if rows > _FLOAT_ROWS:
+                    for j in range(span.shape[1]):
+                        xn = f.advance(x, c, out=span[:, j])
+                        if not every:  # rows that no longer step keep their states
+                            np.copyto(xn, x, where=~act)
+                        x = xn
+                else:
+                    x = _float_span(f, x, c, span, act)
+                k += span.shape[1]
                 if k < min(k0 + size, end):
                     continue
                 block = held[:, :k - k0]
@@ -254,10 +267,43 @@ def rk4_rows(f, x, durations, values, step, visit=None):
                     return held[:, end - k0 - 1].T.copy(), bad_at
                 x, k0, size = x.copy() if steps == 1 else x, k, min(2 * size, steps)
             if k in ends:
-                act = (bad_at < 0) & (k < last)
+                act &= k < last
                 every = act.all()
             c[:, row[lo:hi]] = flat[:, src[lo:hi]]
             lo = hi
+
+
+def _float_span(f, x, c, span, act):
+    """Fill `span` (n, steps, rows), the next substeps of a block, from the
+    states `x` (n, rows) and entries `c` (columns, rows), and return its
+    last states: each row of `act` through f.floats, and through f.advance
+    from where Python raises on an operation that gives numpy inf or NaN,
+    as a division by zero or sin(inf) does.  A row that blows up stops at
+    its blow-up step and leaves `act`; the other rows keep their states.
+    All rows' states are written to `span` at once."""
+    n, steps, rows = span.shape
+    xs, cs, s, raised = x.T.tolist(), c.T.tolist(), [], []
+    for r, on in enumerate(act.tolist()):
+        mark = len(s)
+        if on:
+            try:
+                act[r] = f.floats(xs[r], cs[r], steps, BLOWUP_LIMIT, s)
+            except (ArithmeticError, ValueError):
+                raised.append((r, (len(s) - mark) // n))
+        # the rest of the span repeats the row's last states: kept states, or
+        # ones that the block test zeroes or f.advance overwrites
+        done = (len(s) - mark) // n
+        if done < steps:
+            s += (s[len(s) - n:] if done else xs[r]) * (steps - done)
+    span[:] = np.reshape(s, (rows, steps, n)).T
+    for r, done in raised:
+        xn = span[:, done, r:r + 1].copy()
+        for j in range(done, steps):
+            xn = f.advance(xn, c[:, r:r + 1], out=span[:, j, r:r + 1])
+            if not (np.abs(xn) <= BLOWUP_LIMIT).all():
+                act[r] = False
+                break
+    return span[:, -1]
 
 
 def _run_rows(f, x0, durations, values, step, states=None) -> np.ndarray:

@@ -120,25 +120,25 @@ class _Grid:
     def __init__(self, window, resolution):
         self.window = _as_box(window)
         self.resolution = tuple(int(r) for r in resolution)
-        self.lows = np.array(self.window)[:, :1]  # one row per axis
         self.axes = tuple((hi - lo, r) for (lo, hi), r in zip(self.window, self.resolution))
         cells = math.prod(self.resolution)  # Python ints: no int64 wrap
         if cells > MAX_CELLS:
             raise ValueError(f"grid has {cells} cells, more than the {MAX_CELLS} allowed")
         self.bitmap = np.zeros(cells, dtype=bool)
 
-    def flat_index(self, t: np.ndarray) -> np.ndarray:
-        """Row-major flat cell index of each column of `t` (axes, points),
-        which holds x - lo per grid axis and is scaled in place to
-        ((x - lo) / (hi - lo)) * r; the spare cell `bitmap.size` outside.
-        For an integer r, w < 1 exactly when fl(w * r) < r, so a point is
-        inside when 0 <= t < r on every axis, which NaN fails, in cell
-        int(t).  Outside, what NaN or inf cast to is multiplied by 0."""
-        flat, cell = np.zeros(t.shape[1], dtype=np.int32), np.empty(t.shape[1], dtype=np.int32)
-        ok, test = np.ones(t.shape[1], dtype=bool), np.empty(t.shape[1], dtype=bool)
+    def flat_index(self, x: np.ndarray) -> np.ndarray:
+        """Row-major flat cell index of each column of `x` (axes, points),
+        the states on the grid's axes; the spare cell `bitmap.size` outside.
+        Axis by axis, x - lo is scaled in one buffer to t = ((x - lo) /
+        (hi - lo)) * r, so `x` is left as it is.  For an integer r, w < 1
+        exactly when fl(w * r) < r, so a point is inside when 0 <= t < r on
+        every axis, which NaN fails, in cell int(t).  Outside, what NaN or
+        inf cast to is multiplied by 0."""
+        flat, cell = np.zeros(x.shape[1], dtype=np.int32), np.empty(x.shape[1], dtype=np.int32)
+        ok, test, w = np.ones(x.shape[1], dtype=bool), np.empty(x.shape[1], dtype=bool), np.empty(x.shape[1])
         with np.errstate(invalid="ignore"):
-            for w, (span, r) in zip(t, self.axes):
-                np.multiply(np.divide(w, span, out=w), float(r), out=w)
+            for xa, (lo, _), (span, r) in zip(x, self.window, self.axes):
+                np.multiply(np.divide(np.subtract(xa, lo, out=w), span, out=w), float(r), out=w)
                 ok &= np.greater_equal(w, 0.0, out=test)
                 ok &= np.less(w, float(r), out=test)
                 np.copyto(cell, w, casting="unsafe")
@@ -210,8 +210,8 @@ def _run_chunk(f, x0, durations, values, step: float, grid):
     # one spare cell past the grid takes the points outside it
     marks = np.zeros(grid.bitmap.size + 1, dtype=bool)
 
-    def mark(k, xs):  # x - lo on each grid axis, one row per axis, so that `flat_index` reads each axis contiguously
-        marks[grid.flat_index(xs[:axes].reshape(axes, -1) - grid.lows)] = True
+    def mark(k, xs):  # one row per grid axis, a view of the block, so that `flat_index` reads each axis contiguously
+        marks[grid.flat_index(xs[:axes].reshape(axes, -1))] = True
 
     # every row marks: a finished row stays in a cell it has marked
     x, bad_at = rk4_rows(f, np.broadcast_to(x0, (rows, len(x0))), durations, values, step, mark)

@@ -13,7 +13,11 @@ powers round the same everywhere.  These tests run child processes: one
 reruns `tests/test_goldens.py` with the AVX-512 features off, one with
 glibc's non-FMA libm, and each expects every hash to match; one checks
 that the bytes of a generated RK4 step on a polynomial system are the
-same at three levels.
+same at three levels; one checks, at each of these settings, that runs
+of few rows on Python floats have the bytes of the same runs on numpy
+arrays, which holds only while math.sin and math.cos round as np.sin and
+np.cos do in the same process, and while np.exp of a float rounds as
+np.exp of an array does.
 """
 
 import os
@@ -25,7 +29,7 @@ import numpy as np
 import pytest
 from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
 
-from conftest import CUBIC_TEXT
+from conftest import CUBIC_TEXT, HEADING_TEXT
 
 AVX512 = ("AVX512_SPR", "AVX512_ICL", "X86_V4")
 NON_FMA = "glibc.cpu.hwcaps=-AVX2,-FMA,-AVX"
@@ -100,3 +104,45 @@ def test_cubic_step_bytes_are_the_same_at_three_dispatch_levels():
         outputs.append(run.stdout)
     assert outputs[0].count("\n") == 2
     assert outputs[1] == outputs[0] and outputs[2] == outputs[0], outputs
+
+
+FLOAT_PATH = f"""
+import hashlib
+import numpy as np
+from ctrlkit import flows, parse
+from ctrlkit.expr import compile_components
+from ctrlkit.reach import _draw_controls
+from ctrlkit.transform import extend
+
+systems = [extend(parse(text)).extended for text in ({HEADING_TEXT!r}, {CUBIC_TEXT!r})]
+systems.append(parse("system grow\\nstates x1 x2\\ninputs u\\ndx1 = exp(x2) * sin(x1)\\ndx2 = u\\n"))
+for sys_ in systems:
+    f = compile_components(sys_.rhs, sys_.n, sys_.m)
+    durations, values = _draw_controls(15, 16, 6, 3.0, ((-3.0, 3.0),) * sys_.m)
+    x0 = np.random.default_rng(15).uniform(-1.5, 1.5, size=(16, sys_.n))
+    runs = []
+    for cut in (flows._FLOAT_ROWS, 0):
+        flows._FLOAT_ROWS = cut
+        h = hashlib.sha256()
+        x, bad_at = flows.rk4_rows(f, x0, durations, values, 1e-3, lambda k, xs: h.update(xs.tobytes()))
+        runs.append((h.hexdigest(), x.tobytes(), bad_at.tolist()))
+    assert runs[0] == runs[1], sys_.name
+    print(sys_.name, runs[0][0])
+"""
+
+
+@pytest.mark.parametrize("env", [
+    {},
+    pytest.param({"NPY_DISABLE_CPU_FEATURES": " ".join(AVX512)}, marks=pytest.mark.skipif(
+        not all(f in __cpu_dispatch__ for f in AVX512), reason="numpy has no AVX-512 kernels to disable")),
+    {"GLIBC_TUNABLES": NON_FMA},
+], ids=["default", "avx512 off", "non-FMA libm"])
+def test_float_path_has_numpy_bytes_in_a_child(env):
+    """heading_ext (sin and cos of a state), cubic_ext (powers) and a
+    system with exp of a state, 16 rows each: the float path's visited
+    blocks, endpoints and blow-up steps equal numpy's in the child."""
+    env = dict({k: v for k, v in os.environ.items() if k != "NPY_DISABLE_CPU_FEATURES"}, **env)
+    env["PYTHONPATH"] = os.pathsep.join([str(TESTS.parent / "src"), *filter(None, [env.get("PYTHONPATH")])])
+    run = subprocess.run([sys.executable, "-c", FLOAT_PATH], env=env, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr[-2000:]
+    assert run.stdout.count("\n") == 3

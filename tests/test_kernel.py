@@ -1,6 +1,7 @@
 """Promises of the one RK4 stepping kernel, `flows.rk4_rows`, that
 `integrate`, `flow_endpoint`, `ideal_plan_endpoint` and the sampler share."""
 
+import math
 import tracemalloc
 from types import SimpleNamespace
 
@@ -387,11 +388,35 @@ def test_rk4_rows_ends_where_a_loop_of_rk4_step_ends(name):
     assert (bad_at == -1).all()
 
 
+def _on_numpy(monkeypatch):
+    """Runs of any number of rows step through f.advance, as runs of more
+    than `_FLOAT_ROWS` rows do."""
+    monkeypatch.setattr(flows, "_FLOAT_ROWS", 0)
+
+
+def _counting(f, counts):
+    """`f` with its float loop and its advance wrapped so that each call
+    appends the substeps it computed to `counts`, also where it raises."""
+    floats, advance = f.floats, f.advance
+
+    def counted(x, c, steps, limit, s):
+        mark = len(s)
+        try:
+            return floats(x, c, steps, limit, s)
+        finally:
+            counts.append((len(s) - mark) // len(x))
+
+    f.floats = counted
+    f.advance = lambda *args, **kwargs: counts.append(1) or advance(*args, **kwargs)
+    return f
+
+
 def test_rk4_rows_evaluates_a_slope_that_reads_no_state_once(monkeypatch):
     """Once per `rk4_rows` call, for every segment of every row, however
     many substeps follow; the other slopes once per stage they are read,
     in each `f.advance` call (one per substep, and after a blow-up up to
-    one block more)."""
+    one block more).  On numpy's path, where each substep is one call."""
+    _on_numpy(monkeypatch)
     calls = []
     monkeypatch.setattr(expr, "ipow", lambda b, k: calls.append(k) or np.power(b, k))
     sys_ = parse("system count\nstates x1 x2 x3\ninputs u\ndx1 = x2^4\ndx2 = u^5\ndx3 = x1^6\n")
@@ -405,6 +430,25 @@ def test_rk4_rows_evaluates_a_slope_that_reads_no_state_once(monkeypatch):
     assert len(steps) > 100 and len(advances) >= len(steps)
     assert calls.count(5) == 1
     assert calls.count(4) == 3 * len(advances) and calls.count(6) == 4 * len(advances)
+
+
+def test_float_rows_evaluate_a_slope_that_reads_no_state_once(monkeypatch):
+    """The float path's count: the slope that reads no state once per
+    `rk4_rows` call, in the table; the others once per stage they are read
+    in each substep, and each row computes its substeps up to its last step
+    or its blow-up step, not one more."""
+    calls = []
+    monkeypatch.setattr(expr, "ipow", lambda b, k: calls.append(k) or np.power(b, k))
+    sys_ = parse("system count\nstates x1 x2 x3\ninputs u\ndx1 = x2^4\ndx2 = u^5\ndx3 = x1^6\n")
+    f = _counting(compile_components(sys_.rhs, 3, 1), substeps := [])
+    durations = np.array(_RAGGED[3][0])
+    values = np.array(_RAGGED[3][1])[:, :, None]
+    x, bad_at = flows.rk4_rows(f, np.full((len(durations), 3), 0.5), durations, values, 1e-2)
+    assert 0 < (bad_at >= 0).sum() < len(durations)
+    ends = np.where(bad_at >= 0, bad_at + 1, flows._schedule(durations, 1e-2)[0].sum(axis=1))
+    assert sum(substeps) == ends.sum()
+    assert calls.count(5) == 1
+    assert calls.count(4) == 3 * sum(substeps) and calls.count(6) == 4 * sum(substeps)
 
 
 def test_small_powers_of_a_variable_are_the_products_of_ipow():
@@ -575,23 +619,46 @@ def test_rows_that_all_blow_up_end_the_run_at_the_later_blow_up_step():
 
 def _spiking_f(spike):
     """A hand-built `f` for `rk4_rows`: its table holds the inputs alone,
-    and its advance counts substeps in state 0 and puts the input times
-    2 * BLOWUP_LIMIT in state 1 at substep `spike` alone, 0 at every other."""
+    and its advance, and its float loop alike, counts substeps in state 0
+    and puts the input times 2 * BLOWUP_LIMIT in state 1 at substep `spike`
+    alone, 0 at every other."""
 
     def advance(x, c, out):
         np.add(x[0], 1.0, out=out[0])
         np.multiply(c[0], 2 * flows.BLOWUP_LIMIT * (out[0] == spike + 1), out=out[1])
         return out
 
-    return SimpleNamespace(table=lambda u, h: u.copy(), advance=advance)
+    def floats(x, c, steps, limit, s):
+        [x0, x1], [u] = x, c
+        for _ in range(steps):
+            x0 = x0 + 1.0
+            x1 = u * (2 * flows.BLOWUP_LIMIT * (x0 == spike + 1))
+            s += (x0, x1)
+            if not (-limit <= x0 <= limit and -limit <= x1 <= limit):
+                return False
+        return True
+
+    return SimpleNamespace(table=lambda u, h: u.copy(), advance=advance, floats=floats)
 
 
-def test_a_spike_past_the_limit_for_one_substep_is_a_blow_up():
+def test_a_spike_past_the_limit_for_one_substep_is_a_blow_up(monkeypatch):
     """A row above BLOWUP_LIMIT at substep 7 alone, in the middle of a
     block of 20 substeps, and back below it from substep 8 on: its blow-up
     step is 7, it is zeroed from there on, and no visit sees the spike.  A
     row beside it that never spikes runs to its end; alone, the spiking row
-    ends the run after step 7."""
+    ends the run after step 7.  On numpy's path, where the block's one test
+    finds the spike."""
+    _on_numpy(monkeypatch)
+    _spike_run()
+
+
+def test_a_float_row_spiking_past_the_limit_for_one_substep_is_a_blow_up():
+    """The same on the float path, where the float loop stops the row at
+    the spike and the block's test then finds it."""
+    _spike_run()
+
+
+def _spike_run():
     f, durations = _spiking_f(7), np.full((2, 1), 0.2)
     seen = []
     x, bad_at = flows.rk4_rows(f, np.zeros((2, 2)), durations, np.array([1.0, 0.0])[:, None, None], 1e-2,
@@ -631,12 +698,18 @@ def test_a_one_row_run_longer_than_a_block_visits_each_step_once():
     assert x[0].tobytes() == want[-1].tobytes()
 
 
-@pytest.mark.parametrize("mark_block", [1, 12], ids=["1-step blocks", "3- to 12-step blocks"])
-@pytest.mark.parametrize("test, args", [
-    *((test_ragged_rows_step_as_they_do_alone, (segments,)) for segments in sorted(_RAGGED)),
-    *((test_turns_in_step_order_match_one_row_runs, (case,)) for case in sorted(_TURN_ORDER)),
-    (test_rows_that_all_blow_up_end_the_run_at_the_later_blow_up_step, ()),
-], ids=lambda v: "-".join(map(str, v)) if isinstance(v, tuple) else v.__name__[5:])
+def _in_few_substep_blocks(fn):
+    """`fn` parametrized over the one-row-run tests of ragged rows, turns
+    and blow-ups and over two block sizes."""
+    fn = pytest.mark.parametrize("test, args", [
+        *((test_ragged_rows_step_as_they_do_alone, (segments,)) for segments in sorted(_RAGGED)),
+        *((test_turns_in_step_order_match_one_row_runs, (case,)) for case in sorted(_TURN_ORDER)),
+        (test_rows_that_all_blow_up_end_the_run_at_the_later_blow_up_step, ()),
+    ], ids=lambda v: "-".join(map(str, v)) if isinstance(v, tuple) else v.__name__[5:])(fn)
+    return pytest.mark.parametrize("mark_block", [1, 12], ids=["1-step blocks", "3- to 12-step blocks"])(fn)
+
+
+@_in_few_substep_blocks
 def test_rows_step_alike_in_blocks_of_few_substeps(test, args, mark_block, monkeypatch):
     """The one-row-run tests of ragged rows, turns and blow-ups, with
     blocks of as many substeps as fit `mark_block` row-states of up to 4
@@ -647,13 +720,221 @@ def test_rows_step_alike_in_blocks_of_few_substeps(test, args, mark_block, monke
     test(*args)
 
 
-def test_an_early_blow_up_costs_about_as_many_steps_again():
+@_in_few_substep_blocks
+def test_rows_step_alike_on_numpy_in_blocks_of_few_substeps(test, args, mark_block, monkeypatch):
+    """The same on numpy's path, where each substep writes its states
+    through f.advance: with 1-step blocks the next block's substep reads
+    the held state that it overwrites, unless the kernel copies it."""
+    _on_numpy(monkeypatch)
+    test_rows_step_alike_in_blocks_of_few_substeps(test, args, mark_block, monkeypatch)
+
+
+def test_an_early_blow_up_costs_about_as_many_steps_again(monkeypatch):
     """x' = x^2 + u from 0.5 blows up after about 66 of a segment's 1e7
     substeps: the blocks double from 64 substeps, so the run computes at
-    most about twice the steps up to the blow-up, not a block of 16384."""
+    most about twice the steps up to the blow-up, not a block of 16384.
+    On numpy's path, which finds a blow-up once a block."""
+    _on_numpy(monkeypatch)
     f = compile_components(parse(BOOM_TEXT).rhs, 1, 1)
     advance, advances = f.advance, []
     f.advance = lambda *args, **kwargs: advances.append(1) or advance(*args, **kwargs)
     x, bad_at = flows.rk4_rows(f, np.full((1, 1), 0.5), np.full((1, 1), 1e5), np.full((1, 1, 1), 4.0), 1e-2)
     assert 0 < bad_at[0] < 100 and not x.any()
     assert bad_at[0] < len(advances) <= 2 * (bad_at[0] + 1) + 64
+
+
+def test_an_early_blow_up_on_floats_costs_no_step_past_it():
+    """The same run on the float path computes the steps up to its blow-up
+    step and not one more: the float loop tests each substep."""
+    f = _counting(compile_components(parse(BOOM_TEXT).rhs, 1, 1), substeps := [])
+    x, bad_at = flows.rk4_rows(f, np.full((1, 1), 0.5), np.full((1, 1), 1e5), np.full((1, 1, 1), 4.0), 1e-2)
+    assert 0 < bad_at[0] < 100 and not x.any()
+    assert sum(substeps) == bad_at[0] + 1
+
+
+def test_a_float_flow_that_blows_up_computes_no_step_past_it(monkeypatch):
+    """`flow_endpoint` of x' = x^2 from 1 at step 1e-3, flown for 1e5 time
+    units, blows up at step 1000, inside its fifth block: it computes
+    exactly that row's blow-up step and the steps before it."""
+    runs, substeps = [], []
+    monkeypatch.setattr(flows, "compile_components", lambda *args: _counting(compile_components(*args), substeps))
+    rk4_rows = flows.rk4_rows
+    monkeypatch.setattr(flows, "rk4_rows", lambda *args, **kwargs: runs.append(rk4_rows(*args, **kwargs)) or runs[-1])
+    with pytest.raises(BlowUpError, match="t=1.001"):
+        flow_endpoint(VectorField(parse("system sq\nstates x\ndx = x * x\n").rhs, 1), [1.0], 1e5, step=1e-3)
+    (_, bad_at), = runs
+    assert bad_at.tolist() == [1000]
+    assert sum(substeps) == bad_at[0] + 1
+
+
+@pytest.mark.parametrize("test, args", [
+    *((test_ragged_rows_step_as_they_do_alone, (segments,)) for segments in sorted(_RAGGED)),
+    *((test_turns_in_step_order_match_one_row_runs, (case,)) for case in sorted(_TURN_ORDER)),
+    (test_rows_that_all_blow_up_end_the_run_at_the_later_blow_up_step, ()),
+    (test_blow_up_keeps_a_row_at_the_limit, ()),
+], ids=lambda v: "-".join(map(str, v)) if isinstance(v, tuple) else v.__name__[5:])
+def test_few_rows_step_alike_on_numpy(test, args, monkeypatch):
+    """The one-row-run tests of ragged rows, turns and blow-ups, which take
+    the float path at their few rows, on numpy's path as well."""
+    _on_numpy(monkeypatch)
+    test(*args)
+
+
+# --- the float loop ------------------------------------------------------------
+
+def test_each_numpy_call_has_a_float_call():
+    """Generated code calls `np.<name>` for an op's numpy name; the float
+    loop finds the op's own float function under that name."""
+    named = [op for op in OPS.values() if op.numpy]
+    assert named and all(callable(op.floats) for op in named)
+    assert all(getattr(expr._FLOAT_CALLS, op.numpy) is op.floats for op in named)
+
+
+def _drawn_tree(rng, depth):
+    """A random tree over the 12 node types, on states 0 and 1 and input 0."""
+    kind = int(rng.integers(3 if depth == 0 else 12))
+    if kind == 0:
+        return Constant(float(rng.choice([0.0, -0.0, 1.0, 0.5, -2.0, 3.0])))
+    if kind == 1:
+        return StateVar(int(rng.integers(2)))
+    if kind == 2:
+        return InputVar(0)
+    if kind == 8:
+        return Pow(_drawn_tree(rng, depth - 1), int(rng.integers(-3, 6)))
+    node = (Neg, Add, Sub, Mul, Div, None, Sin, Cos, Exp)[kind - 3]
+    if node in (Add, Sub, Mul):
+        return node(_drawn_tree(rng, depth - 1), _drawn_tree(rng, depth - 1))
+    if node is Div:
+        right = _drawn_tree(rng, depth - 1)
+        return Div(_drawn_tree(rng, depth - 1), StateVar(1) if right == Constant(0.0) else right)
+    return node(_drawn_tree(rng, depth - 1))
+
+
+def _drawn_systems(count, seed):
+    """`count` drawn two-state systems, compiled; a system whose constant
+    parts have no value (`1/(1-1)`, `exp(1000)`) is drawn again."""
+    rng, made = np.random.default_rng(seed), []
+    while len(made) < count:
+        exprs = (_drawn_tree(rng, 4), _drawn_tree(rng, 4))
+        try:
+            made.append((exprs, compile_components(exprs, 2, 1)))
+        except expr.ExprError:
+            pass
+    return made
+
+
+# starts where numpy gives -0.0, +-inf and NaN, and, with x1 = 0 or u = 0,
+# where a division by a state or an input raises in Python
+_STARTS = [(x0, x1) for x0 in (0.0, -0.0, 1.0, -1.5, 1e300, np.inf, -np.inf, np.nan, 5e-324)
+           for x1 in (0.0, -0.5, 1e-170)]
+
+
+def _advance_states(f, x, c, steps):
+    """f.advance from the state `x` of one row, up to `steps` substeps and
+    up to its first state that fails the blow-up test."""
+    states, x = [], np.array(x)[:, None]
+    for _ in range(steps):
+        x = f.advance(x, c[:, None])
+        states.append(x[:, 0])
+        if not (np.abs(x) <= flows.BLOWUP_LIMIT).all():
+            break
+    return np.array(states)
+
+
+def test_float_loop_matches_advance_bit_for_bit():
+    """Over 200 drawn trees, from starts of -0.0, +-inf, NaN, 1e300 and
+    subnormals, at u = 0 and u = -1.5, with slopes of -0.0 and states of
+    +-inf and NaN among them: the float loop's states are those of
+    f.advance, bit for bit, up to the blow-up step, where both stop.  NaN
+    is compared as NaN: its sign is the one bit that a sum of two NaNs may
+    pick otherwise, and a NaN state is a blow-up, zeroed before any visit.
+    Where Python raises (a zero division, sin(inf)), the states before the
+    raise are f.advance's, and f.advance has not yet blown up."""
+    seen = {"raised": 0, "blown": 0, "-0.0": 0, "inf": 0, "nan": 0}
+    nodes = set()
+    for exprs, f in _drawn_systems(200, 41):
+        nodes |= {type(node) for e in exprs for node in iter_nodes(e)}
+        for u in (0.0, -1.5):
+            for start in _STARTS:
+                with np.errstate(all="ignore"):
+                    c = f.table(np.array([[u]]), np.array([0.05]))[:, 0]
+                    want = _advance_states(f, start, c, 8)
+                    s = []
+                    try:
+                        alive = f.floats(list(start), c.tolist(), 8, flows.BLOWUP_LIMIT, s)
+                    except (ArithmeticError, ValueError):
+                        alive = None
+                got = np.reshape(s, (-1, 2))
+                assert np.array_equal(got, want[:len(got)], equal_nan=True), (exprs, start, u)
+                finite = np.isfinite(got)
+                assert got[finite].tobytes() == want[:len(got)][finite].tobytes(), (exprs, start, u)
+                if alive is None:
+                    seen["raised"] += 1
+                    assert len(got) < len(want) or (np.abs(want[-1]) <= flows.BLOWUP_LIMIT).all()
+                else:
+                    assert len(got) == len(want) and alive == (np.abs(want[-1]) <= flows.BLOWUP_LIMIT).all()
+                    seen["blown"] += not alive
+                slopes = [expr.eval_points(e, [start], [[u]])[0][0] for e in exprs]  # k1 before `base + (...)`
+                seen["-0.0"] += any(v == 0.0 and math.copysign(1.0, v) < 0 for v in slopes)
+                seen["inf"] += int(np.isinf(want).any())
+                seen["nan"] += int(np.isnan(want).any())
+    assert nodes == set(OPS)
+    assert min(seen.values()) > 500, seen
+
+
+# finite where Python raises: numpy's 1/0 is inf, inf^0 is 1 and exp(-inf) is 0
+_FINITE_AFTER_RAISE = {
+    "(1/x1)^0": (Add(Pow(Div(Constant(1.0), _X1), 0), _X0), _U0),
+    "exp(-1/x1^2)": (Mul(Exp(Neg(Div(Constant(1.0), Pow(_X1, 2)))), Sin(_X0)), _U0),
+}
+
+
+def _both_paths(f, x0, durations, values, step, monkeypatch):
+    """rk4_rows' endpoints, blow-up steps and visited blocks on the float
+    path and on numpy's."""
+    runs = []
+    for cut in (flows._FLOAT_ROWS, 0):
+        monkeypatch.setattr(flows, "_FLOAT_ROWS", cut)
+        seen = []
+        with np.errstate(all="ignore"):
+            x, bad_at = flows.rk4_rows(f, x0, durations, values, step, lambda k, xs: seen.append((k, xs.tobytes())))
+        runs.append((x.tobytes(), bad_at.tolist(), seen))
+    return runs
+
+
+@pytest.mark.parametrize("name", sorted(_FINITE_AFTER_RAISE))
+def test_a_float_row_that_raises_keeps_numpy_bits(name, monkeypatch):
+    """x1 stays 0 for the first segment and starts the second at 0, so
+    the float loop raises at the first substep of each and f.advance steps
+    the rest of it; x1 has moved by the third, where the float loop steps
+    the row again.  The row never blows up, and its states and endpoint
+    are numpy's."""
+    f = compile_components(_FINITE_AFTER_RAISE[name], 2, 1)
+    c = f.table(np.zeros((1, 1)), np.array([1e-2]))[:, 0]
+    with pytest.raises(ZeroDivisionError):
+        f.floats([0.5, 0.0], c.tolist(), 1, flows.BLOWUP_LIMIT, [])
+    f = _counting(f, substeps := [])
+    x0, durations, values = np.array([[0.5, 0.0]]), np.array([[0.1, 0.2, 0.2]]), np.array([[[0.0], [1.0], [-1.0]]])
+    floats, numpy = _both_paths(f, x0, durations, values, 1e-2, monkeypatch)
+    assert floats == numpy and floats[1] == [-1]
+    # the float path's raises and f.advance substeps, its float loop's 20; then numpy's 50
+    assert substeps == [0] + [1] * 10 + [0] + [1] * 20 + [20] + [1] * 50
+
+
+def test_float_path_runs_as_numpy_path_does(monkeypatch):
+    """Ragged runs of 16 rows, the most that take the float path, from the
+    special starts: endpoints, blow-up steps and every visited block have
+    numpy's bytes, for drawn systems and for those of the step tests."""
+    durations = np.array(_RAGGED[3][0] * 3 + [[0.2, 0.3, 0.1]])
+    values = np.random.default_rng(8).uniform(-2.0, 2.0, size=(*durations.shape, 1))
+    values[:4, 0] = 0.0
+    x0 = np.array(_STARTS[:16])
+    for exprs, f in _drawn_systems(60, 43):
+        floats, numpy = _both_paths(f, x0, durations, values, 1e-2, monkeypatch)
+        assert floats == numpy, exprs
+    for name in sorted(_STEP_SYSTEMS):
+        exprs, n, m = _made(name)
+        rng = np.random.default_rng(len(name))
+        floats, numpy = _both_paths(compile_components(exprs, n, m), rng.uniform(-1.0, 1.0, (16, n)), durations,
+                                    rng.uniform(-1.0, 1.0, (*durations.shape, m)), 1e-2, monkeypatch)
+        assert floats == numpy, name

@@ -346,9 +346,8 @@ def _whole_row_flat_index(grid, x):
 
 def _flat_index(grid, x):
     """`flat_index` of the states `x` (rows, n), held as the sampler holds
-    them: x - lo on each grid axis, one row per axis; the spare cell reads
-    as -1."""
-    flat = grid.flat_index((x[:, :len(grid.axes)] - grid.lows.T).T.copy())
+    them: one row per grid axis; the spare cell reads as -1."""
+    flat = grid.flat_index(x[:, :len(grid.axes)].T.copy())
     return np.where(flat == grid.bitmap.size, -1, flat)
 
 
@@ -410,8 +409,9 @@ def test_flat_index_of_a_whole_block_equals_the_whole_row_formula():
     want = _whole_row_flat_index(grid, x)
     assert np.array_equal(_flat_index(grid, x), want)
     block = np.empty((3, len(x) + 500))
-    np.subtract(x[:, :3].T, grid.lows, out=block[:, :len(x)])
+    block[:, :len(x)] = x[:, :3].T
     assert np.array_equal(grid.flat_index(block[:, :len(x)]), np.where(want < 0, grid.bitmap.size, want))
+    assert block[:, :len(x)].tobytes() == x[:, :3].T.tobytes()  # the states are left as they were
     assert (want == -1).sum() > 1000 and (want >= 0).sum() > flows._MARK_BLOCK // 2
 
 
@@ -531,6 +531,25 @@ def test_sampler_peak_memory_at_two_chunks():
     finally:
         tracemalloc.stop()
     assert peak <= 3.9 * 2**20
+
+
+def test_readme_cubic_reach_peak_memory(cubic):
+    """README's cubic `reach` (horizon 1, 3 segments, step 0.05, input box
+    +-2, a 30x30x8 grid over +-1.5, seed 7, 20 000 samples, five chunks):
+    its traced peak measured 1.55 MiB with a chunk-local mark block, 1.71
+    MiB when each visit subtracted `lo` into a new block of all grid axes,
+    and 1.47 MiB since `flat_index` subtracts it axis by axis into one
+    buffer of a single axis."""
+    cfg = ReachConfig(horizon=1.0, segments=3, input_box=((-2.0, 2.0),), samples=20000,
+                      window=((-1.5, 1.5),) * 3, resolution=(30, 30, 8), seed=7, step=0.05)
+    sample_reach(cubic, np.zeros(3), replace(cfg, samples=10))  # what the first call compiles and caches
+    tracemalloc.start()
+    try:
+        sample_reach(cubic, np.zeros(3), cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.55 * 2**20
 
 
 def test_bounded_check_holds_one_copy_of_a_chunk(heading):
