@@ -255,8 +255,8 @@ class Op(NamedTuple):
     deriv: Callable | None  # (node, derivatives of its children) -> derivative
     rule: Callable | None = None  # unit/zero rewrite: (node, simplified children) -> node
     # what the float loop of generated code calls for `numpy`: libm's sin and cos,
-    # which numpy's float64 loops call too, and numpy's own exp, whose SIMD kernels
-    # round otherwise than libm's exp
+    # which numpy's float64 loops call too, and numpy's own exp as a Python float,
+    # since its SIMD kernels round otherwise than libm's exp
     floats: Callable | None = None
 
 
@@ -278,7 +278,7 @@ OPS: dict[type, Op] = {
             lambda e, base: _ONE if e.exponent == 0 else base if e.exponent == 1 else e.rebuild(base)),
     Sin: Op("sin", 5, math.sin, "sin", lambda e, da: Mul(Cos(e.arg), da), floats=math.sin),
     Cos: Op("cos", 5, math.cos, "cos", lambda e, da: Mul(Neg(Sin(e.arg)), da), floats=math.cos),
-    Exp: Op("exp", 5, _exp, "exp", lambda e, da: Mul(e, da), floats=np.exp),
+    Exp: Op("exp", 5, _exp, "exp", lambda e, da: Mul(e, da), floats=lambda a: float(np.exp(a))),
 }
 # the `np` of the float loop: each numpy name of generated code to the op's `floats`
 _FLOAT_CALLS = SimpleNamespace(**{op.numpy: op.floats for op in OPS.values() if op.numpy})
@@ -538,7 +538,9 @@ def compile_components(exprs, n: int, m: int):
     True after `steps` substeps.  Its `+ - * /` round as numpy's do, sin
     and cos are libm's, as numpy's float64 loops are, and exp is numpy's;
     where numpy gives inf or NaN Python may raise instead, as 1.0 / 0.0 and
-    math.sin(inf) do.
+    math.sin(inf) do.  f.scalars is the same loop with numpy's calls: given
+    states and entries as np.float64, it has f.advance's bits and gives
+    inf or NaN where f.floats raises.
     """
     reads = [{node.index for node in iter_nodes(e) if type(node) is StateVar} for e in exprs]
     hoisted = {}  # table column -> its text, for slopes that read no state
@@ -600,8 +602,9 @@ def compile_components(exprs, n: int, m: int):
                   f"        s += ({states},)",
                   f"        if not ({' and '.join(f'-limit <= x{i} <= limit' for i in range(n))}):",
                   "            return False", "    return True"]
-        exec("\n".join(floats), float_namespace := {"np": _FLOAT_CALLS, "ipow": ipow})
+        exec(floats := "\n".join(floats), float_namespace := {"np": _FLOAT_CALLS, "ipow": ipow})
         namespace["_floats"] = float_namespace["_floats"]
+        lines.append(floats.replace("def _floats", "def _scalars"))
         # the sums state by state, as rk4_step is matched: where both terms
         # are NaN, numpy's inner loop picks the sign that survives
         body += ["    r = np.empty(np.shape(x)) if out is None else out",
@@ -624,6 +627,6 @@ def compile_components(exprs, n: int, m: int):
         lines += ["def _step(x, u, h):",
                   "    c = _table(np.moveaxis(u, -1, 0), np.reshape(h, np.shape(h)[:-1]))",
                   "    return np.moveaxis(_advance(np.moveaxis(x, -1, 0), c), 0, -1)",
-                  "_rhs.step, _rhs.advance, _rhs.table, _rhs.floats = _step, _advance, _table, _floats"]
+                  "_rhs.step, _rhs.advance, _rhs.table, _rhs.floats, _rhs.scalars = _step, _advance, _table, _floats, _scalars"]
     exec("\n".join(lines), namespace)
     return namespace["_rhs"]

@@ -212,9 +212,9 @@ def rk4_rows(f, x, durations, values, step, visit=None):
     steps k, k + 1, ... as xs (n, steps, rows), valid until it returns.  A
     row that leaves the finite regime at step k, its blow-up step, is
     zeroed from there on and stepped no more.  Visits end at the last step
-    of the longest row, a blow-up step included, and steps at most a block
-    and as many steps again later; on the float path a row is tested at
-    each substep and takes no step past its blow-up step.  Returns the
+    of the longest row, a blow-up step included, and the run computes at
+    most the rest of that step's block; on the float path a row is tested
+    at each substep and takes no step past its blow-up step.  Returns the
     final states (rows, n) and each row's blow-up step or -1."""
     bad_at = np.full(len(x), -1)
     if not durations.size:
@@ -228,17 +228,16 @@ def rk4_rows(f, x, durations, values, step, visit=None):
     del nsub
     ends, end = set(last.tolist()), int(stops[-1])
     (rows, n), x = x.shape, x.T.copy()
-    steps = min(max(1, 4 * _MARK_BLOCK // (max(n, 4) * rows)), end)
-    # blocks double from 64 substeps to `steps`, so an early end (a blow-up) costs
-    # at most as many steps again; no substep writes its input, so 1-step blocks copy x
-    held, size = np.empty((n, steps, rows)), min(steps, 64)
+    # at least 2 substeps a block, unless the run has 1, so no substep writes the states it reads
+    steps = min(max(2, 4 * _MARK_BLOCK // (max(n, 4) * rows)), end)
+    held = np.empty((n, steps, rows))
     act, every, k, k0, lo = bad_at < 0, True, 0, 0, 0
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         # a row's table entry changes only when it turns at a stop, and the
         # active rows only where some row's schedule ends or a row blows up
         for stop, hi in zip(stops.tolist(), upto.tolist()):
             while k < stop:
-                span = held[:, k - k0:min(stop, k0 + size, end) - k0]
+                span = held[:, k - k0:min(stop, k0 + steps, end) - k0]
                 if rows > _FLOAT_ROWS:
                     for j in range(span.shape[1]):
                         xn = f.advance(x, c, out=span[:, j])
@@ -248,7 +247,7 @@ def rk4_rows(f, x, durations, values, step, visit=None):
                 else:
                     x = _float_span(f, x, c, span, act)
                 k += span.shape[1]
-                if k < min(k0 + size, end):
+                if k < min(k0 + steps, end):
                     continue
                 block = held[:, :k - k0]
                 # NaN fails the comparisons too: one test of the block for NaN,
@@ -265,7 +264,7 @@ def rk4_rows(f, x, durations, values, step, visit=None):
                     visit(k0, block[:, :end - k0])
                 if k >= end:
                     return held[:, end - k0 - 1].T.copy(), bad_at
-                x, k0, size = x.copy() if steps == 1 else x, k, min(2 * size, steps)
+                k0 = k
             if k in ends:
                 act &= k < last
                 every = act.all()
@@ -276,33 +275,28 @@ def rk4_rows(f, x, durations, values, step, visit=None):
 def _float_span(f, x, c, span, act):
     """Fill `span` (n, steps, rows), the next substeps of a block, from the
     states `x` (n, rows) and entries `c` (columns, rows), and return its
-    last states: each row of `act` through f.floats, and through f.advance
-    from where Python raises on an operation that gives numpy inf or NaN,
-    as a division by zero or sin(inf) does.  A row that blows up stops at
-    its blow-up step and leaves `act`; the other rows keep their states.
-    All rows' states are written to `span` at once."""
+    last states: each row of `act` through f.floats, and from where Python
+    raises on an operation that gives numpy inf or NaN, as a division by
+    zero or sin(inf) does, through f.scalars on np.float64 from the row's
+    last substep on.  A row that blows up stops at its blow-up step and
+    leaves `act`; the other rows keep their states.  All rows' states are
+    written to `span` at once."""
     n, steps, rows = span.shape
-    xs, cs, s, raised = x.T.tolist(), c.T.tolist(), [], []
+    xs, cs, s = x.T.tolist(), c.T.tolist(), []
     for r, on in enumerate(act.tolist()):
         mark = len(s)
         if on:
             try:
                 act[r] = f.floats(xs[r], cs[r], steps, BLOWUP_LIMIT, s)
             except (ArithmeticError, ValueError):
-                raised.append((r, (len(s) - mark) // n))
-        # the rest of the span repeats the row's last states: kept states, or
-        # ones that the block test zeroes or f.advance overwrites
+                done = (len(s) - mark) // n
+                act[r] = f.scalars(np.array(s[len(s) - n:] if done else xs[r]), c[:, r], steps - done, BLOWUP_LIMIT, s)
+        # the rest of the span repeats the row's last states: kept states,
+        # or ones that the block test zeroes
         done = (len(s) - mark) // n
         if done < steps:
             s += (s[len(s) - n:] if done else xs[r]) * (steps - done)
     span[:] = np.reshape(s, (rows, steps, n)).T
-    for r, done in raised:
-        xn = span[:, done, r:r + 1].copy()
-        for j in range(done, steps):
-            xn = f.advance(xn, c[:, r:r + 1], out=span[:, j, r:r + 1])
-            if not (np.abs(xn) <= BLOWUP_LIMIT).all():
-                act[r] = False
-                break
     return span[:, -1]
 
 

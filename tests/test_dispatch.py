@@ -114,19 +114,26 @@ from ctrlkit.expr import compile_components
 from ctrlkit.reach import _draw_controls
 from ctrlkit.transform import extend
 
+cuts = (flows._FLOAT_ROWS, 0)  # each system on the float path, then on numpy's
 systems = [extend(parse(text)).extended for text in ({HEADING_TEXT!r}, {CUBIC_TEXT!r})]
 systems.append(parse("system grow\\nstates x1 x2\\ninputs u\\ndx1 = exp(x2) * sin(x1)\\ndx2 = u\\n"))
+# the float loop raises at x2 = 0, which dx2 keeps, and those rows go on in f.scalars
+systems.append(parse("system raises\\nstates x1 x2\\ninputs u\\ndx1 = (1/x2)^0 + sin(x1)\\ndx2 = u * x2\\n"))
 for sys_ in systems:
     f = compile_components(sys_.rhs, sys_.n, sys_.m)
     durations, values = _draw_controls(15, 16, 6, 3.0, ((-3.0, 3.0),) * sys_.m)
     x0 = np.random.default_rng(15).uniform(-1.5, 1.5, size=(16, sys_.n))
+    scalars, calls = f.scalars, []
+    f.scalars = lambda *args: calls.append(1) or scalars(*args)
+    if sys_.name == "raises":
+        x0[::2, 1] = 0.0
     runs = []
-    for cut in (flows._FLOAT_ROWS, 0):
+    for cut in cuts:
         flows._FLOAT_ROWS = cut
         h = hashlib.sha256()
         x, bad_at = flows.rk4_rows(f, x0, durations, values, 1e-3, lambda k, xs: h.update(xs.tobytes()))
         runs.append((h.hexdigest(), x.tobytes(), bad_at.tolist()))
-    assert runs[0] == runs[1], sys_.name
+    assert runs[0] == runs[1] and bool(calls) == (sys_.name == "raises"), sys_.name
     print(sys_.name, runs[0][0])
 """
 
@@ -138,11 +145,12 @@ for sys_ in systems:
     {"GLIBC_TUNABLES": NON_FMA},
 ], ids=["default", "avx512 off", "non-FMA libm"])
 def test_float_path_has_numpy_bytes_in_a_child(env):
-    """heading_ext (sin and cos of a state), cubic_ext (powers) and a
-    system with exp of a state, 16 rows each: the float path's visited
-    blocks, endpoints and blow-up steps equal numpy's in the child."""
+    """heading_ext (sin and cos of a state), cubic_ext (powers), a
+    system with exp of a state and one whose float loop raises, 16 rows
+    each: the float path's visited blocks, endpoints and blow-up steps
+    equal numpy's in the child, also where f.scalars steps a row."""
     env = dict({k: v for k, v in os.environ.items() if k != "NPY_DISABLE_CPU_FEATURES"}, **env)
     env["PYTHONPATH"] = os.pathsep.join([str(TESTS.parent / "src"), *filter(None, [env.get("PYTHONPATH")])])
     run = subprocess.run([sys.executable, "-c", FLOAT_PATH], env=env, capture_output=True, text=True, timeout=120)
     assert run.returncode == 0, run.stderr[-2000:]
-    assert run.stdout.count("\n") == 3
+    assert run.stdout.count("\n") == 4

@@ -395,18 +395,20 @@ def _on_numpy(monkeypatch):
 
 
 def _counting(f, counts):
-    """`f` with its float loop and its advance wrapped so that each call
+    """`f` with its float loops and its advance wrapped so that each call
     appends the substeps it computed to `counts`, also where it raises."""
-    floats, advance = f.floats, f.advance
+    advance = f.advance
 
-    def counted(x, c, steps, limit, s):
-        mark = len(s)
-        try:
-            return floats(x, c, steps, limit, s)
-        finally:
-            counts.append((len(s) - mark) // len(x))
+    def counted(loop):
+        def run(x, c, steps, limit, s):
+            mark = len(s)
+            try:
+                return loop(x, c, steps, limit, s)
+            finally:
+                counts.append((len(s) - mark) // len(x))
+        return run
 
-    f.floats = counted
+    f.floats, f.scalars = counted(f.floats), counted(f.scalars)
     f.advance = lambda *args, **kwargs: counts.append(1) or advance(*args, **kwargs)
     return f
 
@@ -706,16 +708,16 @@ def _in_few_substep_blocks(fn):
         *((test_turns_in_step_order_match_one_row_runs, (case,)) for case in sorted(_TURN_ORDER)),
         (test_rows_that_all_blow_up_end_the_run_at_the_later_blow_up_step, ()),
     ], ids=lambda v: "-".join(map(str, v)) if isinstance(v, tuple) else v.__name__[5:])(fn)
-    return pytest.mark.parametrize("mark_block", [1, 12], ids=["1-step blocks", "3- to 12-step blocks"])(fn)
+    return pytest.mark.parametrize("mark_block", [1, 12], ids=["2-step blocks", "3- to 12-step blocks"])(fn)
 
 
 @_in_few_substep_blocks
 def test_rows_step_alike_in_blocks_of_few_substeps(test, args, mark_block, monkeypatch):
     """The one-row-run tests of ragged rows, turns and blow-ups, with
     blocks of as many substeps as fit `mark_block` row-states of up to 4
-    states: one substep a block, where a block's next substep reads the
-    state it overwrites, or a few, so rows turn, end and blow up at block
-    edges and in later blocks."""
+    states, but at least 2: 2 substeps a block, where each substep
+    overwrites the states that the substep before it read, or a few, so
+    rows turn, end and blow up at block edges and in later blocks."""
     monkeypatch.setattr(flows, "_MARK_BLOCK", mark_block)
     test(*args)
 
@@ -723,24 +725,24 @@ def test_rows_step_alike_in_blocks_of_few_substeps(test, args, mark_block, monke
 @_in_few_substep_blocks
 def test_rows_step_alike_on_numpy_in_blocks_of_few_substeps(test, args, mark_block, monkeypatch):
     """The same on numpy's path, where each substep writes its states
-    through f.advance: with 1-step blocks the next block's substep reads
-    the held state that it overwrites, unless the kernel copies it."""
+    through f.advance into the held block: with 2-step blocks each
+    substep reads the states of the other column."""
     _on_numpy(monkeypatch)
     test_rows_step_alike_in_blocks_of_few_substeps(test, args, mark_block, monkeypatch)
 
 
-def test_an_early_blow_up_costs_about_as_many_steps_again(monkeypatch):
+def test_an_early_blow_up_on_numpy_costs_at_most_the_rest_of_its_block(monkeypatch):
     """x' = x^2 + u from 0.5 blows up after about 66 of a segment's 1e7
-    substeps: the blocks double from 64 substeps, so the run computes at
-    most about twice the steps up to the blow-up, not a block of 16384.
-    On numpy's path, which finds a blow-up once a block."""
+    substeps: the run computes the rest of the block of 16384 substeps
+    that holds the blow-up step, and not one block more.  On numpy's
+    path, which finds a blow-up once a block."""
     _on_numpy(monkeypatch)
     f = compile_components(parse(BOOM_TEXT).rhs, 1, 1)
     advance, advances = f.advance, []
     f.advance = lambda *args, **kwargs: advances.append(1) or advance(*args, **kwargs)
     x, bad_at = flows.rk4_rows(f, np.full((1, 1), 0.5), np.full((1, 1), 1e5), np.full((1, 1, 1), 4.0), 1e-2)
     assert 0 < bad_at[0] < 100 and not x.any()
-    assert bad_at[0] < len(advances) <= 2 * (bad_at[0] + 1) + 64
+    assert len(advances) == flows._MARK_BLOCK
 
 
 def test_an_early_blow_up_on_floats_costs_no_step_past_it():
@@ -754,8 +756,9 @@ def test_an_early_blow_up_on_floats_costs_no_step_past_it():
 
 def test_a_float_flow_that_blows_up_computes_no_step_past_it(monkeypatch):
     """`flow_endpoint` of x' = x^2 from 1 at step 1e-3, flown for 1e5 time
-    units, blows up at step 1000, inside its fifth block: it computes
-    exactly that row's blow-up step and the steps before it."""
+    units, blows up at step 1000, inside its first block of 16384
+    substeps: it computes exactly that row's blow-up step and the steps
+    before it."""
     runs, substeps = [], []
     monkeypatch.setattr(flows, "compile_components", lambda *args: _counting(compile_components(*args), substeps))
     rk4_rows = flows.rk4_rows
@@ -882,6 +885,33 @@ def test_float_loop_matches_advance_bit_for_bit():
     assert min(seen.values()) > 500, seen
 
 
+def test_float_loop_on_numpy_scalars_matches_advance_bit_for_bit():
+    """f.scalars, the float loop with numpy's calls, from the states and
+    table entries as np.float64, over the same drawn trees, starts and
+    inputs: it never raises, also where f.floats does, and its states and
+    its verdict are those of f.advance up to the blow-up step, bit for
+    bit, NaN compared as NaN."""
+    raised = 0
+    for exprs, f in _drawn_systems(200, 41):
+        for u in (0.0, -1.5):
+            for start in _STARTS:
+                with np.errstate(all="ignore"):
+                    c = f.table(np.array([[u]]), np.array([0.05]))[:, 0]
+                    want = _advance_states(f, start, c, 8)
+                    s = []
+                    alive = f.scalars(np.array(start), c, 8, flows.BLOWUP_LIMIT, s)
+                    try:
+                        f.floats(list(start), c.tolist(), 8, flows.BLOWUP_LIMIT, [])
+                    except (ArithmeticError, ValueError):
+                        raised += 1
+                got = np.reshape(s, (-1, 2))
+                assert alive == (np.abs(want[-1]) <= flows.BLOWUP_LIMIT).all(), (exprs, start, u)
+                assert np.array_equal(got, want, equal_nan=True), (exprs, start, u)
+                finite = np.isfinite(want)
+                assert got[finite].tobytes() == want[finite].tobytes(), (exprs, start, u)
+    assert raised > 1000
+
+
 # finite where Python raises: numpy's 1/0 is inf, inf^0 is 1 and exp(-inf) is 0
 _FINITE_AFTER_RAISE = {
     "(1/x1)^0": (Add(Pow(Div(Constant(1.0), _X1), 0), _X0), _U0),
@@ -894,9 +924,10 @@ def _both_paths(f, x0, durations, values, step, monkeypatch):
     path and on numpy's."""
     runs = []
     for cut in (flows._FLOAT_ROWS, 0):
-        monkeypatch.setattr(flows, "_FLOAT_ROWS", cut)
-        seen = []
-        with np.errstate(all="ignore"):
+        # the cut-off comes back after each run, so the next call starts on the float path
+        with monkeypatch.context() as patch, np.errstate(all="ignore"):
+            patch.setattr(flows, "_FLOAT_ROWS", cut)
+            seen = []
             x, bad_at = flows.rk4_rows(f, x0, durations, values, step, lambda k, xs: seen.append((k, xs.tobytes())))
         runs.append((x.tobytes(), bad_at.tolist(), seen))
     return runs
@@ -905,7 +936,7 @@ def _both_paths(f, x0, durations, values, step, monkeypatch):
 @pytest.mark.parametrize("name", sorted(_FINITE_AFTER_RAISE))
 def test_a_float_row_that_raises_keeps_numpy_bits(name, monkeypatch):
     """x1 stays 0 for the first segment and starts the second at 0, so
-    the float loop raises at the first substep of each and f.advance steps
+    the float loop raises at the first substep of each and f.scalars steps
     the rest of it; x1 has moved by the third, where the float loop steps
     the row again.  The row never blows up, and its states and endpoint
     are numpy's."""
@@ -917,8 +948,8 @@ def test_a_float_row_that_raises_keeps_numpy_bits(name, monkeypatch):
     x0, durations, values = np.array([[0.5, 0.0]]), np.array([[0.1, 0.2, 0.2]]), np.array([[[0.0], [1.0], [-1.0]]])
     floats, numpy = _both_paths(f, x0, durations, values, 1e-2, monkeypatch)
     assert floats == numpy and floats[1] == [-1]
-    # the float path's raises and f.advance substeps, its float loop's 20; then numpy's 50
-    assert substeps == [0] + [1] * 10 + [0] + [1] * 20 + [20] + [1] * 50
+    # the float path's raises and f.scalars substeps, its float loop's 20; then numpy's 50
+    assert substeps == [0, 10, 0, 20, 20] + [1] * 50
 
 
 def test_float_path_runs_as_numpy_path_does(monkeypatch):
