@@ -16,7 +16,7 @@ import numpy as np
 
 from .dsl import AffineSystem
 from .expr import (
-    Constant, EvalError, Mul, StateVar, Sub, eval_points, is_probably_zero, is_zero, node_count, probe_block,
+    Constant, EvalError, Mul, StateVar, Sub, eval_points, is_probably_zero, is_zero, probe_block,
 )
 from .fields import VectorField, eval_vf, lie_bracket
 from . import records
@@ -199,7 +199,7 @@ def larc(aff: AffineSystem, point, max_depth: int, node_budget: int = NODE_BUDGE
     values = np.array([_probe_values(f, probes) for f in fields])
     shared = np.isfinite(values).all(axis=(0, 2))
 
-    spent = sum(node_count(c) for f in fields for c in f.components)
+    spent = sum(sum(f.node_counts) for f in fields)
     truncated = False
 
     for level in range(2, max_depth + 1):
@@ -207,7 +207,7 @@ def larc(aff: AffineSystem, point, max_depth: int, node_budget: int = NODE_BUDGE
             if max(depths[i], depths[j]) != level - 1:
                 continue
             candidate = lie_bracket(fields[i], fields[j])
-            spent += sum(node_count(c) for c in candidate.components)
+            spent += sum(candidate.node_counts)
             if spent > node_budget:
                 truncated = True
                 break

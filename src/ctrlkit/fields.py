@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -11,13 +11,13 @@ from .expr import (
     Add,
     Constant,
     Expr,
+    InputVar,
     Mul,
     StateVar,
     Sub,
     diff,
     eval_expr,
     is_zero,
-    max_indices,
     rewrite,
     simplify,
 )
@@ -26,10 +26,14 @@ from .expr import (
 @dataclass(frozen=True)
 class VectorField:
     """A field on R^n: one expression per coordinate, over the states
-    only (no component references an input)."""
+    only (no component references an input).  Construction walks each
+    component once, and keeps per component the set of states it reads
+    (`reads`) and its number of nodes (`node_counts`)."""
 
     components: tuple[Expr, ...]
     n: int
+    reads: tuple[frozenset[int], ...] = field(init=False, repr=False, compare=False)
+    node_counts: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "components", tuple(self.components))
@@ -37,20 +41,49 @@ class VectorField:
             raise ValueError(
                 f"field on R^{self.n} needs {self.n} components, got {len(self.components)}"
             )
+        reads, counts = [], []
         for i, comp in enumerate(self.components):
             if not isinstance(comp, Expr):
                 raise TypeError(f"component {i} is not an expression: {comp!r}")
-            states, inputs = max_indices(comp)
-            if states >= self.n:
+            states, inputs, count, stack = set(), False, 0, [comp]
+            while stack:
+                node = stack.pop()
+                count += 1
+                if type(node) is StateVar:
+                    states.add(node.index)
+                elif type(node) is InputVar:
+                    inputs = True
+                else:
+                    stack.extend(node.children())
+            if states and max(states) >= self.n:
                 raise ValueError(f"component {i} references a state beyond index {self.n - 1}")
-            if inputs >= 0:
+            if inputs:
                 raise ValueError(f"field references an input in component {i}")
+            reads.append(frozenset(states))
+            counts.append(count)
+        object.__setattr__(self, "reads", tuple(reads))
+        object.__setattr__(self, "node_counts", tuple(counts))
 
     @cached_property
     def jacobian(self) -> tuple[tuple[Expr, ...], ...]:
         """Row i holds d component_i / d x_j, simplified, for j < n; computed
-        once per field: larc brackets a field in many pairs."""
-        return tuple(tuple(simplify(diff(c, StateVar(j))) for j in range(self.n)) for c in self.components)
+        once per field: larc brackets a field in many pairs.  A component is
+        differentiated by each state it reads and once more, at the first
+        state it does not read: that derivative is the same tree for every
+        such state, so they share its entry (0.0 or -0.0, or the ExprError
+        that a dense row raises there)."""
+
+        def row(c, reads):
+            unread = None
+            for j in range(self.n):
+                if j in reads:
+                    yield simplify(diff(c, StateVar(j)))
+                else:
+                    if unread is None:
+                        unread = simplify(diff(c, StateVar(j)))
+                    yield unread
+
+        return tuple(tuple(row(c, reads)) for c, reads in zip(self.components, self.reads))
 
     @cached_property
     def simplified(self) -> tuple[Expr, ...]:

@@ -4,6 +4,7 @@ The bracket oracle is finite differencing of the two Jacobians, which
 never touches the symbolic diff code path.
 """
 
+import math
 from functools import reduce
 
 import numpy as np
@@ -13,7 +14,10 @@ from conftest import CUBIC_TEXT, HEADING_TEXT, chain_text
 
 from ctrlkit.certificates import larc
 from ctrlkit.dsl import parse, to_affine
-from ctrlkit.expr import Add, Constant, Cos, InputVar, Mul, Pow, Sin, StateVar, Sub, diff, eval_expr, simplify
+from ctrlkit.expr import (
+    Add, Constant, Cos, Div, Exp, ExprError, InputVar, Mul, Neg, Pow, Sin, StateVar, Sub, diff, eval_expr, iter_nodes,
+    node_count, simplify,
+)
 from ctrlkit.fields import VectorField, eval_vf, lie_bracket
 from ctrlkit.transform import extend
 
@@ -43,6 +47,15 @@ def test_vector_field_validation():
         VectorField((StateVar(3), X0), n=2)
     with pytest.raises(ValueError):
         VectorField((InputVar(0), X0), n=2)  # a field is over the states only
+
+
+def test_a_state_beyond_the_field_is_reported_before_an_input():
+    # whichever of the two the walk meets first
+    for comp in (Add(StateVar(5), InputVar(0)), Add(InputVar(0), StateVar(5))):
+        with pytest.raises(ValueError, match="references a state beyond index 1"):
+            VectorField((comp, X0), n=2)
+    with pytest.raises(TypeError, match="component 1 is not an expression"):
+        VectorField((X0, "x1"), n=2)
 
 
 def test_eval_vf_and_zero_field():
@@ -223,3 +236,109 @@ def test_larc_differentiates_each_field_at_most_once(monkeypatch):
     report = larc(aff, np.zeros(aff.n), 6)
     assert calls
     assert len(calls) <= aff.n ** 2 * len(report.formations)
+
+
+def _drawn_tree(rng, states, depth):
+    """A random tree over the 12 node types, on states below `states` and input 0."""
+    kind = int(rng.integers(3 if depth == 0 else 12))
+    if kind == 0:
+        return Constant(float(rng.choice([0.0, -0.0, 1.0, 0.5, -2.0, 3.0, 1e-300])))
+    if kind == 1:
+        return StateVar(int(rng.integers(states)))
+    if kind == 2:
+        return InputVar(0)
+    if kind == 8:
+        return Pow(_drawn_tree(rng, states, depth - 1), int(rng.integers(-3, 6)))
+    node = (Neg, Add, Sub, Mul, Div, None, Sin, Cos, Exp)[kind - 3]
+    if node in (Add, Sub, Mul, Div):
+        left, right = _drawn_tree(rng, states, depth - 1), _drawn_tree(rng, states, depth - 1)
+        return node(left, StateVar(0) if node is Div and right == Constant(0.0) else right)
+    return node(_drawn_tree(rng, states, depth - 1))
+
+
+def _drawn_fields(count, n, seed):
+    """`count` fields on R^n whose components are drawn trees that read
+    no input and no state beyond n - 1."""
+    rng, made = np.random.default_rng(seed), []
+    while len(made) < count:
+        comps = [_drawn_tree(rng, n, 4) for _ in range(n)]
+        if not any(type(node) is InputVar for c in comps for node in iter_nodes(c)):
+            made.append(VectorField(tuple(comps), n))
+    return made
+
+
+def test_construction_records_read_states_and_node_counts():
+    rng = np.random.default_rng(41)
+    for _ in range(300):
+        comps = tuple(_drawn_tree(rng, 4, 4) for _ in range(3))
+        states = [{node.index for node in iter_nodes(c) if type(node) is StateVar} for c in comps]
+        inputs = [any(type(node) is InputVar for node in iter_nodes(c)) for c in comps]
+        bad = [i for i in range(3) if max(states[i], default=-1) >= 3 or inputs[i]]
+        if bad:
+            # the first bad component fails, with its state error before its input error
+            i = bad[0]
+            words = "a state beyond index 2" if max(states[i], default=-1) >= 3 else "an input"
+            with pytest.raises(ValueError, match=f"references {words}"):
+                VectorField(comps, 3)
+            continue
+        f = VectorField(comps, 3)
+        assert f.reads == tuple(map(frozenset, states))
+        assert f.node_counts == tuple(map(node_count, comps))
+
+
+def _same_tree(a, b):
+    """Structurally equal, with every pair of constants of the same sign, zeros included."""
+    return a == b and all(math.copysign(1.0, p.value) == math.copysign(1.0, q.value)
+                          for p, q in zip(iter_nodes(a), iter_nodes(b)) if type(p) is Constant)
+
+
+def _dense_jacobian(f):
+    return tuple(tuple(simplify(diff(c, StateVar(j))) for j in range(f.n)) for c in f.components)
+
+
+_SIGNED_FIELDS = [
+    # d(-x2)/dx1 is -0.0, which every unread state of that component shares
+    VectorField((Neg(X1), X0), n=2),
+    VectorField((Neg(X2), Mul(Constant(-1.5), X0), Constant(-2.0)), n=3),
+    # the derivative of a constant power folds (1e-300)^-2, which has no
+    # finite value: at an unread state first, and at a read one first
+    VectorField((Add(X1, Pow(Constant(1e-300), -1)), X0), n=2),
+    VectorField((X1, Mul(X0, Pow(Constant(1e-300), -1))), n=2),
+]
+
+
+def test_jacobian_is_the_dense_jacobian():
+    for f in _SIGNED_FIELDS + _drawn_fields(200, 3, 43):
+        try:
+            want = _dense_jacobian(f)
+        except ExprError as error:
+            with pytest.raises(ExprError) as got:
+                f.jacobian
+            assert (type(got.value), str(got.value)) == (type(error), str(error))
+            continue
+        assert [len(row) for row in f.jacobian] == [len(row) for row in want], f
+        assert all(map(_same_tree, sum(f.jacobian, ()), sum(want, ()))), f
+
+
+def test_jacobian_sign_and_error_cases():
+    assert math.copysign(1.0, _SIGNED_FIELDS[0].jacobian[0][0].value) == -1.0
+    for f in _SIGNED_FIELDS[2:]:
+        with pytest.raises(ExprError, match="non-finite"):
+            f.jacobian
+
+
+def test_jacobian_differentiates_by_read_states_and_one_more(monkeypatch):
+    import ctrlkit.fields
+
+    calls = []
+    real_diff = ctrlkit.fields.diff
+    monkeypatch.setattr(ctrlkit.fields, "diff", lambda *args: calls.append(args) or real_diff(*args))
+    for f in _drawn_fields(100, 3, 47):
+        calls.clear()
+        try:
+            f.jacobian
+        except ExprError:
+            continue
+        for c, reads in zip(f.components, f.reads):
+            mine = [var.index for comp, var in calls if comp is c]
+            assert set(reads) <= set(mine) and len(mine) == len(set(mine)) <= len(reads) + 1
