@@ -254,7 +254,3 @@ def _in_span_everywhere(kept: np.ndarray, shared: np.ndarray, candidate: np.ndar
     # hypot scales as it sums, so finite values near 1e300 give finite norms
     resid = math.hypot(*(basis @ coeff - v))
     return resid <= 1e-8 * max(1.0, math.hypot(*v))
-
-
-def save_larc_report(report: LarcReport, path: str):
-    records.write_json(path, report.to_json())

@@ -35,7 +35,7 @@ from .expr import (
     StateVar,
     diff,
     is_probably_zero,
-    max_indices,
+    leaves,
     op_of,
     simplify,
     subst,
@@ -104,10 +104,10 @@ class ControlSystem:
         for i, e in enumerate(self.rhs):
             if not isinstance(e, Expr):
                 raise TypeError(f"equation {i} is not an expression")
-            states, inputs = max_indices(e)
-            if states >= self.n:
+            states, inputs, _ = leaves(e)
+            if max(states, default=-1) >= self.n:
                 raise ValueError(f"equation for {self.states[i]} references an undeclared state")
-            if inputs >= self.m:
+            if max(inputs, default=-1) >= self.m:
                 raise ValueError(f"equation for {self.states[i]} references an undeclared input")
 
     @property

@@ -182,6 +182,9 @@ class Exp(_Unary):
 
 _ZERO = Constant(0.0)
 _ONE = Constant(1.0)
+# the derivative of a subtree that reads no variable, told apart from _ZERO
+# by identity: no derivative rule returns a child's derivative as it is
+_FREE = Constant(0.0)
 
 
 def _is(e: Expr, value: float) -> bool:
@@ -284,35 +287,20 @@ OPS: dict[type, Op] = {
 _FLOAT_CALLS = SimpleNamespace(**{op.numpy: op.floats for op in OPS.values() if op.numpy})
 
 
-def iter_nodes(e: Expr):
-    """Yield every node of the tree, root first."""
-    stack = [e]
+def leaves(e: Expr) -> tuple[set[int], set[int], int]:
+    """The indices of the states and of the inputs that `e` reads, and its
+    number of nodes, in one walk."""
+    states, inputs, count, stack = set(), set(), 0, [e]
     while stack:
         node = stack.pop()
-        yield node
-        stack.extend(reversed(node.children()))
-
-
-def node_count(e: Expr) -> int:
-    # a plain stack: larc counts every candidate against its node budget
-    count, stack = 0, [e]
-    while stack:
         count += 1
-        stack.extend(stack.pop().children())
-    return count
-
-
-def references_input(e: Expr, index: int) -> bool:
-    return any(type(node) is InputVar and node.index == index for node in iter_nodes(e))
-
-
-def max_indices(e: Expr) -> tuple[int, int]:
-    """Largest state and largest input index referenced, -1 where none, in one walk."""
-    top = {StateVar: -1, InputVar: -1}
-    for node in iter_nodes(e):
-        if type(node) in top:
-            top[type(node)] = max(top[type(node)], node.index)
-    return top[StateVar], top[InputVar]
+        if type(node) is StateVar:
+            states.add(node.index)
+        elif type(node) is InputVar:
+            inputs.add(node.index)
+        else:
+            stack.extend(node.children())
+    return states, inputs, count
 
 
 def op_of(e: Expr) -> Op:
@@ -377,7 +365,9 @@ def eval_points(e: Expr, xs, us=None) -> tuple[list[float], list[EvalError | Non
 
 
 def diff(e: Expr, var: Expr) -> Expr:
-    """Exact derivative with respect to one StateVar or InputVar."""
+    """Exact derivative with respect to one StateVar or InputVar.  A subtree
+    that reads no variable has derivative 0: the chain rule never runs on
+    it, so none of its constants is folded."""
     if type(var) is not StateVar and type(var) is not InputVar:
         raise ExprError(f"can only differentiate with respect to a variable, got {var!r}")
     return _diff(e, var)
@@ -386,8 +376,10 @@ def diff(e: Expr, var: Expr) -> Expr:
 def _diff(e: Expr, var: Expr) -> Expr:
     op = op_of(e)
     if op.deriv is None:
-        return _ONE if e == var else _ZERO
-    return op.deriv(e, *[_diff(k, var) for k in e.children()])
+        return _FREE if type(e) is Constant else _ONE if e == var else _ZERO
+    ds = [_diff(k, var) for k in e.children()]
+    # first and last child: all of them, as a node has one or two
+    return _FREE if ds[0] is _FREE and ds[-1] is _FREE else op.deriv(e, *ds)
 
 
 def _constant(e: Expr, args) -> Constant | None:
@@ -542,7 +534,7 @@ def compile_components(exprs, n: int, m: int):
     states and entries as np.float64, it has f.advance's bits and gives
     inf or NaN where f.floats raises.
     """
-    reads = [{node.index for node in iter_nodes(e) if type(node) is StateVar} for e in exprs]
+    reads = [leaves(e)[0] for e in exprs]
     hoisted = {}  # table column -> its text, for slopes that read no state
 
     def k(s, i):  # the slope that component i has at stage s

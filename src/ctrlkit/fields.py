@@ -11,13 +11,13 @@ from .expr import (
     Add,
     Constant,
     Expr,
-    InputVar,
     Mul,
     StateVar,
     Sub,
     diff,
     eval_expr,
     is_zero,
+    leaves,
     rewrite,
     simplify,
 )
@@ -27,8 +27,8 @@ from .expr import (
 class VectorField:
     """A field on R^n: one expression per coordinate, over the states
     only (no component references an input).  Construction walks each
-    component once, and keeps per component the set of states it reads
-    (`reads`) and its number of nodes (`node_counts`)."""
+    component once (`expr.leaves`), and keeps per component the set of
+    states it reads (`reads`) and its number of nodes (`node_counts`)."""
 
     components: tuple[Expr, ...]
     n: int
@@ -45,17 +45,8 @@ class VectorField:
         for i, comp in enumerate(self.components):
             if not isinstance(comp, Expr):
                 raise TypeError(f"component {i} is not an expression: {comp!r}")
-            states, inputs, count, stack = set(), False, 0, [comp]
-            while stack:
-                node = stack.pop()
-                count += 1
-                if type(node) is StateVar:
-                    states.add(node.index)
-                elif type(node) is InputVar:
-                    inputs = True
-                else:
-                    stack.extend(node.children())
-            if states and max(states) >= self.n:
+            states, inputs, count = leaves(comp)
+            if max(states, default=-1) >= self.n:
                 raise ValueError(f"component {i} references a state beyond index {self.n - 1}")
             if inputs:
                 raise ValueError(f"field references an input in component {i}")

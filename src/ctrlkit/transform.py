@@ -28,7 +28,7 @@ from .expr import (
     Mul,
     Neg,
     StateVar,
-    references_input,
+    leaves,
     simplify,
     subst,
 )
@@ -124,13 +124,13 @@ def _match_scaled_input(e: Expr) -> tuple[float, int] | None:
 def strippable_states(sys: ControlSystem) -> list[tuple[int, float, int]]:
     """States eligible for one reduction step, as (state_index, scale,
     input_index), in declaration order."""
-    out = []
+    out, read_inputs = [], [leaves(e)[1] for e in sys.rhs]
     for z in range(sys.n):
         match = _match_scaled_input(simplify(sys.rhs[z]))
         if match is None:
             continue
         scale, j = match
-        if any(references_input(sys.rhs[k], j) for k in range(sys.n) if k != z):
+        if any(j in inputs for k, inputs in enumerate(read_inputs) if k != z):
             continue
         out.append((z, scale, j))
     return out

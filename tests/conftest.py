@@ -48,6 +48,15 @@ def chain5():
     return parse(chain_text(5))
 
 
+def iter_nodes(e):
+    """Every node of an expression tree, root first."""
+    stack = [e]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(reversed(node.children()))
+
+
 def per_substep(visit):
     """A block visit for `flows.rk4_rows` that calls visit(k, x) once per
     substep k of the block, with that substep's states x (rows, n)."""

@@ -16,11 +16,11 @@ from ctrlkit.certificates import (
     larc,
     linear_of,
     matrix_rank,
-    save_larc_report,
 )
 from ctrlkit.dsl import parse, to_affine
 from ctrlkit.expr import EvalError, probe_block
 from ctrlkit.fields import eval_vf, lie_bracket
+from ctrlkit.records import write_json
 from ctrlkit.transform import extend
 
 
@@ -229,7 +229,7 @@ def test_larc_report_json_round_trip(tmp_path, chain5):
     assert data["brackets"] == list(rep.formations)
     assert data["point"] == [0.0] * 5
     path = tmp_path / "larc.json"
-    save_larc_report(rep, str(path))
+    write_json(str(path), rep.to_json())
     assert json.loads(path.read_text()) == data
 
 

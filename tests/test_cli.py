@@ -135,6 +135,18 @@ def test_check_kalman_drift_undefined_at_origin_exits_2(tmp_path):
     assert data["where"] == "dx1"
 
 
+@pytest.mark.parametrize("method, key, value", [("kalman", "reason", "drift has a constant offset"),
+                                               ("larc", "rank", 1)])
+def test_check_a_constant_whose_derivative_has_no_value_exits_2(tmp_path, method, key, value):
+    # (1e-100)^-3 is 1e300; the chain rule at it would fold (1e-100)^-4, which
+    # has no finite value, but a constant's derivative is 0 and is not folded
+    src = write(tmp_path / "big.sys", "system big\nstates x1 x2\ninputs u\ndx1 = x2 + (1e-100)^-3\ndx2 = u\n")
+    report = str(tmp_path / "report.json")
+    assert main(["check", src, "--method", method, "--out", report]) == 2
+    data = json.loads((tmp_path / "report.json").read_text())
+    assert data["method"] == method and data[key] == value
+
+
 def test_check_not_affine_exits_2(tmp_path):
     src = write(tmp_path / "heading.sys", HEADING_TEXT)
     report = str(tmp_path / "report.json")

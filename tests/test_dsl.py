@@ -379,6 +379,14 @@ def test_control_system_constructor_rejects(fields, error):
         ControlSystem(**{**base, **fields})
 
 
+@pytest.mark.parametrize("rhs", [(Add(InputVar(1), StateVar(2)), InputVar(0)),
+                                 (StateVar(0), Add(StateVar(2), InputVar(1)))],
+                         ids=["input left of the state", "input right of the state"])
+def test_an_undeclared_state_is_reported_before_an_undeclared_input(rhs):
+    with pytest.raises(ValueError, match="references an undeclared state"):
+        ControlSystem("s", ("x1", "x2"), ("u",), rhs)
+
+
 @pytest.mark.parametrize("fields", [
     {"drift": VectorField((Constant(0.0),), n=1)},
     {"channels": ()},

@@ -13,6 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import iter_nodes
+
 from ctrlkit.expr import (
     _PROBE_SEED,
     ZERO_TOL,
@@ -39,11 +41,8 @@ from ctrlkit.expr import (
     _exp,
     ipow,
     is_probably_zero,
-    iter_nodes,
-    max_indices,
-    node_count,
+    leaves,
     probe_block,
-    references_input,
     simplify,
     subst,
 )
@@ -100,12 +99,10 @@ def test_operator_overloads_build_trees():
 
 def test_node_helpers():
     e = Add(Mul(X0, U0), Sin(X1))
-    assert node_count(e) == 6
-    assert references_input(e, 0)
-    assert not references_input(e, 1)
-    assert max_indices(e) == (1, 0)
-    assert max_indices(Sin(X0)) == (0, -1)
-    assert max_indices(Constant(1.0)) == (-1, -1)
+    assert leaves(e) == ({0, 1}, {0}, 6)
+    assert leaves(Sin(X0)) == ({0}, set(), 2)
+    assert leaves(Constant(1.0)) == (set(), set(), 1)
+    assert leaves(Add(InputVar(3), Mul(InputVar(1), StateVar(4)))) == ({4}, {1, 3}, 5)
     kinds = {type(t).__name__ for t in iter_nodes(e)}
     assert kinds == {"Add", "Mul", "StateVar", "InputVar", "Sin"}
 
@@ -128,7 +125,7 @@ _FD_CASES = [
 ]
 
 
-@pytest.mark.parametrize("expr", _FD_CASES, ids=lambda e: type(e).__name__ + str(node_count(e)))
+@pytest.mark.parametrize("expr", _FD_CASES, ids=lambda e: type(e).__name__ + str(leaves(e)[2]))
 def test_diff_matches_finite_differences(expr):
     rng = np.random.default_rng(42)
     h = 1e-6
@@ -151,6 +148,13 @@ def test_diff_matches_finite_differences(expr):
                 um[0] -= h
             fd = (eval_expr(expr, xp, up) - eval_expr(expr, xm, um)) / (2 * h)
             assert got == pytest.approx(fd, rel=1e-5, abs=1e-5)
+
+
+def test_only_a_subtree_that_reads_no_variable_differentiates_to_zero():
+    assert diff(Neg(X1), X0) == Neg(Constant(0.0))
+    assert diff(Mul(X1, Pow(Constant(1e-100), -3)), X1) == Add(Mul(Constant(1.0), Pow(Constant(1e-100), -3)),
+                                                             Mul(X1, Constant(0.0)))
+    assert diff(Add(X1, Pow(Constant(1e-100), -3)), X0) == Add(Constant(0.0), Constant(0.0))
 
 
 def test_diff_requires_variable():
@@ -191,7 +195,7 @@ def test_subst():
     assert eval_expr(swapped, [3.0, 5.0]) == pytest.approx(5.0 * 2.0 + 3.0)
     # substituting states for inputs is how extension rewires equations
     wired = subst(e, input_map={0: StateVar(2)})
-    assert max_indices(wired) == (2, -1)
+    assert leaves(wired)[:2] == ({0, 1, 2}, set())
 
 
 def test_is_probably_zero():
@@ -336,6 +340,15 @@ def test_one_fold_for_simplify_evaluation_and_compiled_code(e):
     assert eval_expr(e, []).hex() == value.hex()
     x = np.array([[0.5]])
     assert compile_components([Add(e, X0)], 1, 0)(x, np.zeros((1, 0)))[0, 0] == value + 0.5
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(_CONSTANT_TREES)
+def test_a_tree_that_reads_no_variable_has_derivative_zero(e):
+    """Also where the chain rule's constants, such as (1e-200)^-5, have no finite value."""
+    for var in (X0, U0):
+        d = diff(e, var)
+        assert d == Constant(0.0) and math.copysign(1.0, d.value) == 1.0
 
 
 def test_simplify_overflowing_fold_raises_expr_error():
@@ -506,6 +519,14 @@ _TREES = st.recursive(
     ),
     max_leaves=10,
 )
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(_TREES)
+def test_leaves_reads_what_every_node_walk_reads(e):
+    nodes = list(iter_nodes(e))
+    assert leaves(e) == ({v.index for v in nodes if type(v) is StateVar},
+                         {v.index for v in nodes if type(v) is InputVar}, len(nodes))
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=300)

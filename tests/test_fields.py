@@ -10,13 +10,12 @@ from functools import reduce
 import numpy as np
 import pytest
 
-from conftest import CUBIC_TEXT, HEADING_TEXT, chain_text
+from conftest import CUBIC_TEXT, HEADING_TEXT, chain_text, iter_nodes
 
 from ctrlkit.certificates import larc
 from ctrlkit.dsl import parse, to_affine
 from ctrlkit.expr import (
-    Add, Constant, Cos, Div, Exp, ExprError, InputVar, Mul, Neg, Pow, Sin, StateVar, Sub, diff, eval_expr, iter_nodes,
-    node_count, simplify,
+    Add, Constant, Cos, Div, Exp, ExprError, InputVar, Mul, Neg, Pow, Sin, StateVar, Sub, diff, eval_expr, simplify,
 )
 from ctrlkit.fields import VectorField, eval_vf, lie_bracket
 from ctrlkit.transform import extend
@@ -273,6 +272,7 @@ def test_construction_records_read_states_and_node_counts():
         comps = tuple(_drawn_tree(rng, 4, 4) for _ in range(3))
         states = [{node.index for node in iter_nodes(c) if type(node) is StateVar} for c in comps]
         inputs = [any(type(node) is InputVar for node in iter_nodes(c)) for c in comps]
+        counts = [sum(1 for _ in iter_nodes(c)) for c in comps]
         bad = [i for i in range(3) if max(states[i], default=-1) >= 3 or inputs[i]]
         if bad:
             # the first bad component fails, with its state error before its input error
@@ -283,7 +283,7 @@ def test_construction_records_read_states_and_node_counts():
             continue
         f = VectorField(comps, 3)
         assert f.reads == tuple(map(frozenset, states))
-        assert f.node_counts == tuple(map(node_count, comps))
+        assert f.node_counts == tuple(counts)
 
 
 def _same_tree(a, b):
@@ -300,10 +300,13 @@ _SIGNED_FIELDS = [
     # d(-x2)/dx1 is -0.0, which every unread state of that component shares
     VectorField((Neg(X1), X0), n=2),
     VectorField((Neg(X2), Mul(Constant(-1.5), X0), Constant(-2.0)), n=3),
-    # the derivative of a constant power folds (1e-300)^-2, which has no
-    # finite value: at an unread state first, and at a read one first
+    # a constant power reads no variable, so its derivative is 0 and the
+    # chain rule's (1e-300)^-2, which has no finite value, is never folded:
+    # next to an unread state, and next to a read one
     VectorField((Add(X1, Pow(Constant(1e-300), -1)), X0), n=2),
     VectorField((X1, Mul(X0, Pow(Constant(1e-300), -1))), n=2),
+    # d/dx1 of x1 * 1e300 * 1e300 is the constant 1e600, which has no finite value
+    VectorField((Mul(Mul(X0, Constant(1e300)), Constant(1e300)),), n=1),
 ]
 
 
@@ -322,9 +325,12 @@ def test_jacobian_is_the_dense_jacobian():
 
 def test_jacobian_sign_and_error_cases():
     assert math.copysign(1.0, _SIGNED_FIELDS[0].jacobian[0][0].value) == -1.0
-    for f in _SIGNED_FIELDS[2:]:
-        with pytest.raises(ExprError, match="non-finite"):
-            f.jacobian
+    zero, one = Constant(0.0), Constant(1.0)
+    for f, want in [(_SIGNED_FIELDS[2], ((zero, one), (one, zero))),
+                    (_SIGNED_FIELDS[3], ((zero, one), (Constant(1.0 / 1e-300), zero)))]:
+        assert all(map(_same_tree, sum(f.jacobian, ()), sum(want, ())))
+    with pytest.raises(ExprError, match="non-finite"):
+        _SIGNED_FIELDS[4].jacobian
 
 
 def test_jacobian_differentiates_by_read_states_and_one_more(monkeypatch):

@@ -8,11 +8,11 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from conftest import CUBIC_TEXT, HEADING_TEXT, chain_text, per_substep
+from conftest import CUBIC_TEXT, HEADING_TEXT, chain_text, iter_nodes, per_substep
 
 from ctrlkit import expr, flows, parse
 from ctrlkit.expr import (
-    OPS, Add, Constant, Cos, Div, Exp, InputVar, Mul, Neg, Pow, Sin, StateVar, Sub, compile_components, iter_nodes,
+    OPS, Add, Constant, Cos, Div, Exp, InputVar, Mul, Neg, Pow, Sin, StateVar, Sub, compile_components,
 )
 from ctrlkit.fields import VectorField
 from ctrlkit.flows import BlowUpError, Drift, FlowPlan, Jump, PiecewiseControl, flow_endpoint, integrate
